@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InputError
-from .matroids import Matroid, PartitionMatroid, set_weight
+from .matroids import PartitionMatroid, weight_order
 from .rationals import ZERO, common_denominator, mpq
 
 
@@ -42,9 +42,6 @@ class IntersectionSpec:
         self.check_members(s)
         s = frozenset(s)
         return all(m._independent(s) for m in self.matroids)
-
-    def is_common_independent(self, s):
-        return self.is_independent(s)
 
     def delete(self, t):
         return IntersectionSpec([m.delete(t) for m in self.matroids])
@@ -174,9 +171,8 @@ def greedy_common_independent(spec, weights):
     Scan elements by weight descending (id ascending on ties) and keep each
     one that leaves the set independent in every matroid.
     """
-    order = sorted(spec.ground, key=lambda e: (-mpq(weights[e]), e))
     chosen = set()
-    for e in order:
+    for e in weight_order(spec.ground, weights):
         chosen.add(e)
         if not all(m._independent(frozenset(chosen)) for m in spec.matroids):
             chosen.discard(e)
@@ -209,7 +205,3 @@ def memoized_blackbox(blackbox):
         return cache[key]
 
     return ApxBlackbox(blackbox.name, blackbox.alpha, cached)
-
-
-def common_independent_value(spec, weights, s):
-    return set_weight(weights, s)

@@ -10,7 +10,7 @@ information.
 """
 
 from .errors import InputError
-from .rationals import ZERO, mpq
+from .rationals import ZERO
 
 
 class Matroid:
@@ -317,6 +317,15 @@ def set_weight(weights, s):
     return total
 
 
+def weight_order(ids, weights):
+    """``ids`` by weight descending, ties to the smaller id.
+
+    A stable descending sort of the id-sorted list gives exactly this order
+    without building a negated rational per key.
+    """
+    return sorted(sorted(ids), key=weights.__getitem__, reverse=True)
+
+
 def max_weight_independent_set(matroid, weights):
     """Maximum-weight independent set by the standard matroid greedy.
 
@@ -324,7 +333,7 @@ def max_weight_independent_set(matroid, weights):
     Returns the empty set for an empty ground set.  Weights must be positive,
     so the optimum is also inclusion-maximal.
     """
-    order = sorted(matroid.ground, key=lambda e: (-mpq(weights[e]), e))
+    order = weight_order(matroid.ground, weights)
     chosen = []
     current = set()
     for e in order:

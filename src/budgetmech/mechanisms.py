@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import InputError
 from .intersection import IntersectionSpec
-from .matroids import Matroid, max_weight_independent_set, set_weight
+from .matroids import Matroid, max_weight_independent_set, set_weight, weight_order
 from .rationals import ZERO, mpq
 
 
@@ -113,41 +113,41 @@ class Outcome:
 
 
 def _pick_tau(ground, weights):
-    # maximum weight, ties to the smallest element id
-    return min(ground, key=lambda e: (-weights[e], e))
+    # maximum weight, ties to the smallest element id (max keeps the first)
+    return max(sorted(ground), key=weights.__getitem__)
 
 
-def _run_threshold_mechanism(inst, select):
-    weights, bids, budget = inst.weights, inst.bids, inst.budget
-    ground = list(inst.structure.ground)
-    tau = _pick_tau(ground, weights)
-    others = sorted(
-        (e for e in ground if e != tau),
-        key=lambda e: (-inst.buck_per_bang(e), e),
-    )
+def _run_threshold_mechanism(inst, exclude):
+    """The shared removal loop.
 
-    removed = set()
+    ``exclude(e)`` removes ``e`` from the candidate ground set and returns the
+    candidate set on what survives together with its weight.  It is called
+    first with tau, then with each removed element in turn.
+    """
+    weights, budget = inst.weights, inst.budget
+    tau = _pick_tau(inst.ground, weights)
+    bb = {e: inst.buck_per_bang(e) for e in inst.ground if e != tau}
+    others = sorted(sorted(bb), key=bb.__getitem__, reverse=True)
+
+    chosen, value = exclude(tau)
     trace = []
     i = 1
     while True:
-        surviving = inst.structure.delete(removed | {tau})
-        chosen = select(surviving)
-        value = set_weight(weights, chosen)
         if i > len(others):
             trace.append(TraceStep(i, None, None, tuple(sorted(chosen)), value))
             break
-        rate_i = inst.buck_per_bang(others[i - 1])
+        rate_i = bb[others[i - 1]]
         if value * rate_i > budget:
             trace.append(
                 TraceStep(i, rate_i, others[i - 1], tuple(sorted(chosen)), value)
             )
-            removed.add(others[i - 1])
+            chosen, value = exclude(others[i - 1])
             i += 1
         else:
             trace.append(TraceStep(i, rate_i, None, tuple(sorted(chosen)), value))
             break
 
-    bb_prev = None if i == 1 else inst.buck_per_bang(others[i - 2])  # None = +inf
+    bb_prev = None if i == 1 else bb[others[i - 2]]  # None = +inf
     if value > 0:
         rate = budget / value if bb_prev is None else min(budget / value, bb_prev)
     else:
@@ -175,35 +175,61 @@ def _run_threshold_mechanism(inst, select):
     )
 
 
-def run_matroid_mechanism(inst, cache=None):
+def run_matroid_mechanism(inst):
     """Budget-feasible mechanism for procuring an independent set of a matroid.
 
-    ``cache`` optionally memoizes the greedy max-weight computation per
-    surviving ground set (a pure speedup for repeated runs on one instance).
+    The greedy set ``B`` (weight descending, id ascending) is computed once
+    and repaired as elements leave the ground set: excluding ``x`` not in
+    ``B`` changes nothing; excluding ``x`` in ``B`` gives ``B - x + f``, with
+    ``f`` the first surviving element after ``x`` outside ``B`` that keeps
+    it independent, or ``B - x`` if there is none.  Elements before ``x``
+    need no test: each one outside ``B`` is spanned by the members of ``B``
+    before it, which do not include ``x``.
     """
     if not isinstance(inst.structure, Matroid):
         raise InputError("run_matroid_mechanism needs a single-matroid instance")
+    structure, weights = inst.structure, inst.weights
+    order = weight_order(structure.ground, weights)
+    position = {e: k for k, e in enumerate(order)}
+    excluded = set()
+    chosen = max_weight_independent_set(structure, weights)
+    value = set_weight(weights, chosen)
 
-    def select(surviving):
-        if cache is None:
-            return max_weight_independent_set(surviving, inst.weights)
-        key = surviving.ground
-        if key not in cache:
-            cache[key] = max_weight_independent_set(surviving, inst.weights)
-        return cache[key]
+    def exclude(x):
+        nonlocal chosen, value
+        excluded.add(x)
+        if x in chosen:
+            chosen = chosen - {x}
+            value -= weights[x]
+            for f in order[position[x] + 1:]:
+                if f in chosen or f in excluded:
+                    continue
+                candidate = chosen | {f}
+                if structure._independent(candidate):
+                    chosen = candidate
+                    value += weights[f]
+                    break
+        return chosen, value
 
-    return _run_threshold_mechanism(inst, select)
+    return _run_threshold_mechanism(inst, exclude)
 
 
 def run_intersection_mechanism(inst, blackbox):
-    """Same mechanism with the exact greedy step replaced by an APX blackbox."""
+    """Same mechanism with the exact greedy step replaced by an APX blackbox.
+
+    A blackbox is an arbitrary approximation with no exchange property, so it
+    is rerun on the surviving ground set after every exclusion.
+    """
     if not isinstance(inst.structure, IntersectionSpec):
         raise InputError("run_intersection_mechanism needs an intersection instance")
+    excluded = set()
 
-    def select(surviving):
-        return blackbox(surviving, inst.weights)
+    def exclude(x):
+        excluded.add(x)
+        chosen = blackbox(inst.structure.delete(excluded), inst.weights)
+        return chosen, set_weight(inst.weights, chosen)
 
-    return _run_threshold_mechanism(inst, select)
+    return _run_threshold_mechanism(inst, exclude)
 
 
 def utility(inst, outcome, e):

@@ -6,7 +6,6 @@ verify.
 """
 
 from .errors import CapExceeded
-from .matroids import set_weight
 from .rationals import ZERO, mpq
 
 ENUMERATION_CAP = 22
@@ -128,7 +127,3 @@ def enumerate_independent_sets(structure):
 
     extend(0, frozenset())
     return out
-
-
-def brute_force_max_value(structure, weights):
-    return set_weight(weights, brute_force_max(structure, weights))

@@ -248,13 +248,14 @@ def gen_xos_instance(seed, index, n=10, m_choices=(2, 3, 4), weight_range=(10, 2
 def make_runner(name, inst):
     """Closure running mechanism ``name`` on variations of ``inst``.
 
-    The closure may be called with bid-deviated copies of the same instance;
-    candidate-set computations are memoized per surviving ground set, which
-    is sound because they read weights only.
+    The closure may be called with bid-deviated copies of the same instance.
+    Blackbox results are memoized per surviving ground set, which is sound
+    because blackboxes read weights only.  The matroid mechanism needs no
+    memo: it repairs its greedy set after each removal instead of
+    recomputing it.
     """
     if name == "matroid":
-        cache = {}
-        return lambda i: run_matroid_mechanism(i, cache)
+        return run_matroid_mechanism
     if name == "intersection-exact":
         blackbox = memoized_blackbox(get_blackbox("exact-bipartite", inst.structure))
         return lambda i: run_intersection_mechanism(i, blackbox)

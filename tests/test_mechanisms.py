@@ -1,8 +1,14 @@
 """The two procurement mechanisms: hand traces, invariants, edge cases."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budgetmech import (
+    DeadlineMatroid,
+    ExplicitMatroid,
+    FreeMatroid,
+    GraphicMatroid,
     InputError,
     Instance,
     IntersectionSpec,
@@ -10,11 +16,13 @@ from budgetmech import (
     UniformMatroid,
     first_price_greedy,
     get_blackbox,
+    max_weight_independent_set,
     run_intersection_mechanism,
     run_matroid_mechanism,
     set_weight,
     utility,
 )
+from budgetmech.oracle import enumerate_independent_sets
 from budgetmech.rationals import mpq
 from budgetmech.verify import (
     GeneratorConfig,
@@ -162,6 +170,88 @@ def test_cache_gives_identical_outcomes():
     plain = run_matroid_mechanism(inst)
     again = cached(inst)
     assert plain.allocation == again.allocation and plain.payments == again.payments
+
+
+MATROID_KINDS = ("uniform", "free", "partition", "graphic", "deadline", "explicit")
+
+
+@st.composite
+def matroids(draw, kind):
+    """Small matroid of ``kind`` over ids listed out of id order, with loops
+    (rank 0, capacity 0, self-loops) and parallel edges in reach."""
+    n = draw(st.integers(1, 8))
+    ids = [f"x{j}" for j in range(n)][::-1]
+    if kind == "uniform":
+        return UniformMatroid(ids, draw(st.integers(0, n)))
+    if kind == "free":
+        return FreeMatroid(ids)
+    if kind == "partition":
+        labels = [draw(st.integers(0, 2)) for _ in ids]
+        blocks = []
+        for label in sorted(set(labels)):
+            members = {e for e, b in zip(ids, labels) if b == label}
+            blocks.append((members, draw(st.integers(0, len(members)))))
+        return PartitionMatroid(ids, blocks)
+    if kind == "graphic":
+        # three vertices: parallel edges are common, u == v is a self-loop
+        ends = st.integers(0, 2)
+        return GraphicMatroid([(e, draw(ends), draw(ends)) for e in ids])
+    if kind == "deadline":
+        return DeadlineMatroid(ids, {e: draw(st.integers(1, n)) for e in ids})
+    base = draw(matroids(draw(st.sampled_from(MATROID_KINDS[:-1]))))
+    return ExplicitMatroid(base.ground, enumerate_independent_sets(base))
+
+
+def assert_trace_matches_recomputation(inst, out):
+    removed = set()
+    for step in out.trace:
+        surviving = inst.structure.delete(removed | {out.tau})
+        expected = max_weight_independent_set(surviving, inst.weights)
+        assert step.chosen == tuple(sorted(expected))
+        assert step.value == set_weight(inst.weights, step.chosen)
+        if step.removed is not None:
+            removed.add(step.removed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(MATROID_KINDS))
+def test_repaired_greedy_set_matches_recomputation(data, kind):
+    m = data.draw(matroids(kind))
+    # small weights make ties common; bids up to the budget force removals
+    weights = {e: data.draw(st.integers(1, 4)) for e in m.ground}
+    budget = data.draw(st.integers(1, 12))
+    bids = {e: data.draw(st.integers(1, budget)) for e in m.ground}
+    inst = Instance(m, weights, bids, bids, budget)
+    assert_trace_matches_recomputation(inst, run_matroid_mechanism(inst))
+
+
+def test_removing_a_coloop_leaves_no_replacement():
+    # the triangle p, q, r plus the bridge c; tau = a hangs off the far end
+    m = GraphicMatroid([("a", 4, 5), ("p", 1, 2), ("q", 2, 3), ("r", 3, 1), ("c", 3, 4)])
+    weights = {"a": 10, "p": 5, "q": 4, "r": 3, "c": 2}
+    bids = {"a": 1, "p": 1, "q": 1, "r": 1, "c": 9}
+    inst = Instance(m, weights, bids, bids, 10)
+    out = run_matroid_mechanism(inst)
+    assert [(s.removed, s.chosen, s.value) for s in out.trace] == [
+        ("c", ("c", "p", "q"), 11),
+        (None, ("p", "q"), 9),
+    ]
+    assert_trace_matches_recomputation(inst, out)
+
+
+def test_repair_breaks_weight_ties_by_id():
+    # x, y and z tie at weight 3 and are listed in reverse id order; after a
+    # is removed the replacement must be y, the smallest id not yet chosen
+    m = UniformMatroid(["t", "z", "y", "x", "a"], 2)
+    weights = {"t": 9, "a": 5, "x": 3, "y": 3, "z": 3}
+    bids = {"t": 1, "a": 9, "x": 1, "y": 1, "z": 1}
+    inst = Instance(m, weights, bids, bids, 5)
+    out = run_matroid_mechanism(inst)
+    assert [(s.removed, s.chosen, s.value) for s in out.trace] == [
+        ("a", ("a", "x"), 8),
+        (None, ("x", "y"), 6),
+    ]
+    assert_trace_matches_recomputation(inst, out)
 
 
 def test_first_price_greedy_is_manipulable():

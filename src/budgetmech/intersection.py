@@ -6,11 +6,12 @@ cannot influence which common independent set it computes.
 """
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable
 
 from .errors import InputError
 from .matroids import PartitionMatroid, weight_order
-from .rationals import ZERO, common_denominator, mpq
+from .rationals import common_denominator, mpq
 
 
 class IntersectionSpec:
@@ -69,98 +70,149 @@ class ApxBlackbox:
 
 
 def _bipartite_shape(spec):
-    """Left/right vertex of each edge, or raise if the spec is not a
-    two-partition-matroid, capacity-1 encoding of a bipartite graph."""
+    """Left and right vertex of each edge (the two partition matroids' block
+    maps), or raise if the spec is not a two-partition-matroid, capacity-1
+    encoding of a bipartite graph."""
     if spec.k != 2:
         raise InputError("bipartite matching needs exactly two matroids")
-    sides = []
     for m in spec.matroids:
         if not isinstance(m, PartitionMatroid):
             raise InputError("bipartite matching needs two partition matroids")
         if any(cap != 1 for _, cap in m.blocks):
             raise InputError("bipartite matching needs capacity 1 on every vertex block")
-        sides.append({e: idx for idx, (members, _) in enumerate(m.blocks) for e in members})
-    return sides[0], sides[1]
+    return spec.matroids[0]._block_of, spec.matroids[1]._block_of
 
 
 def _perturb_for_lex(weights, ids):
-    """Add per-edge bonuses smaller than any true value gap so that the
-    perturbed optimum is unique and equals the lexicographically smallest
-    id set among the original value-equal optima."""
-    d = common_denominator(weights[e] for e in ids)
-    return {e: mpq(weights[e]) + mpq(1, d * (1 << (j + 1))) for j, e in enumerate(ids)}
+    """Integer weights ``w_e * d * 2^(m+1) + 2^(m-j)`` for the j-th of the m
+    sorted ``ids``, with ``d`` the common denominator of the true weights.
+
+    Scaled true values of two edge sets differ by 0 or at least 2^(m+1),
+    while the bonuses sum to less than 2^(m+1) and spell the set in binary.
+    So distinct edge sets get distinct weights, and the perturbed optimum is
+    the lexicographically smallest id set among the value-equal optima.
+    """
+    m = len(ids)
+    values = [weights[e] for e in ids]
+    scale = common_denominator(values) << (m + 1)
+    return [
+        int(q.numerator) * (scale // int(q.denominator)) + (1 << (m - j))
+        for j, q in enumerate(values)
+    ]
+
+
+def _check_dual_certificate(wp, left, right, matched, y_left, y_right):
+    """Raise unless the duals prove ``matched`` a maximum-weight matching.
+
+    Checks LP-duality for max-weight bipartite matching: duals nonnegative,
+    ``y_u + y_v >= wp_e`` on every edge with equality on matched edges, and
+    zero on every unmatched vertex.  Then any matching N has
+    ``wp(N) <= sum of duals = wp(matched)``.
+    """
+    covered_left = {left[j] for j in matched}
+    covered_right = {right[j] for j in matched}
+    ok = (
+        all(y >= 0 for y in y_left)
+        and all(y >= 0 for y in y_right)
+        and all(y_left[u] + y_right[v] >= w for w, u, v in zip(wp, left, right))
+        and all(y_left[left[j]] + y_right[right[j]] == wp[j] for j in matched)
+        and all(y == 0 for u, y in enumerate(y_left) if u not in covered_left)
+        and all(y == 0 for v, y in enumerate(y_right) if v not in covered_right)
+    )
+    if not ok:
+        raise AssertionError("dual certificate failed: matching is not maximum-weight")
 
 
 def exact_bipartite_matching(spec, weights):
     """Maximum-weight matching in the bipartite graph encoded by ``spec``.
 
-    Successive augmentation: repeatedly apply the maximum-gain alternating
-    path (found by Bellman-Ford over the residual graph) until no path has
-    positive gain.  Perturbed weights make the optimum unique, so the result
-    is deterministic with value-equal optima resolved to the smallest id set.
+    Primal-dual (Hungarian) augmentation on the integer weights of
+    ``_perturb_for_lex``.  Duals start at ``max wp`` on the left and 0 on the
+    right; reduced costs ``y_u + y_v - wp_e`` stay nonnegative and matched
+    edges stay tight.  The free left vertices always share one dual ``delta``.
+    Each phase runs one Dijkstra over alternating paths from all free left
+    vertices: an augmenting path of reduced length ``D`` gains ``delta - D``,
+    so the phase augments along the shortest one if ``D < delta``, and
+    otherwise lowers ``delta`` to 0 and stops, since no positive-gain path is
+    left.  Perturbed weights make the optimum unique, so the result is
+    deterministic with value-equal optima resolved to the smallest id set.
     """
     left_of, right_of = _bipartite_shape(spec)
     ids = sorted(spec.ground)
     if not ids:
         return frozenset()
     wp = _perturb_for_lex(weights, ids)
+    left = [left_of[e] for e in ids]
+    right = [right_of[e] for e in ids]
+    adj = [[] for _ in spec.matroids[0].blocks]
+    for j, u in enumerate(left):
+        adj[u].append(j)
 
-    match_of_edge = {e: False for e in ids}
-    left_matched = {}  # left vertex -> edge id
-    right_matched = {}  # right vertex -> edge id
+    delta = max(wp)
+    y_left = [delta] * len(adj)
+    y_right = [0] * len(spec.matroids[1].blocks)
+    mate_left = [None] * len(y_left)  # edge index matched at each vertex
+    mate_right = [None] * len(y_right)
 
-    nodes = [("L", v) for v in sorted(set(left_of.values()))] + [
-        ("R", v) for v in sorted(set(right_of.values()))
-    ]
-
-    while True:
-        dist = {}
-        pred = {}
-        for node in nodes:
-            if node[0] == "L" and node[1] not in left_matched:
-                dist[node] = ZERO
-        changed = True
-        rounds = 0
-        while changed:
-            changed = False
-            rounds += 1
-            if rounds > len(nodes) + 1:
-                raise AssertionError("positive alternating cycle: matching invariant broken")
-            for e in ids:
-                u = ("L", left_of[e])
-                v = ("R", right_of[e])
-                if not match_of_edge[e]:
-                    if u in dist and (v not in dist or dist[u] + wp[e] > dist[v]):
-                        dist[v] = dist[u] + wp[e]
-                        pred[v] = (u, e)
-                        changed = True
-                else:
-                    if v in dist and (u not in dist or dist[v] - wp[e] > dist[u]):
-                        dist[u] = dist[v] - wp[e]
-                        pred[u] = (v, e)
-                        changed = True
-
-        best_node, best_gain = None, None
-        for node in nodes:
-            if node[0] == "R" and node[1] not in right_matched and node in dist:
-                if best_gain is None or dist[node] > best_gain:
-                    best_node, best_gain = node, dist[node]
-        if best_node is None or best_gain <= ZERO:
+    while delta > 0:
+        free = [u for u, j in enumerate(mate_left) if j is None]
+        if not free:
             break
+        # Dijkstra; a matched right vertex settles its mate at the same distance
+        settled_left = dict.fromkeys(free, 0)
+        settled_right = {}
+        best, via, heap = {}, {}, []
 
-        node = best_node
-        while node in pred:
-            prev, e = pred[node]
-            match_of_edge[e] = not match_of_edge[e]
-            node = prev
-        left_matched = {}
-        right_matched = {}
-        for e in ids:
-            if match_of_edge[e]:
-                left_matched[left_of[e]] = e
-                right_matched[right_of[e]] = e
+        def scan(u, d):
+            y_u = y_left[u]
+            for j in adj[u]:
+                v = right[j]
+                if v in settled_right:
+                    continue
+                dv = d + y_u + y_right[v] - wp[j]
+                if v not in best or dv < best[v]:
+                    best[v], via[v] = dv, j
+                    heappush(heap, (dv, v))
 
-    result = frozenset(e for e in ids if match_of_edge[e])
+        for u in free:
+            scan(u, 0)
+        end = None
+        while heap:
+            d, v = heappop(heap)
+            if v in settled_right:
+                continue
+            if d >= delta:
+                break
+            settled_right[v] = d
+            j = mate_right[v]
+            if j is None:
+                end = v
+                break
+            u = left[j]
+            settled_left[u] = d
+            scan(u, d)
+
+        step = delta if end is None else settled_right[end]
+        for u, d in settled_left.items():
+            if d < step:
+                y_left[u] -= step - d
+        for v, d in settled_right.items():
+            if d < step:
+                y_right[v] += step - d
+        delta -= step
+        if end is None:
+            break
+        v = end
+        while v is not None:
+            j = via[v]
+            u = left[j]
+            previous = mate_left[u]
+            mate_left[u], mate_right[v] = j, j
+            v = None if previous is None else right[previous]
+
+    matched = [j for j in mate_left if j is not None]
+    _check_dual_certificate(wp, left, right, matched, y_left, y_right)
+    result = frozenset(ids[j] for j in matched)
     assert spec.is_independent(result)
     return result
 

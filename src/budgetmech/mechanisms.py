@@ -12,6 +12,7 @@ order and the budget test; the candidate sets themselves are computed from
 public weights alone.
 """
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,10 +56,19 @@ class Instance:
         return self.bids[e] / self.weights[e]
 
     def with_bid(self, e, bid):
-        """Copy of the instance where element ``e`` declares ``bid``."""
-        bids = dict(self.bids)
-        bids[e] = mpq(bid)
-        return Instance(self.structure, self.weights, self.true_costs, bids, self.budget)
+        """Copy of the instance where element ``e`` declares ``bid``.
+
+        Every other field was validated when this instance was built, so only
+        the new bid is converted and checked.
+        """
+        if e not in self.bids:
+            raise InputError("bids must cover exactly the ground set")
+        bid = mpq(bid)
+        if bid <= 0:
+            raise InputError(f"bids[{e}] must be positive")
+        clone = copy.copy(self)
+        clone.bids = {**self.bids, e: bid}
+        return clone
 
     def truthful(self):
         """Copy where every element bids its true cost."""

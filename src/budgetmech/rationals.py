@@ -61,11 +61,8 @@ def to_decimal(q, significant_digits=12):
 
 
 def common_denominator(values):
-    """Least common multiple of the denominators of ``values`` (≥ 1)."""
-    result = 1
-    for v in values:
-        result = lcm(result, int(mpq(v).denominator))
-    return result
+    """Least common multiple of the denominators of the rationals ``values`` (≥ 1)."""
+    return lcm(1, *(int(v.denominator) for v in values))
 
 
 def rational_isqrt(q, digits=24):

@@ -1,6 +1,8 @@
 """Matroid intersections and the two approximation blackboxes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budgetmech import (
     InputError,
@@ -12,7 +14,7 @@ from budgetmech import (
     greedy_common_independent,
     set_weight,
 )
-from budgetmech.oracle import brute_force_max
+from budgetmech.oracle import brute_force_max, brute_force_opt
 from budgetmech.rationals import mpq
 from budgetmech.verify import GeneratorConfig, gen_bipartite_instance
 
@@ -135,6 +137,42 @@ def test_blackboxes_against_brute_force():
         greedy = greedy_common_independent(spec, w)
         assert spec.is_independent(greedy)
         assert set_weight(w, greedy) * spec.k >= opt_value
+
+
+@st.composite
+def tie_heavy_bipartite(draw):
+    """Small graphs with parallel edges, isolated vertices (empty blocks) and
+    unbalanced sides; weights from {1, 2, 3/2}, so value ties are common.
+    Also draws a set of edges to delete."""
+    n_left = draw(st.integers(1, 4))
+    n_right = draw(st.integers(1, 4))
+    ends = draw(st.lists(
+        st.tuples(st.integers(0, n_left - 1), st.integers(0, n_right - 1)),
+        min_size=1, max_size=9,
+    ))
+    ids = draw(st.permutations([f"e{k}" for k in range(len(ends))]))
+    by_left = [set() for _ in range(n_left)]
+    by_right = [set() for _ in range(n_right)]
+    for e, (l, r) in zip(ids, ends):
+        by_left[l].add(e)
+        by_right[r].add(e)
+    spec = IntersectionSpec([
+        PartitionMatroid(ids, [(s, 1) for s in by_left]),
+        PartitionMatroid(ids, [(s, 1) for s in by_right]),
+    ])
+    weights = {e: draw(st.sampled_from([mpq(1), mpq(2), mpq(3, 2)])) for e in ids}
+    removed = draw(st.sets(st.sampled_from(ids)))
+    return spec, weights, removed
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_bipartite())
+def test_exact_matching_is_the_oracle_set(case):
+    """Set identity, not just value: the lexicographic tie-break among
+    value-equal optima is what keeps ``run`` output stable."""
+    spec, w, removed = case
+    for sub in (spec, spec.delete(removed)):
+        assert exact_bipartite_matching(sub, w) == brute_force_opt(sub, w, w, None)
 
 
 def test_determinism():

@@ -265,3 +265,29 @@ def test_first_price_greedy_is_manipulable():
     out_lying = first_price_greedy(lying)
     assert "a" in out_lying.allocation
     assert utility(lying, out_lying, "a") > u_honest
+
+
+def test_with_bid_matches_instance_built_from_scratch():
+    cfg = GeneratorConfig(count=6, seed=5, n_range=(3, 7))
+    for index in range(6):
+        inst = gen_matroid_instance(cfg, index)
+        before = dict(inst.bids)
+        for e in sorted(inst.ground):
+            for bid in (mpq(1, 3), inst.bids[e] * 2, inst.budget + 1):
+                fresh = Instance(inst.structure, inst.weights, inst.true_costs,
+                                 {**inst.bids, e: bid}, inst.budget)
+                deviated = inst.with_bid(e, bid)
+                assert deviated.bids == fresh.bids
+                assert run_matroid_mechanism(deviated) == run_matroid_mechanism(fresh)
+        assert inst.bids == before
+
+
+def test_with_bid_rejects_what_the_constructor_rejects():
+    inst = uniform_instance({"a": 5, "b": 4}, {"a": 2, "b": 2}, 10)
+    for e, bid in (("a", 0), ("b", mpq(-1, 2)), ("zz", 3), ("zz", 0)):
+        with pytest.raises(InputError) as fresh:
+            Instance(inst.structure, inst.weights, inst.true_costs,
+                     {**inst.bids, e: bid}, inst.budget)
+        with pytest.raises(InputError) as copied:
+            inst.with_bid(e, bid)
+        assert str(copied.value) == str(fresh.value)

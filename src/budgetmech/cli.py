@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: run, verify, bench, replay, xos-constant.
-Exit codes: 0 success, 1 verification failures, 2 schema violation,
-3 enumeration cap exceeded, 4 I/O error.
+Exit codes: 0 success, 1 verification failures or unreproduced replays,
+2 malformed input, 3 enumeration cap exceeded, 4 operating-system (I/O) error.
 """
 
 import argparse
@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import CapExceeded, InputError, SchemaError
 from .instance_io import (
@@ -19,19 +18,22 @@ from .instance_io import (
     instance_to_json,
     load_instance_file,
     outcome_to_json,
+    read_json,
 )
 from .intersection import IntersectionSpec, get_blackbox
 from .mechanisms import run_intersection_mechanism, run_matroid_mechanism
 from .oracle import brute_force_opt
 from .matroids import set_weight
-from .rationals import format_rational, mpq, to_decimal
+from .rationals import format_rational, mpq, parse_rational, to_decimal
 from .verify import (
-    GeneratorConfig,
-    gen_bipartite_instance,
-    gen_matroid_instance,
+    DEFAULT_VERIFY_CONFIG,
+    load_sweep_config,
     make_runner,
     replay_failure,
+    report_failures,
+    run_sweep,
     run_verification,
+    sweep_instance,
 )
 from .xos import XosParams, optimize_constant, xos_mechanism_main
 
@@ -66,8 +68,9 @@ def _cmd_run(args):
     elif mechanism == "xos":
         if loaded.xos is None:
             raise SchemaError("xos", "missing (required for --mechanism xos)")
-        params = XosParams(alpha=mpq(args.alpha), beta=_parse_cli_rational(args.beta),
-                           gamma=mpq(args.gamma), seed=args.seed)
+        params = XosParams(alpha=parse_rational(args.alpha, "--alpha"),
+                           beta=parse_rational(args.beta, "--beta"),
+                           gamma=parse_rational(args.gamma, "--gamma"), seed=args.seed)
         outcome = xos_mechanism_main(loaded.xos, loaded.costs, loaded.bids,
                                      loaded.budget, params)
     else:
@@ -79,28 +82,11 @@ def _cmd_run(args):
     return EXIT_OK
 
 
-def _parse_cli_rational(text):
-    try:
-        if "/" in str(text):
-            num, den = str(text).split("/")
-            return mpq(int(num), int(den))
-        return mpq(str(text))
-    except Exception as exc:
-        raise SchemaError("flag", f"cannot parse rational {text!r}") from exc
-
-
 def _cmd_verify(args):
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("config", f"invalid JSON: {exc}") from exc
-    if args.threads is not None:
-        config["threads"] = args.threads
-
-    reports, total_failures = run_verification(config)
-
+    cfg = load_sweep_config(read_json(args.config), DEFAULT_VERIFY_CONFIG, args.threads)
     os.makedirs(args.out, exist_ok=True)
+    reports, total_failures = run_verification(cfg)
+
     report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w") as fh:
         json.dump({"reports": [r.to_json() for r in reports]}, fh, indent=2,
@@ -123,98 +109,61 @@ def _cmd_verify(args):
     return EXIT_OK
 
 
-def _bench_generator_config(config):
-    return GeneratorConfig(
-        count=config.get("count", 100),
-        seed=config.get("seed", 0),
-        n_range=tuple(config.get("n_range", [3, 12])),
-        kinds=tuple(config.get("kinds", ["uniform", "partition", "graphic", "deadline"])),
-        weight_dist=config.get("weight_dist", "uniform"),
-        budget_regime=config.get("budget_regime", "mixed"),
-    )
+# keys a bench config may set, with their values when absent
+BENCH_DEFAULTS = {
+    "seed": 0,
+    "count": 100,
+    "n_range": [3, 12],
+    "kinds": ["uniform", "partition", "graphic", "deadline"],
+    "weight_dist": "uniform",
+    "budget_regime": "mixed",
+    "mechanisms": ["matroid"],
+}
 
 
-def _bench_chunk(config, mechanism, indices):
-    gconf = _bench_generator_config(config)
-    rows = []
-    for index in indices:
-        if mechanism == "matroid":
-            inst = gen_matroid_instance(gconf, index)
-            kind = inst.structure.kind
-            alpha = ""
-        else:
-            inst = gen_bipartite_instance(gconf, index)
-            kind = "bipartite"
-            alpha = "1" if mechanism == "intersection-exact" else str(inst.structure.k)
-        runner = make_runner(mechanism, inst)
-        started = time.perf_counter_ns()
-        outcome = runner(inst)
-        elapsed_us = (time.perf_counter_ns() - started) // 1000
-        alloc_value = set_weight(inst.weights, outcome.allocation)
-        opt = brute_force_opt(inst.structure, inst.weights, inst.true_costs,
-                              inst.budget)
-        opt_value = set_weight(inst.weights, opt)
-        ratio = opt_value / alloc_value if alloc_value > 0 else mpq(0)
-        rows.append([
-            instance_hash(instance_to_json(inst)),
-            len(inst.structure.ground),
-            kind,
-            mechanism,
-            alpha,
-            to_decimal(ratio),
-            to_decimal(outcome.total_payment / inst.budget),
-            elapsed_us,
-        ])
-    return rows
-
-
-def _bench_rows(config, threads=1):
-    mechanisms = config.get("mechanisms", ["matroid"])
-    for mechanism in mechanisms:
-        if mechanism not in ("matroid", "intersection-exact", "intersection-greedy"):
-            raise SchemaError("mechanisms", f"unknown mechanism {mechanism!r}")
-    count = config.get("count", 100)
-    for mechanism in mechanisms:
-        indices = list(range(count))
-        if threads > 1 and len(indices) > 1:
-            size = max(1, len(indices) // (threads * 4))
-            chunks = [indices[i:i + size] for i in range(0, len(indices), size)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for rows in pool.map(_bench_chunk, [config] * len(chunks),
-                                     [mechanism] * len(chunks), chunks):
-                    yield from rows
-        else:
-            yield from _bench_chunk(config, mechanism, indices)
+def _bench_row(cfg, mechanism, index):
+    inst = sweep_instance(cfg, mechanism, index)
+    if mechanism == "matroid":
+        kind = inst.structure.kind
+        alpha = ""
+    else:
+        kind = "bipartite"
+        alpha = "1" if mechanism == "intersection-exact" else str(inst.structure.k)
+    runner = make_runner(mechanism, inst)
+    started = time.perf_counter_ns()
+    outcome = runner(inst)
+    elapsed_us = (time.perf_counter_ns() - started) // 1000
+    alloc_value = set_weight(inst.weights, outcome.allocation)
+    opt = brute_force_opt(inst.structure, inst.weights, inst.true_costs, inst.budget)
+    opt_value = set_weight(inst.weights, opt)
+    ratio = opt_value / alloc_value if alloc_value > 0 else mpq(0)
+    return [
+        instance_hash(instance_to_json(inst)),
+        len(inst.structure.ground),
+        kind,
+        mechanism,
+        alpha,
+        to_decimal(ratio),
+        to_decimal(outcome.total_payment / inst.budget),
+        elapsed_us,
+    ]
 
 
 def _cmd_bench(args):
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("config", f"invalid JSON: {exc}") from exc
-    try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([
-                "instance_hash", "n", "matroid_kind", "mechanism", "alpha",
-                "ratio", "total_payment_over_budget", "runtime_us",
-            ])
-            for row in _bench_rows(config, threads=args.threads or 1):
-                writer.writerow(row)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cfg = load_sweep_config(read_json(args.config), BENCH_DEFAULTS, args.threads)
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([
+            "instance_hash", "n", "matroid_kind", "mechanism", "alpha",
+            "ratio", "total_payment_over_budget", "runtime_us",
+        ])
+        writer.writerows(run_sweep(_bench_row, cfg, cfg["mechanisms"]))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_replay(args):
-    with open(args.report) as fh:
-        doc = json.load(fh)
-    records = []
-    for report in doc.get("reports", []):
-        records.extend(report.get("failures", []))
+    records = report_failures(read_json(args.report))
     if not records:
         print("report contains no failures; nothing to replay")
         return EXIT_OK
@@ -234,7 +183,7 @@ def _cmd_replay(args):
 
 
 def _cmd_xos_constant(args):
-    gamma = _parse_cli_rational(args.gamma)
+    gamma = parse_rational(args.gamma, "--gamma")
     alpha, beta, ratio = optimize_constant(gamma)
     _print_json({
         "gamma": format_rational(gamma),
@@ -306,8 +255,9 @@ def main(argv=None):
     except (SchemaError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        where = exc.filename if exc.filename is not None else "I/O"
+        print(f"error: {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO
 
 

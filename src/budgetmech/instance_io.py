@@ -44,11 +44,9 @@ class LoadedInstance:
         return Instance(self.structure, self.weights, self.costs, self.bids, self.budget)
 
 
-def _parse_rational_field(value, field, positive=True):
-    try:
-        q = parse_rational(value, field)
-    except ValueError as exc:
-        raise SchemaError(field, str(exc)) from exc
+def parse_rational_field(value, field, positive=True):
+    """A rational read from outside input; SchemaError names ``field``."""
+    q = parse_rational(value, field)
     if positive and q <= 0:
         raise SchemaError(field, "must be positive")
     return q
@@ -78,17 +76,17 @@ def load_instance(obj):
         if "cost" not in entry:
             raise SchemaError(f"elements[{idx}].cost", "missing")
         ids.append(e)
-        weights[e] = _parse_rational_field(entry["weight"], f"elements[{idx}].weight")
-        costs[e] = _parse_rational_field(entry["cost"], f"elements[{idx}].cost")
+        weights[e] = parse_rational_field(entry["weight"], f"elements[{idx}].weight")
+        costs[e] = parse_rational_field(entry["cost"], f"elements[{idx}].cost")
         bids[e] = (
-            _parse_rational_field(entry["bid"], f"elements[{idx}].bid")
+            parse_rational_field(entry["bid"], f"elements[{idx}].bid")
             if "bid" in entry
             else costs[e]
         )
 
     if "budget" not in obj:
         raise SchemaError("budget", "missing")
-    budget = _parse_rational_field(obj["budget"], "budget")
+    budget = parse_rational_field(obj["budget"], "budget")
     for e in ids:
         if bids[e] > budget:
             raise SchemaError("elements", f"bid of {e!r} exceeds the budget")
@@ -115,6 +113,8 @@ def load_instance(obj):
         xspec = obj["xos"]
         if not isinstance(xspec, dict) or "functions" not in xspec:
             raise SchemaError("xos.functions", "missing")
+        if not isinstance(xspec["functions"], list):
+            raise SchemaError("xos.functions", "must be a list of per-element value lists")
         functions = []
         for k, row in enumerate(xspec["functions"]):
             if not isinstance(row, list) or len(row) != len(ids):
@@ -123,7 +123,7 @@ def load_instance(obj):
                 )
             functions.append(
                 {
-                    e: _parse_rational_field(v, f"xos.functions[{k}][{j}]", positive=False)
+                    e: parse_rational_field(v, f"xos.functions[{k}][{j}]", positive=False)
                     for j, (e, v) in enumerate(zip(ids, row))
                 }
             )
@@ -144,13 +144,17 @@ def load_instance(obj):
     )
 
 
+def read_json(path):
+    """Parse one JSON input file; malformed text is a SchemaError naming the path."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # invalid JSON or undecodable bytes
+            raise SchemaError(path, f"invalid JSON: {exc}") from exc
+
+
 def load_instance_file(path):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("document", f"invalid JSON: {exc}") from exc
-    return load_instance(obj)
+    return load_instance(read_json(path))
 
 
 def instance_to_json(inst):

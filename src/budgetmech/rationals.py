@@ -10,28 +10,24 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 
+from .errors import SchemaError
+
 try:
     from gmpy2 import mpq
 except ImportError:  # pragma: no cover
     mpq = Fraction
 
 ZERO = mpq(0)
-ONE = mpq(1)
-
-
-def rat(numerator, denominator=1):
-    """Build an exact rational."""
-    return mpq(numerator, denominator)
 
 
 def parse_rational(value, field="value"):
     """Parse an int, or a string like ``"7"`` or ``"50/9"``, into a rational.
 
-    Raises ValueError mentioning ``field`` on malformed input.  Floats are
-    rejected on purpose: they would silently break exactness.
+    Raises SchemaError (a ValueError) naming ``field`` on malformed input.
+    Floats are rejected on purpose: they would silently break exactness.
     """
     if isinstance(value, bool):
-        raise ValueError(f"{field}: booleans are not rationals")
+        raise SchemaError(field, "booleans are not rationals")
     if isinstance(value, int):
         return mpq(value)
     if isinstance(value, str):
@@ -42,8 +38,8 @@ def parse_rational(value, field="value"):
                 return mpq(int(num), int(den))
             return mpq(int(text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{field}: cannot parse rational {value!r}") from exc
-    raise ValueError(f"{field}: expected int or 'p/q' string, got {type(value).__name__}")
+            raise SchemaError(field, f"cannot parse rational {value!r}") from exc
+    raise SchemaError(field, f"expected int or 'p/q' string, got {type(value).__name__}")
 
 
 def format_rational(q):

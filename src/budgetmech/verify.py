@@ -7,12 +7,18 @@ reproduced from the report file alone.
 """
 
 import math
+import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import InputError
-from .instance_io import instance_to_json, load_instance, xos_instance_to_json
+from .errors import InputError, SchemaError
+from .instance_io import (
+    instance_to_json,
+    load_instance,
+    parse_rational_field,
+    xos_instance_to_json,
+)
 from .intersection import (
     IntersectionSpec,
     PartitionMatroid,
@@ -35,8 +41,8 @@ from .mechanisms import (
     utility,
 )
 from .oracle import brute_force_opt
-from .rationals import ZERO, format_rational, mpq, parse_rational
-from .xos import XosParams, XosValuation, xos_mechanism_main
+from .rationals import ZERO, format_rational, mpq
+from .xos import XosParams, XosValuation, _subset_table, xos_mechanism_main
 
 EPSILON = mpq(1, 10**9)
 
@@ -281,33 +287,40 @@ def ratio_denominator(name, inst):
 # property checks
 
 
-def check_outcome_invariants(inst, outcome, mechanism, doc=None):
-    """Independence, IR and exact budget feasibility of one outcome."""
-    doc = doc or instance_to_json(inst)
+def _payment_failures(outcome, bids, budget, mechanism, doc):
+    """IR against ``bids`` and exact budget feasibility of one outcome, which
+    may be a threshold-mechanism Outcome or an XosOutcome."""
     failures = []
     if not set(outcome.payments) <= set(outcome.allocation):
         failures.append(
             Failure("IR", mechanism, doc, observed="payment to unallocated element",
                     required="p_e = 0 whenever f_e = 0")
         )
+    for e in sorted(outcome.allocation):
+        if outcome.payment(e) < bids[e]:
+            failures.append(
+                Failure("IR", mechanism, doc, element=e,
+                        observed=format_rational(outcome.payment(e)),
+                        required=f">= bid {format_rational(bids[e])}")
+            )
+    if outcome.total_payment > budget:
+        failures.append(
+            Failure("BudgetFeasible", mechanism, doc,
+                    observed=format_rational(outcome.total_payment),
+                    required=f"<= budget {format_rational(budget)}")
+        )
+    return failures
+
+
+def check_outcome_invariants(inst, outcome, mechanism, doc=None):
+    """Independence, IR and exact budget feasibility of one outcome."""
+    doc = doc or instance_to_json(inst)
+    failures = _payment_failures(outcome, inst.bids, inst.budget, mechanism, doc)
     if not inst.structure.is_independent(outcome.allocation):
         failures.append(
             Failure("Independence", mechanism, doc,
                     observed=f"allocation {sorted(outcome.allocation)} dependent",
                     required="allocated set independent in every matroid")
-        )
-    for e in sorted(outcome.allocation):
-        if outcome.payment(e) < inst.bids[e]:
-            failures.append(
-                Failure("IR", mechanism, doc, element=e,
-                        observed=format_rational(outcome.payment(e)),
-                        required=f">= bid {format_rational(inst.bids[e])}")
-            )
-    if outcome.total_payment > inst.budget:
-        failures.append(
-            Failure("BudgetFeasible", mechanism, doc,
-                    observed=format_rational(outcome.total_payment),
-                    required=f"<= budget {format_rational(inst.budget)}")
         )
     return failures
 
@@ -467,50 +480,26 @@ def _xos_failure_doc(valuation, costs, bids, budget, params):
 def check_xos_outcome(valuation, costs, bids, budget, outcome, params, mechanism="xos"):
     """Budget feasibility and IR (against bids) of one realized XOS run."""
     doc = _xos_failure_doc(valuation, costs, bids, budget, params)
-    failures = []
-    if outcome.total_payment > budget:
-        failures.append(
-            Failure("BudgetFeasible", mechanism, doc,
-                    observed=format_rational(outcome.total_payment),
-                    required=f"<= budget {format_rational(budget)}")
-        )
-    for e in sorted(outcome.allocation):
-        if outcome.payment(e) < bids[e]:
-            failures.append(
-                Failure("IR", mechanism, doc, element=e,
-                        observed=format_rational(outcome.payment(e)),
-                        required=f">= bid {format_rational(bids[e])}")
-            )
-    if not set(outcome.payments) <= set(outcome.allocation):
-        failures.append(
-            Failure("IR", mechanism, doc, observed="payment to unallocated element",
-                    required="p_e = 0 whenever f_e = 0")
-        )
-    return failures
+    return _payment_failures(outcome, bids, budget, mechanism, doc)
 
 
-def _xos_membership_breakpoint(valuation, t2_ids, bids, threshold, e):
+def _xos_membership_breakpoint(valuation, t2_ids, bids, threshold, e, table=None):
     """Bid level where ``e`` leaves the surplus argmax, if the threshold is
-    positive: above it the argmax excludes e, below it the argmax keeps e."""
+    positive: above it the argmax excludes e, below it the argmax keeps e.
+
+    ``table`` is ``_subset_table(valuation, sorted(t2_ids), bids)``; pass it
+    to share one table across the elements of T2.
+    """
     if threshold <= 0 or e not in t2_ids:
         return None
     ids = sorted(t2_ids)
-    best_in, best_out = None, ZERO  # empty set is an "out" candidate
-    for mask in range(1, 1 << len(ids)):
-        members = [ids[j] for j in range(len(ids)) if mask >> j & 1]
-        value = valuation.value(frozenset(members))
-        cost_rest = sum((bids[o] for o in members if o != e), ZERO)
-        obj_rest = value - threshold * cost_rest
-        if e in members:
-            if best_in is None or obj_rest > best_in:
-                best_in = obj_rest
-        else:
-            obj = value - threshold * sum((bids[o] for o in members), ZERO)
-            if obj > best_out:
-                best_out = obj
-    if best_in is None:
-        return None
-    return (best_in - best_out) / threshold
+    cost, value = table or _subset_table(valuation, ids, bids)
+    bit = 1 << ids.index(e)
+    # the best set with e, scored as if e bid 0, against the best set
+    # without e (the empty set included)
+    best_in = max(value[m] - threshold * cost[m] for m in range(len(cost)) if m & bit)
+    best_out = max(value[m] - threshold * cost[m] for m in range(len(cost)) if not m & bit)
+    return (best_in + threshold * bids[e] - best_out) / threshold
 
 
 def check_xos_truthfulness(valuation, costs, budget, params,
@@ -525,6 +514,7 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     doc = _xos_failure_doc(valuation, costs, costs, budget, params)
     truthful = xos_mechanism_main(valuation, costs, costs, budget, params)
     rng = random.Random(f"xosdev:{seed}:{params.seed}")
+    table = _subset_table(valuation, sorted(truthful.t2), costs)
     for e in valuation.ground:
         u_truth = xos_utility(truthful, costs, e)
         probes = set()
@@ -538,7 +528,7 @@ def check_xos_truthfulness(valuation, costs, budget, params,
         add(costs[e] + EPSILON)
         if truthful.branch != "max-element":
             bp = _xos_membership_breakpoint(
-                valuation, truthful.t2, costs, truthful.threshold, e
+                valuation, truthful.t2, costs, truthful.threshold, e, table
             )
             if bp is not None:
                 add(bp - EPSILON)
@@ -568,7 +558,10 @@ def check_xos_truthfulness(valuation, costs, budget, params,
 
 
 # ---------------------------------------------------------------------------
-# verification driver (CLI `verify`)
+# sweep configs and the sweep driver (CLI `verify` and `bench`)
+
+SWEEP_MECHANISMS = ("matroid", "intersection-exact", "intersection-greedy")
+MATROID_KINDS = ("uniform", "partition", "graphic", "deadline", "free")
 
 DEFAULT_VERIFY_CONFIG = {
     "seed": 0,
@@ -584,43 +577,61 @@ DEFAULT_VERIFY_CONFIG = {
 }
 
 
-def _validate_verify_config(doc):
-    from .errors import SchemaError
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
+
+def _nonempty_list_of(allowed):
+    return lambda v: isinstance(v, (list, tuple)) and bool(v) and all(x in allowed for x in v)
+
+
+# the one rule, and its message, for each key a sweep config may set
+_SWEEP_RULES = {
+    "seed": (_is_int, "must be an integer"),
+    "count": (lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer"),
+    "n_range": (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+        and all(_is_int(x) for x in v) and 1 <= v[0] <= v[1],
+        "must be [lo, hi] with 1 <= lo <= hi",
+    ),
+    "kinds": (_nonempty_list_of(MATROID_KINDS),
+              "must be a nonempty list drawn from " + ", ".join(MATROID_KINDS)),
+    "weight_dist": (lambda v: v in ("uniform", "heavy"), "must be 'uniform' or 'heavy'"),
+    "budget_regime": (lambda v: v in ("tight", "loose", "mixed"),
+                      "must be tight, loose or mixed"),
+    "mechanisms": (_nonempty_list_of(SWEEP_MECHANISMS),
+                   "must be a nonempty list drawn from " + ", ".join(SWEEP_MECHANISMS)),
+    "deviations_per_element": (lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
+    "include_broken": (lambda v: isinstance(v, bool), "must be a boolean"),
+    "threads": (lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
+}
+
+
+def load_sweep_config(doc, defaults, threads=None):
+    """Validate a ``verify`` or ``bench`` config document.
+
+    ``defaults`` names the keys the command accepts and their values when
+    absent; any other key is rejected.  ``threads`` (the --threads flag)
+    overrides the document.  Raises SchemaError naming the first bad key.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("config", "must be a JSON object")
-    cfg = dict(DEFAULT_VERIFY_CONFIG)
-    cfg.update(doc)
-    if not isinstance(cfg["count"], int) or cfg["count"] < 0:
-        raise SchemaError("count", "must be a nonnegative integer")
-    if (
-        not isinstance(cfg["n_range"], (list, tuple))
-        or len(cfg["n_range"]) != 2
-        or not all(isinstance(v, int) and v >= 1 for v in cfg["n_range"])
-        or cfg["n_range"][0] > cfg["n_range"][1]
-    ):
-        raise SchemaError("n_range", "must be [lo, hi] with 1 <= lo <= hi")
-    for m in cfg["mechanisms"]:
-        if m not in ("matroid", "intersection-exact", "intersection-greedy"):
-            raise SchemaError("mechanisms", f"unknown mechanism {m!r}")
-    for k in cfg["kinds"]:
-        if k not in ("uniform", "partition", "graphic", "deadline", "free"):
-            raise SchemaError("kinds", f"unknown matroid kind {k!r}")
-    if cfg["weight_dist"] not in ("uniform", "heavy"):
-        raise SchemaError("weight_dist", "must be 'uniform' or 'heavy'")
-    if cfg["budget_regime"] not in ("tight", "loose", "mixed"):
-        raise SchemaError("budget_regime", "must be tight, loose or mixed")
-    if not isinstance(cfg["include_broken"], bool):
-        raise SchemaError("include_broken", "must be a boolean")
-    if not isinstance(cfg["threads"], int) or cfg["threads"] < 1:
-        raise SchemaError("threads", "must be a positive integer")
-    if not isinstance(cfg["deviations_per_element"], int) or cfg["deviations_per_element"] < 1:
-        raise SchemaError("deviations_per_element", "must be a positive integer")
+    for key in doc:
+        if key not in defaults:
+            raise SchemaError(key, "unknown key")
+    cfg = {**defaults, **doc}
+    if threads is not None:
+        cfg["threads"] = threads
+    for key, value in cfg.items():
+        check, message = _SWEEP_RULES[key]
+        if not check(value):
+            raise SchemaError(key, message)
     return cfg
 
 
-def _verify_one(cfg, mechanism, index):
-    """All configured property reports for one (mechanism, instance) pair."""
+def sweep_instance(cfg, mechanism, index):
+    """Instance ``index`` of the stream a validated sweep config describes:
+    matroid instances for the matroid mechanisms, bipartite ones otherwise."""
     gconf = GeneratorConfig(
         count=cfg["count"],
         seed=cfg["seed"],
@@ -629,10 +640,42 @@ def _verify_one(cfg, mechanism, index):
         weight_dist=cfg["weight_dist"],
         budget_regime=cfg["budget_regime"],
     )
-    if mechanism == "matroid" or mechanism == "broken-first-price":
-        inst = gen_matroid_instance(gconf, index)
-    else:
-        inst = gen_bipartite_instance(gconf, index)
+    if mechanism in ("matroid", "broken-first-price"):
+        return gen_matroid_instance(gconf, index)
+    return gen_bipartite_instance(gconf, index)
+
+
+def _sweep_chunk(task):
+    job, cfg, mechanism, indices = task
+    return [job(cfg, mechanism, index) for index in indices]
+
+
+def run_sweep(job, cfg, mechanisms):
+    """Yield ``job(cfg, mechanism, index)`` for each mechanism, then each
+    index below ``cfg["count"]``, in that order.
+
+    With ``cfg["threads"] > 1`` the indices go to that many worker
+    processes in chunks of about count / (4 * threads); ``job`` must then
+    be a module-level function, since workers import it by name.
+    """
+    count, threads = cfg["count"], cfg["threads"]
+    if threads == 1 or count < 2:
+        for mechanism in mechanisms:
+            for index in range(count):
+                yield job(cfg, mechanism, index)
+        return
+    size = max(1, count // (threads * 4))
+    tasks = [(job, cfg, mechanism, range(start, min(start + size, count)))
+             for mechanism in mechanisms for start in range(0, count, size)]
+    with ProcessPoolExecutor(max_workers=threads,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        for results in pool.map(_sweep_chunk, tasks):
+            yield from results
+
+
+def _verify_one(cfg, mechanism, index):
+    """All configured property reports for one (mechanism, instance) pair."""
+    inst = sweep_instance(cfg, mechanism, index)
     runner = make_runner(mechanism, inst)
     outcome = runner(inst)
 
@@ -655,49 +698,21 @@ def _verify_one(cfg, mechanism, index):
         )
     if mechanism == "matroid":
         reports["Lemma1Bound"].merge(check_lemma1(inst, outcome, mechanism))
-    return [r.to_json() for r in reports.values() if r.instances_checked]
-
-
-def _verify_chunk(cfg, mechanism, indices):
-    out = []
-    for index in indices:
-        out.append(_verify_one(cfg, mechanism, index))
-    return out
+    return [r for r in reports.values() if r.instances_checked]
 
 
 def run_verification(config_doc):
     """Run the configured suites; returns (reports, total_failures)."""
-    cfg = _validate_verify_config(config_doc)
+    cfg = load_sweep_config(config_doc, DEFAULT_VERIFY_CONFIG)
     mechanisms = list(cfg["mechanisms"])
     if cfg["include_broken"]:
         mechanisms.append("broken-first-price")
 
     merged = {}
-
-    def absorb(report_doc):
-        key = (report_doc["property"], report_doc["mechanism"])
-        if key not in merged:
-            merged[key] = VerificationReport(*key)
-        merged[key].instances_checked += report_doc["instances_checked"]
-        merged[key].failures.extend(
-            Failure.from_json(f) for f in report_doc["failures"]
-        )
-
-    for mechanism in mechanisms:
-        indices = list(range(cfg["count"]))
-        if cfg["threads"] > 1 and len(indices) > 1:
-            chunk = max(1, len(indices) // (cfg["threads"] * 4))
-            chunks = [indices[i:i + chunk] for i in range(0, len(indices), chunk)]
-            with ProcessPoolExecutor(max_workers=cfg["threads"]) as pool:
-                for result in pool.map(_verify_chunk, [cfg] * len(chunks),
-                                       [mechanism] * len(chunks), chunks):
-                    for docs in result:
-                        for doc in docs:
-                            absorb(doc)
-        else:
-            for docs in _verify_chunk(cfg, mechanism, indices):
-                for doc in docs:
-                    absorb(doc)
+    for reports in run_sweep(_verify_one, cfg, mechanisms):
+        for r in reports:
+            key = (r.property, r.mechanism)
+            merged.setdefault(key, VerificationReport(*key)).merge(r)
 
     reports = [merged[k] for k in sorted(merged)]
     total_failures = sum(len(r.failures) for r in reports)
@@ -708,25 +723,77 @@ def run_verification(config_doc):
 # replay
 
 
+def report_failures(doc):
+    """Failure records of a parsed ``report.json``, checked for shape only;
+    ``replay_failure`` validates each record."""
+    if not isinstance(doc, dict):
+        raise SchemaError("report", "must be a JSON object")
+    if not isinstance(doc.get("reports", []), list):
+        raise SchemaError("reports", "must be a list of report objects")
+    records = []
+    for idx, report in enumerate(doc.get("reports", [])):
+        if not isinstance(report, dict) or not isinstance(report.get("failures", []), list):
+            raise SchemaError(f"reports[{idx}]", "must be an object with a 'failures' list")
+        records.extend(report.get("failures", []))
+    return records
+
+
+def _load_record(doc):
+    """Validated failure record: (Failure, loaded instance, parsed deviation
+    or None, XosParams or None)."""
+    if not isinstance(doc, dict):
+        raise SchemaError("failure", "must be a JSON object")
+    for key in ("property", "mechanism", "instance"):
+        if key not in doc:
+            raise SchemaError(key, "missing")
+    record = Failure.from_json(doc)
+    if record.property not in PROPERTIES:
+        raise SchemaError("property", "must be one of " + ", ".join(PROPERTIES))
+    if record.mechanism not in MECHANISM_NAMES + ("xos",):
+        raise SchemaError("mechanism", "must be xos or one of " + ", ".join(MECHANISM_NAMES))
+    loaded = load_instance(record.instance)
+    if record.element is not None and record.element not in loaded.elements:
+        raise SchemaError("element", "must be null or an element id of the instance")
+    deviation = record.deviation
+    if deviation is not None:
+        deviation = parse_rational_field(deviation, "deviation")
+    if record.property == "Truthful" and (record.element is None or deviation is None):
+        raise SchemaError("element" if record.element is None else "deviation",
+                          "missing (required to replay a Truthful failure)")
+    if record.mechanism != "xos":
+        return record, loaded, deviation, None
+    if loaded.xos is None:
+        raise SchemaError("instance.xos", "missing (required to replay an XOS failure)")
+    run = record.instance["xos"].get("run")
+    if not isinstance(run, dict):
+        raise SchemaError("instance.xos.run", "must be an object with seed, alpha, beta, gamma")
+    if not _is_int(run.get("seed")):
+        raise SchemaError("instance.xos.run.seed", "must be an integer")
+    params = XosParams(
+        **{k: parse_rational_field(run.get(k), f"instance.xos.run.{k}")
+           for k in ("alpha", "beta", "gamma")},
+        seed=run["seed"],
+    )
+    return record, loaded, deviation, params
+
+
 def replay_failure(doc):
     """Re-derive a reported failure from its serialized instance.
 
-    Returns True when the recorded violation reproduces exactly.
+    Returns True when the recorded violation reproduces exactly.  Raises
+    SchemaError on a malformed record.
     """
-    loaded = load_instance(doc["instance"])
-    mechanism = doc["mechanism"]
-    prop = doc["property"]
+    record, loaded, d, params = _load_record(doc)
+    mechanism, prop, e = record.mechanism, record.property, record.element
 
     if mechanism == "xos":
-        return _replay_xos(doc, loaded)
+        return _replay_xos(prop, loaded, e, d, params)
 
     inst = loaded.mechanism_instance()
     runner = make_runner(mechanism, inst)
     if prop == "Truthful":
         t_inst = inst.truthful()
         truthful_outcome = runner(t_inst)
-        e = doc["element"]
-        d = parse_rational(doc["deviation"])
         deviated = t_inst.with_bid(e, d)
         u_truth = utility(t_inst, truthful_outcome, e)
         u_dev = utility(deviated, runner(deviated), e)
@@ -740,27 +807,13 @@ def replay_failure(doc):
                                mechanism).passed
     if prop == "Lemma1Bound":
         return not check_lemma1(inst, runner(inst), mechanism).passed
-    if prop == "BidIndependence":
-        return not check_bid_independence(inst, runner(inst), mechanism).passed
-    raise InputError(f"cannot replay property {prop!r}")
+    return not check_bid_independence(inst, runner(inst), mechanism).passed
 
 
-def _replay_xos(doc, loaded):
-    run = doc["instance"].get("xos", {}).get("run")
-    if run is None:
-        raise InputError("XOS failure record is missing its run parameters")
-    params = XosParams(
-        alpha=parse_rational(run["alpha"]),
-        beta=parse_rational(run["beta"]),
-        gamma=parse_rational(run["gamma"]),
-        seed=run["seed"],
-    )
+def _replay_xos(prop, loaded, e, d, params):
     valuation, costs, bids, budget = loaded.xos, loaded.costs, loaded.bids, loaded.budget
-    prop = doc["property"]
     if prop == "Truthful":
         truthful = xos_mechanism_main(valuation, costs, costs, budget, params)
-        e = doc["element"]
-        d = parse_rational(doc["deviation"])
         deviated_bids = dict(costs)
         deviated_bids[e] = d
         deviated = xos_mechanism_main(valuation, costs, deviated_bids, budget, params)

@@ -179,23 +179,21 @@ def _additive_subset_sums(ids, values):
     return sums
 
 
-def _opt_value_under_budget(valuation, ids, bids, budget):
-    """max v(S) over S within ``ids`` with bid total at most ``budget``."""
-    if not ids:
-        return ZERO
+def _subset_table(valuation, ids, bids):
+    """Bid total and v(S) of every subset S of ``ids``, indexed by bitmask
+    (bit j set when ``ids[j]`` is in S)."""
     cost = _additive_subset_sums(ids, [bids[e] for e in ids])
     clause_sums = [
         _additive_subset_sums(ids, [valuation.functions[k][e] for e in ids])
         for k in range(valuation.num_clauses)
     ]
-    best = ZERO
-    for mask in range(1 << len(ids)):
-        if cost[mask] > budget:
-            continue
-        v = max(sums[mask] for sums in clause_sums)
-        if v > best:
-            best = v
-    return best
+    return cost, [max(sums) for sums in zip(*clause_sums)]
+
+
+def _opt_value_under_budget(valuation, ids, bids, budget):
+    """max v(S) over S within ``ids`` with bid total at most ``budget``."""
+    cost, value = _subset_table(valuation, ids, bids)
+    return max(v for c, v in zip(cost, value) if c <= budget)
 
 
 def _argmax_surplus(valuation, ids, bids, threshold):
@@ -204,16 +202,11 @@ def _argmax_surplus(valuation, ids, bids, threshold):
     Ties: smaller bid total, then lexicographically smallest id set.  The
     empty set (objective 0, cost 0) is always a candidate.
     """
-    cost = _additive_subset_sums(ids, [bids[e] for e in ids])
-    clause_sums = [
-        _additive_subset_sums(ids, [valuation.functions[k][e] for e in ids])
-        for k in range(valuation.num_clauses)
-    ]
-    best_mask, best_obj, best_cost = 0, ZERO, ZERO
+    cost, value = _subset_table(valuation, ids, bids)
+    best_obj, best_cost = ZERO, ZERO
     best_ids = ()
     for mask in range(1, 1 << len(ids)):
-        v = max(sums[mask] for sums in clause_sums)
-        obj = v - threshold * cost[mask]
+        obj = value[mask] - threshold * cost[mask]
         if obj < best_obj:
             continue
         mask_ids = tuple(ids[j] for j in range(len(ids)) if mask >> j & 1)
@@ -222,7 +215,7 @@ def _argmax_surplus(valuation, ids, bids, threshold):
             or cost[mask] < best_cost
             or (cost[mask] == best_cost and mask_ids < best_ids)
         ):
-            best_mask, best_obj, best_cost, best_ids = mask, obj, cost[mask], mask_ids
+            best_obj, best_cost, best_ids = obj, cost[mask], mask_ids
     return frozenset(best_ids)
 
 
@@ -277,22 +270,7 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, cap=XOS_ENUM
     threshold = opt_t1_value / (params.beta * budget)
     s_star = _argmax_surplus(valuation, t2_ids, bids, threshold)
     clause_index = valuation.best_clause(s_star) if s_star else None
-
-    if not s_star:
-        return XosOutcome(
-            branch="empty",
-            allocation=frozenset(),
-            payments={},
-            budget=budget,
-            t1=t1,
-            t2=t2,
-            threshold=threshold,
-            s_star=s_star,
-            clause_index=clause_index,
-            inner=None,
-        )
-
-    clause = valuation.functions[clause_index]
+    clause = valuation.functions[clause_index] if s_star else {}
     # elements the chosen clause values at zero can never receive an
     # individually rational proportional payment; they are left out
     positive = sorted(e for e in s_star if clause[e] > 0)

@@ -1,12 +1,21 @@
 """CLI: subcommands, exit codes, wire formats, determinism."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from budgetmech import Instance, UniformMatroid, first_price_greedy
 from budgetmech.cli import main
 from budgetmech.rationals import mpq, parse_rational
+from budgetmech.verify import Failure, _xos_failure_doc, check_truthfulness, gen_xos_instance
+from budgetmech.xos import XosParams
 
 EXAMPLE2 = {
     "matroid": {"kind": "uniform", "rank": 2},
@@ -193,5 +202,139 @@ def test_xos_constant_command(capsys):
     assert 210 <= float(doc["alpha_decimal"]) <= 226
 
 
-def test_missing_file_exit4(capsys):
+def test_missing_file_exit4(tmp_path, capsys):
     assert main(["run", "/nonexistent/instance.json"]) == 4
+    capsys.readouterr()
+    assert main(["run", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+    config = write(tmp_path, "cfg.json", {"count": 1, "mechanisms": ["matroid"]})
+    taken = write(tmp_path, "taken", {})
+    assert main(["verify", config, "--out", taken]) == 4
+    assert capsys.readouterr().err == f"error: {taken}: File exists\n"
+
+
+def test_float_weight_names_field_once(tmp_path, capsys):
+    doc = copy.deepcopy(EXAMPLE2)
+    doc["elements"][0]["weight"] = 1.5
+    assert main(["run", write(tmp_path, "float.json", doc)]) == 2
+    assert capsys.readouterr().err == \
+        "error: elements[0].weight: expected int or 'p/q' string, got float\n"
+
+
+def test_decimal_flag_rejected_like_instance_files(tmp_path, capsys):
+    doc = {"elements": [{"id": "a", "weight": 1, "cost": 2}], "budget": 9,
+           "xos": {"functions": [[4]]}}
+    assert main(["run", write(tmp_path, "xos.json", doc), "--alpha", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: --alpha: cannot parse rational '1.5'\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_zero_threads_rejected(tmp_path, capsys, command):
+    config = write(tmp_path, "cfg.json", {"count": 1, "mechanisms": ["matroid"]})
+    out = str(tmp_path / ("reports" if command == "verify" else "sweep.csv"))
+    argv = [command, config, "--out", out] if command == "verify" else [command, config, out]
+    assert main([*argv, "--threads", "0"]) == 2
+    assert capsys.readouterr().err == "error: threads: must be a positive integer\n"
+
+
+# ---------------------------------------------------------------------------
+# every malformed document exits 2 with one error line, never a traceback
+
+
+def _report_doc():
+    inst = Instance(UniformMatroid(["a", "b"], 2), {"a": 5, "b": 4}, {"a": 2, "b": 2},
+                    {"a": 2, "b": 2}, 10)
+    truthful = check_truthfulness(first_price_greedy, inst, deviations_per_element=25,
+                                  mechanism="broken-first-price").failures[0]
+    valuation, costs, budget = gen_xos_instance(0, 0, n=3)
+    xos_doc = _xos_failure_doc(valuation, costs, costs, budget,
+                               XosParams(alpha=218, beta="9/2", gamma=4, seed=0))
+    xos = Failure("BudgetFeasible", "xos", xos_doc, observed="61", required="<= budget 60")
+    return {"reports": [
+        {"property": "Truthful", "mechanism": "broken-first-price",
+         "instances_checked": 1, "failures": [truthful.to_json()]},
+        {"property": "BudgetFeasible", "mechanism": "xos",
+         "instances_checked": 1, "failures": [xos.to_json()]},
+    ]}
+
+
+DOCUMENTS = {
+    "run": EXAMPLE2,
+    "run-xos": {
+        "elements": [{"id": "a", "weight": 1, "cost": 2}, {"id": "b", "weight": 1, "cost": 3}],
+        "budget": 9,
+        "xos": {"functions": [[4, 1], [1, 5]]},
+    },
+    "verify": {"seed": 1, "count": 2, "n_range": [3, 4], "kinds": ["uniform", "graphic"],
+               "weight_dist": "uniform", "budget_regime": "mixed",
+               "deviations_per_element": 2, "mechanisms": ["matroid"],
+               "include_broken": False, "threads": 1},
+    "bench": {"seed": 1, "count": 2, "n_range": [3, 4], "kinds": ["uniform", "graphic"],
+              "weight_dist": "heavy", "budget_regime": "tight",
+              "mechanisms": ["matroid", "intersection-greedy"]},
+    "replay": _report_doc(),
+}
+DELETE = "<delete>"
+VALUES = [None, True, -1, 0, 1, 2, 1.5, "3", "x", [], [5, 3], {}, DELETE]
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+# a document first, then a position in it, so that the large report does
+# not crowd out the small configs
+TARGETS = st.sampled_from(sorted(DOCUMENTS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(list(_paths(DOCUMENTS[name]))))
+)
+
+
+def _mutated_text(name, path, value):
+    """The document with the value at ``path`` replaced, or deleted."""
+    if not path:
+        return "" if value == DELETE else json.dumps(value)
+    doc = copy.deepcopy(DOCUMENTS[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(TARGETS, st.sampled_from(VALUES))
+@example(("run-xos", ("xos", "functions")), 3)
+@example(("bench", ("n_range",)), [5, 3])
+@example(("bench", ("count",)), "3")
+@example(("bench", ("kinds",)), [])
+@example(("verify", ("kinds",)), [])
+@example(("replay", ("reports", 0, "failures", 0, "instance")), DELETE)
+@example(("replay", ("reports", 0, "failures", 0, "element")), DELETE)
+@example(("replay", ()), [])
+def test_mutated_documents_exit_cleanly(target, value):
+    name, path = target
+    command = name.split("-")[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = f"{tmp}/doc.json"
+        with open(doc_path, "w") as fh:
+            fh.write(_mutated_text(name, path, value))
+        argv = {
+            "run": ["run", doc_path],
+            "verify": ["verify", doc_path, "--out", f"{tmp}/reports"],
+            "bench": ["bench", doc_path, f"{tmp}/sweep.csv"],
+            "replay": ["replay", doc_path],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4) or (code == 1 and command in ("verify", "replay"))
+    assert "Traceback" not in err
+    if code >= 2:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budgetmech import (
     CapExceeded,
@@ -16,8 +18,15 @@ from budgetmech import (
     xos_objective,
     xos_value,
 )
-from budgetmech.rationals import mpq
-from budgetmech.verify import check_xos_outcome, check_xos_truthfulness, gen_xos_instance
+from budgetmech.oracle import xos_opt
+from budgetmech.rationals import ZERO, mpq
+from budgetmech.verify import (
+    _xos_membership_breakpoint,
+    check_xos_outcome,
+    check_xos_truthfulness,
+    gen_xos_instance,
+)
+from budgetmech.xos import _argmax_surplus, _opt_value_under_budget
 
 
 def single_clause(values):
@@ -216,3 +225,66 @@ def test_optimize_constant_beats_neighbourhood():
         for da in (-mpq(1, 2), 0, mpq(1, 2)):
             for db in (-mpq(1, 50), 0, mpq(1, 50)):
                 assert xos_objective(alpha + da, beta + db, gamma) <= best + mpq(1, 10**12)
+
+
+# ---------------------------------------------------------------------------
+# the subset-enumerating helpers against second routes
+
+
+@st.composite
+def xos_subset_cases(draw):
+    """A small XOS valuation (clause weights in 0..3, so zeros and ties are
+    common), positive bids, a threshold and a budget, and the subset of
+    element ids the helpers enumerate over."""
+    ids = [f"e{j}" for j in range(draw(st.integers(1, 6)))]
+    functions = [
+        {e: mpq(draw(st.integers(0, 3))) for e in ids}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    bids = {e: mpq(draw(st.integers(1, 4)), draw(st.integers(1, 2))) for e in ids}
+    threshold = mpq(draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+    budget = mpq(draw(st.integers(1, 12)), draw(st.integers(1, 2)))
+    subset = sorted(draw(st.sets(st.sampled_from(ids))))
+    return XosValuation(ids, functions), subset, bids, threshold, budget
+
+
+def _breakpoint_by_subsets(valuation, t2_ids, bids, threshold, e):
+    """Membership breakpoint computed subset by subset with ``value`` calls."""
+    if threshold <= 0 or e not in t2_ids:
+        return None
+    ids = sorted(t2_ids)
+    best_in, best_out = None, ZERO  # empty set is an "out" candidate
+    for mask in range(1, 1 << len(ids)):
+        members = [ids[j] for j in range(len(ids)) if mask >> j & 1]
+        value = valuation.value(frozenset(members))
+        cost_rest = sum((bids[o] for o in members if o != e), ZERO)
+        if e in members:
+            obj_rest = value - threshold * cost_rest
+            if best_in is None or obj_rest > best_in:
+                best_in = obj_rest
+        else:
+            obj = value - threshold * cost_rest
+            if obj > best_out:
+                best_out = obj
+    return (best_in - best_out) / threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(xos_subset_cases())
+def test_subset_helpers_match_second_routes(case):
+    valuation, subset, bids, threshold, budget = case
+
+    restricted = XosValuation(subset, [{e: f[e] for e in subset} for f in valuation.functions])
+    assert _opt_value_under_budget(valuation, subset, bids, budget) == \
+        xos_opt(restricted, {e: bids[e] for e in subset}, budget)[1]
+
+    def rank(members):  # documented tie order: objective, then cost, then ids
+        cost = sum((bids[e] for e in members), ZERO)
+        return (-(valuation.value(frozenset(members)) - threshold * cost), cost, members)
+
+    candidates = [c for r in range(len(subset) + 1) for c in itertools.combinations(subset, r)]
+    assert _argmax_surplus(valuation, subset, bids, threshold) == frozenset(min(candidates, key=rank))
+
+    for e in valuation.ground:
+        assert _xos_membership_breakpoint(valuation, subset, bids, threshold, e) == \
+            _breakpoint_by_subsets(valuation, subset, bids, threshold, e)

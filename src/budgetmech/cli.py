@@ -50,6 +50,10 @@ def _print_json(doc):
 
 def _cmd_run(args):
     loaded = load_instance_file(args.instance)
+    # parsed on every path, so a malformed flag fails whatever mechanism runs
+    alpha = parse_rational(args.alpha, "--alpha")
+    beta = parse_rational(args.beta, "--beta")
+    gamma = parse_rational(args.gamma, "--gamma")
     mechanism = args.mechanism
     if mechanism is None:
         if loaded.structure is None:
@@ -68,9 +72,7 @@ def _cmd_run(args):
     elif mechanism == "xos":
         if loaded.xos is None:
             raise SchemaError("xos", "missing (required for --mechanism xos)")
-        params = XosParams(alpha=parse_rational(args.alpha, "--alpha"),
-                           beta=parse_rational(args.beta, "--beta"),
-                           gamma=parse_rational(args.gamma, "--gamma"), seed=args.seed)
+        params = XosParams(alpha=alpha, beta=beta, gamma=gamma, seed=args.seed)
         outcome = xos_mechanism_main(loaded.xos, loaded.costs, loaded.bids,
                                      loaded.budget, params)
     else:

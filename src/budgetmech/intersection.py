@@ -221,13 +221,15 @@ def greedy_common_independent(spec, weights):
     """Weight-descending greedy over the intersection; certified alpha = k.
 
     Scan elements by weight descending (id ascending on ties) and keep each
-    one that leaves the set independent in every matroid.
+    one that every matroid's extender fits.
     """
-    chosen = set()
+    grows = [m.extender() for m in spec.matroids]
+    chosen = []
     for e in weight_order(spec.ground, weights):
-        chosen.add(e)
-        if not all(m._independent(frozenset(chosen)) for m in spec.matroids):
-            chosen.discard(e)
+        if all(grow.fits(e) for grow in grows):
+            for grow in grows:
+                grow.add(e)
+            chosen.append(e)
     return frozenset(chosen)
 
 

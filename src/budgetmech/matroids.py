@@ -4,13 +4,27 @@ Every matroid here is described declaratively (kind plus parameters) and
 evaluated through ``is_independent``.  Deletion and restriction stay within
 the same family, so the derived matroids remain exact and cheap to query.
 
+``extender(start)`` grows an independent set ``S`` from ``start``:
+``fits(e)`` equals ``_independent(S | {e})`` for ``e`` not in ``S``, and
+``add(e)`` puts a fitting ``e`` into ``S``.  After O(|start|) set-up (plus
+O(n) slots for deadlines) ``fits`` costs O(1) for uniform, free, partition
+(room per block) and deadline (``e`` fits iff its deadline is past the last
+tight slot), amortized O(log n) for graphic (one persistent union-find), and
+one whole-set oracle call for any other kind.  The greedy adds what fits.
+For ``x`` in a greedy basis ``B``, ``extender(B - x).fits(f)`` holds iff
+``f`` lies in the fundamental cocircuit of ``x`` with respect to ``B``,
+which is the test the mechanism's repair step needs.  ``_independent``
+stays the definitional oracle behind ``is_independent``.
+
 Element ids are opaque strings; every deterministic tie-break in the package
 orders them by plain string comparison, which is public, bid-independent
 information.
 """
 
+from itertools import accumulate
+
 from .errors import InputError
-from .rationals import ZERO
+from .rationals import ZERO, common_denominator
 
 
 class Matroid:
@@ -43,6 +57,10 @@ class Matroid:
 
     def _independent(self, s):
         raise NotImplementedError
+
+    def extender(self, start=()):
+        """Incremental independence test grown from the independent ``start``."""
+        return _OracleExtender(self._independent, start)
 
     def _with_ground(self, new_ground):
         raise NotImplementedError
@@ -90,6 +108,9 @@ class UniformMatroid(Matroid):
     def _independent(self, s):
         return len(s) <= self.rank
 
+    def extender(self, start=()):
+        return _RoomExtender(self.rank - len(start))
+
     def _with_ground(self, new_ground):
         return UniformMatroid(new_ground, self.rank)
 
@@ -108,6 +129,9 @@ class FreeMatroid(Matroid):
 
     def _independent(self, s):
         return True
+
+    def extender(self, start=()):
+        return _RoomExtender(len(self.ground) - len(start))
 
     def _with_ground(self, new_ground):
         return FreeMatroid(new_ground)
@@ -146,6 +170,9 @@ class PartitionMatroid(Matroid):
             if counts[idx] > self.blocks[idx][1]:
                 return False
         return True
+
+    def extender(self, start=()):
+        return _BlockExtender(self._block_of, [cap for _, cap in self.blocks], start)
 
     def _with_ground(self, new_ground):
         keep = frozenset(new_ground)
@@ -196,6 +223,9 @@ class GraphicMatroid(Matroid):
             parent[ru] = rv
         return True
 
+    def extender(self, start=()):
+        return _ForestExtender(self.edges, start)
+
     def _with_ground(self, new_ground):
         return GraphicMatroid([(e, *self.edges[e]) for e in new_ground])
 
@@ -229,6 +259,9 @@ class DeadlineMatroid(Matroid):
             if d < j:
                 return False
         return True
+
+    def extender(self, start=()):
+        return _SlotExtender(self.deadlines, len(self.ground), start)
 
     def _with_ground(self, new_ground):
         return DeadlineMatroid(new_ground, {e: self.deadlines[e] for e in new_ground})
@@ -283,6 +316,111 @@ class ExplicitMatroid(Matroid):
         }
 
 
+class _OracleExtender:
+    """Fallback: asks the whole-set oracle about ``S + e``."""
+
+    def __init__(self, independent, start):
+        self.independent = independent
+        self.members = frozenset(start)
+
+    def fits(self, e):
+        return self.independent(self.members | {e})
+
+    def add(self, e):
+        self.members = self.members | {e}
+
+
+class _RoomExtender:
+    """Uniform and free: ``e`` fits while the count of members is below the rank."""
+
+    def __init__(self, room):
+        self.room = room
+
+    def fits(self, e):
+        return self.room > 0
+
+    def add(self, e):
+        self.room -= 1
+
+
+class _BlockExtender:
+    """Partition: the room left in each block."""
+
+    def __init__(self, block_of, room, start):
+        self.block_of = block_of
+        self.room = room
+        for e in start:
+            room[block_of[e]] -= 1
+
+    def fits(self, e):
+        return self.room[self.block_of[e]] > 0
+
+    def add(self, e):
+        self.room[self.block_of[e]] -= 1
+
+
+class _ForestExtender:
+    """Graphic: one persistent union-find over the vertices of the members.
+
+    ``e`` fits iff its endpoints lie in different trees, so a self-loop
+    never fits.  A vertex with no ``parent`` entry is a root.
+    """
+
+    def __init__(self, edges, start):
+        self.edges = edges
+        self.parent = {}
+        for e in start:
+            self.add(e)
+
+    def _root(self, x):
+        parent = self.parent
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def fits(self, e):
+        u, v = self.edges[e]
+        return self._root(u) != self._root(v)
+
+    def add(self, e):
+        u, v = self.edges[e]
+        ru, rv = self._root(u), self._root(v)
+        if ru != rv:
+            self.parent[ru] = rv
+
+
+class _SlotExtender:
+    """Deadline: ``slack[t] = t - #{members due by slot t}`` for t <= n.
+
+    A set is independent iff no slack is negative, so ``e`` fits iff no slot
+    from its deadline on is tight (slack 0), that is iff its deadline is past
+    ``last_tight``, the last tight slot.  Slot 0 is always tight, so
+    ``last_tight`` is 0 when no real slot is.  No set of at most n jobs needs
+    a slot past n, so a later deadline is counted at slot n.
+    """
+
+    def __init__(self, deadlines, n, start):
+        self.deadlines = deadlines
+        due = [0] * (n + 1)
+        for e in start:
+            due[min(deadlines[e], n)] += 1
+        self.slack = [t - members for t, members in enumerate(accumulate(due))]
+        self.last_tight = max(t for t, slack in enumerate(self.slack) if slack == 0)
+
+    def fits(self, e):
+        return self.deadlines[e] > self.last_tight
+
+    def add(self, e):
+        slack = self.slack
+        for t in range(min(self.deadlines[e], len(slack) - 1), len(slack)):
+            slack[t] -= 1
+            if slack[t] == 0:
+                self.last_tight = t
+
+
 def matroid_from_json(obj, ground):
     """Build a matroid over ``ground`` from its wire-format description."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -320,10 +458,13 @@ def set_weight(weights, s):
 def weight_order(ids, weights):
     """``ids`` by weight descending, ties to the smaller id.
 
-    A stable descending sort of the id-sorted list gives exactly this order
-    without building a negated rational per key.
+    The keys are the integers ``w * d``, with ``d`` the common denominator of
+    the weights: a positive scale keeps the order and the ties exactly, and a
+    stable descending sort of the id-sorted list breaks ties by id.
     """
-    return sorted(sorted(ids), key=weights.__getitem__, reverse=True)
+    scale = common_denominator([weights[e] for e in ids])
+    key = {e: weights[e].numerator * (scale // weights[e].denominator) for e in ids}
+    return sorted(sorted(ids), key=key.__getitem__, reverse=True)
 
 
 def max_weight_independent_set(matroid, weights):
@@ -333,13 +474,10 @@ def max_weight_independent_set(matroid, weights):
     Returns the empty set for an empty ground set.  Weights must be positive,
     so the optimum is also inclusion-maximal.
     """
-    order = weight_order(matroid.ground, weights)
+    grow = matroid.extender()
     chosen = []
-    current = set()
-    for e in order:
-        current.add(e)
-        if matroid._independent(frozenset(current)):
+    for e in weight_order(matroid.ground, weights):
+        if grow.fits(e):
+            grow.add(e)
             chosen.append(e)
-        else:
-            current.discard(e)
     return frozenset(chosen)

@@ -194,7 +194,10 @@ def run_matroid_mechanism(inst):
     ``f`` the first surviving element after ``x`` outside ``B`` that keeps
     it independent, or ``B - x`` if there is none.  Elements before ``x``
     need no test: each one outside ``B`` is spanned by the members of ``B``
-    before it, which do not include ``x``.
+    before it, which do not include ``x``.  The ``f`` outside ``B`` that keep
+    ``B - x + f`` independent form, with ``x``, the fundamental cocircuit of
+    ``x`` with respect to ``B``; ``structure.extender(B - x).fits`` tests
+    membership in it.
     """
     if not isinstance(inst.structure, Matroid):
         raise InputError("run_matroid_mechanism needs a single-matroid instance")
@@ -211,12 +214,14 @@ def run_matroid_mechanism(inst):
         if x in chosen:
             chosen = chosen - {x}
             value -= weights[x]
+            cocircuit = None  # built at the first candidate; often none is left
             for f in order[position[x] + 1:]:
                 if f in chosen or f in excluded:
                     continue
-                candidate = chosen | {f}
-                if structure._independent(candidate):
-                    chosen = candidate
+                if cocircuit is None:
+                    cocircuit = structure.extender(chosen)
+                if cocircuit.fits(f):
+                    chosen = chosen | {f}
                     value += weights[f]
                     break
         return chosen, value

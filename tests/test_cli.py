@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import tempfile
@@ -13,8 +14,17 @@ from hypothesis import strategies as st
 
 from budgetmech import Instance, UniformMatroid, first_price_greedy
 from budgetmech.cli import main
+from budgetmech.instance_io import instance_to_json
 from budgetmech.rationals import mpq, parse_rational
-from budgetmech.verify import Failure, _xos_failure_doc, check_truthfulness, gen_xos_instance
+from budgetmech.verify import (
+    Failure,
+    GeneratorConfig,
+    _xos_failure_doc,
+    check_truthfulness,
+    gen_bipartite_instance,
+    gen_matroid_instance,
+    gen_xos_instance,
+)
 from budgetmech.xos import XosParams
 
 EXAMPLE2 = {
@@ -78,6 +88,82 @@ def test_run_outputs_are_byte_identical(tmp_path, capsys):
     main(["run", path, "--trace"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _golden_run_stdout(tmp_path, case):
+    """``run --trace`` stdout on the generated instance named by ``case``,
+    ``<kind>-<n>-<budget regime>`` plus ``-<apx>`` for bipartite."""
+    kind, n, regime, *apx = case.split("-", 3)
+    config = GeneratorConfig(1, 0, (int(n), int(n)), (kind,), budget_regime=regime)
+    if kind == "bipartite":
+        inst, flags = gen_bipartite_instance(config, 0), ["--apx", *apx]
+    else:
+        inst, flags = gen_matroid_instance(config, 0), []
+    path = write(tmp_path, "golden.json", instance_to_json(inst))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["run", path, "--trace", *flags]) == 0
+    return out.getvalue()
+
+
+# sha256 of `run --trace` stdout, pinned before any kernel speedup: a faster
+# greedy, repair or blackbox must leave every byte of the output unchanged
+GOLDEN_RUN_SHA256 = {
+    "bipartite-30-loose-exact-bipartite":
+        "0b6f8bd4c838ad975dd6ff2e9f77e6f1b1ef3de76f207a9c53b228dc6872b243",
+    "bipartite-30-loose-greedy":
+        "0b6f8bd4c838ad975dd6ff2e9f77e6f1b1ef3de76f207a9c53b228dc6872b243",
+    "bipartite-30-tight-exact-bipartite":
+        "e6d819ad6b735e855667df84bd4325e83a06f06b516a80e14424a28658e067fc",
+    "bipartite-30-tight-greedy":
+        "2af43e3a6b1580505df29528e883702d07ef25025d040b407cf19c972df1cfc0",
+    "deadline-12-loose":
+        "f3e9da57195ed425db85ec2866ac7deab40795565e08729f84ba0bdce87f1cf4",
+    "deadline-12-tight":
+        "f28045ee42572915d86f6009147d5eb759f92aae06e000b557bda567d2c9ffc0",
+    "deadline-60-loose":
+        "b4f91ca732b621f49a7535eec54cc07fab74bbead3750e8dfc1735c4c23f64e2",
+    "deadline-60-tight":
+        "d92f7ef9240ead85f716e657da1791b5abaef2d1450240174de89b78be3b01fb",
+    "free-12-loose":
+        "c58a4173c548e960c62398d738dd83a7cd8629b1b6622310867debc888bed46f",
+    "free-12-tight":
+        "58058bca723b0280703b9906be6b76571b70bb0b706416bb5aca0d2a0da2bf1d",
+    "free-60-loose":
+        "a2a06e2e18e8d56fd312ef10e5a10a3d0e402fffb09e62cd85fd5ea394e5abd8",
+    "free-60-tight":
+        "718c262fbaf98af1c1acc8ae23c90e528f47e409be32e24c10ba63f0d0b573ad",
+    "graphic-12-loose":
+        "b6b4c9cc4fef8ceabe90e1fd3f6abd0aa0b297ca1760bf092dbf372aa8e8259f",
+    "graphic-12-tight":
+        "dd9dbd370eb9b57eb6dc49792080d5235823e5cea3028fd8d33de51fb7d4515b",
+    "graphic-60-loose":
+        "34a96a0142a96448a2064c8442faa73ea83dfd8ca5d0eaf1e5d63b9ae2e747d7",
+    "graphic-60-tight":
+        "defd7df41fffc25bb5dee7af3e3744f684419961fca6d86610f5b81323f8412a",
+    "partition-12-loose":
+        "e9b15674b3322fab1a0ced848873fd8ee3d9f6af1c5f1be773c88b91330d6a38",
+    "partition-12-tight":
+        "3bc4b5986026fe584a359bfdc0478ab661a773045f8161c455d537f3afb62566",
+    "partition-60-loose":
+        "b85256da7d56468a97439946863857198e7d7e330cc32fe8af08b184d152f6ae",
+    "partition-60-tight":
+        "512fbd82faab910393fa1721da7abf6083850b99c011d559eff888090cdc332c",
+    "uniform-12-loose":
+        "0aa0c697b640d061f2347aa54a3fc0dfca93074868446dc993c1cfe348e979f7",
+    "uniform-12-tight":
+        "e4b9fd997e73b9a718752db341eac566a75f359353c1d48ea89adb4811e92508",
+    "uniform-60-loose":
+        "44ed312a2818f32f3bc88c93565dba478d0058ce5e5f66564e12cb35641811a5",
+    "uniform-60-tight":
+        "da73f82b4c28753ea67c3245a1c51f7ee90c0f95055bbea9936fc2e7beebc957",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RUN_SHA256))
+def test_run_trace_output_is_pinned(tmp_path, case):
+    stdout = _golden_run_stdout(tmp_path, case)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_RUN_SHA256[case]
 
 
 def test_run_intersection_both_blackboxes(tmp_path, capsys):
@@ -222,10 +308,13 @@ def test_float_weight_names_field_once(tmp_path, capsys):
 
 
 def test_decimal_flag_rejected_like_instance_files(tmp_path, capsys):
-    doc = {"elements": [{"id": "a", "weight": 1, "cost": 2}], "budget": 9,
-           "xos": {"functions": [[4]]}}
-    assert main(["run", write(tmp_path, "xos.json", doc), "--alpha", "1.5"]) == 2
-    assert capsys.readouterr().err == "error: --alpha: cannot parse rational '1.5'\n"
+    element = {"elements": [{"id": "a", "weight": 1, "cost": 2}], "budget": 9}
+    # the flags only steer the XOS mechanism, yet every instance kind checks them
+    for name, structure in (("xos.json", {"xos": {"functions": [[4]]}}),
+                            ("matroid.json", {"matroid": {"kind": "free"}})):
+        path = write(tmp_path, name, {**element, **structure})
+        assert main(["run", path, "--alpha", "1.5"]) == 2
+        assert capsys.readouterr().err == "error: --alpha: cannot parse rational '1.5'\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "bench"])

@@ -210,3 +210,58 @@ def test_json_round_trip():
         again = matroid_from_json(doc, list(m.ground))
         assert again.to_json() == doc
         assert tuple(again.ground) == tuple(m.ground)
+
+
+def _draw_matroid(data, kind, ids):
+    """A small matroid of ``kind`` over ``ids``, with the corner cases common:
+    rank 0, capacity 0, self-loops and parallel edges, deadlines past n."""
+    n = len(ids)
+    if kind == "uniform":
+        return UniformMatroid(ids, data.draw(st.integers(0, n)))
+    if kind == "free":
+        return FreeMatroid(ids)
+    if kind == "partition":
+        block = {e: data.draw(st.integers(0, 2)) for e in ids}
+        members = [{e for e in ids if block[e] == b} for b in range(3)]
+        return PartitionMatroid(
+            ids, [(s, data.draw(st.integers(0, len(s)))) for s in members if s]
+        )
+    if kind == "graphic":
+        # three vertices, so parallel edges and self-loops are common
+        return GraphicMatroid(
+            [(e, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))) for e in ids]
+        )
+    if kind == "deadline":
+        return DeadlineMatroid(ids, {e: data.draw(st.integers(1, n + 1)) for e in ids})
+    base = _draw_matroid(
+        data, data.draw(st.sampled_from(["uniform", "partition", "graphic", "deadline"])), ids
+    )
+    return ExplicitMatroid(ids, enumerate_independent_sets(base))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=0, max_value=7),
+    kind=st.sampled_from(["uniform", "free", "partition", "graphic", "deadline", "explicit"]),
+)
+def test_extender_matches_the_oracle(data, n, kind):
+    """Second route for ``extender``: grown from a random independent start
+    along a random order, it must answer every ``fits`` exactly like the
+    whole-set oracle ``_independent``."""
+    ids = [f"x{j}" for j in range(n)]
+    m = _draw_matroid(data, kind, ids)
+    members = set()
+    for e in data.draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []:
+        if m._independent(frozenset(members | {e})):
+            members.add(e)
+    grow = m.extender(frozenset(members)) if members else m.extender()
+    for e in data.draw(st.permutations(ids)):
+        if e in members:
+            continue
+        for f in ids:
+            if f not in members:
+                assert grow.fits(f) == m._independent(frozenset(members | {f})), (f, members)
+        if grow.fits(e):
+            grow.add(e)
+            members.add(e)

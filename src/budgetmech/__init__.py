@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``matroids``      matroid families, deletion/restriction, greedy maximum
+- ``matroids``      matroid families, deletion, greedy maximum
 - ``intersection``  matroid intersections and approximation blackboxes
 - ``mechanisms``    the two threshold mechanisms (allocation + payments)
 - ``xos``           the randomized XOS sampling mechanism and its constants
@@ -51,7 +51,6 @@ from .xos import (
     random_split,
     xos_mechanism_main,
     xos_objective,
-    xos_value,
 )
 
 __version__ = "0.1.0"

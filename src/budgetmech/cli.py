@@ -26,6 +26,7 @@ from .oracle import brute_force_opt
 from .matroids import set_weight
 from .rationals import format_rational, mpq, parse_rational, to_decimal
 from .verify import (
+    BLACKBOX_OF,
     DEFAULT_VERIFY_CONFIG,
     load_sweep_config,
     make_runner,
@@ -130,7 +131,7 @@ def _bench_row(cfg, mechanism, index):
         alpha = ""
     else:
         kind = "bipartite"
-        alpha = "1" if mechanism == "intersection-exact" else str(inst.structure.k)
+        alpha = format_rational(get_blackbox(BLACKBOX_OF[mechanism], inst.structure).alpha)
     runner = make_runner(mechanism, inst)
     started = time.perf_counter_ns()
     outcome = runner(inst)

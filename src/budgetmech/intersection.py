@@ -1,8 +1,9 @@
 """Matroid intersections and deterministic approximation blackboxes.
 
 A blackbox reads element weights only, never bids: the procurement mechanism
-hands it a structure and the public weight vector, so cost manipulation
-cannot influence which common independent set it computes.
+hands it a structure, the public weight vector and the elements excluded so
+far, so cost manipulation cannot influence which common independent set it
+computes.  It answers as on ``spec.delete(excluded)``, without building it.
 """
 
 from dataclasses import dataclass
@@ -47,9 +48,6 @@ class IntersectionSpec:
     def delete(self, t):
         return IntersectionSpec([m.delete(t) for m in self.matroids])
 
-    def restrict(self, t):
-        return IntersectionSpec([m.restrict(t) for m in self.matroids])
-
     def to_json(self):
         return {"intersection": [m.to_json() for m in self.matroids]}
 
@@ -63,10 +61,10 @@ class ApxBlackbox:
 
     name: str
     alpha: object  # rational >= 1
-    procedure: Callable[[IntersectionSpec, dict], frozenset]
+    procedure: Callable[[IntersectionSpec, dict, frozenset], frozenset]
 
-    def __call__(self, spec, weights):
-        return self.procedure(spec, weights)
+    def __call__(self, spec, weights, excluded=frozenset()):
+        return self.procedure(spec, weights, excluded)
 
 
 def _bipartite_shape(spec):
@@ -123,8 +121,9 @@ def _check_dual_certificate(wp, left, right, matched, y_left, y_right):
         raise AssertionError("dual certificate failed: matching is not maximum-weight")
 
 
-def exact_bipartite_matching(spec, weights):
-    """Maximum-weight matching in the bipartite graph encoded by ``spec``.
+def exact_bipartite_matching(spec, weights, excluded=frozenset()):
+    """Maximum-weight matching in the bipartite graph encoded by ``spec``
+    minus the edges in ``excluded``.
 
     Primal-dual (Hungarian) augmentation on the integer weights of
     ``_perturb_for_lex``.  Duals start at ``max wp`` on the left and 0 on the
@@ -136,9 +135,11 @@ def exact_bipartite_matching(spec, weights):
     otherwise lowers ``delta`` to 0 and stops, since no positive-gain path is
     left.  Perturbed weights make the optimum unique, so the result is
     deterministic with value-equal optima resolved to the smallest id set.
+    Only surviving edges are numbered, so the result is the one on
+    ``spec.delete(excluded)``; a vertex with no surviving edge stays free.
     """
     left_of, right_of = _bipartite_shape(spec)
-    ids = sorted(spec.ground)
+    ids = sorted(e for e in spec.ground if e not in excluded)
     if not ids:
         return frozenset()
     wp = _perturb_for_lex(weights, ids)
@@ -217,15 +218,18 @@ def exact_bipartite_matching(spec, weights):
     return result
 
 
-def greedy_common_independent(spec, weights):
+def greedy_common_independent(spec, weights, excluded=frozenset()):
     """Weight-descending greedy over the intersection; certified alpha = k.
 
-    Scan elements by weight descending (id ascending on ties) and keep each
-    one that every matroid's extender fits.
+    Scan the elements not in ``excluded`` by weight descending (id ascending
+    on ties) and keep each one that every matroid's extender fits.  These
+    are the tests greedy makes on ``spec.delete(excluded)``, since a set
+    avoiding ``excluded`` is independent there iff it is in ``spec``.
     """
+    survivors = [e for e in spec.ground if e not in excluded]
     grows = [m.extender() for m in spec.matroids]
     chosen = []
-    for e in weight_order(spec.ground, weights):
+    for e in weight_order(survivors, weights):
         if all(grow.fits(e) for grow in grows):
             for grow in grows:
                 grow.add(e)
@@ -234,7 +238,8 @@ def greedy_common_independent(spec, weights):
 
 
 def get_blackbox(name, spec):
-    """Blackbox registry used by the CLI flag ``--apx``."""
+    """Blackbox by name (``--apx``, ``verify.BLACKBOX_OF``); the procedures
+    are read as module globals at each call, so a later wrapper is seen."""
     if name == "exact-bipartite":
         _bipartite_shape(spec)  # validate shape up front
         return ApxBlackbox("exact-bipartite", mpq(1), exact_bipartite_matching)
@@ -244,18 +249,18 @@ def get_blackbox(name, spec):
 
 
 def memoized_blackbox(blackbox):
-    """Same blackbox with results cached by remaining ground set.
+    """Same blackbox with results cached by exclusion set.
 
-    Valid because every query during a mechanism run is a deletion of one
-    base spec, so the surviving ground set identifies the query; used by the
-    verification harness to keep large deviation sweeps fast.
+    Valid for the queries of one mechanism run and its bid deviations: one
+    base spec and one weight vector, so the exclusion set identifies the
+    query; used by the verification harness to keep deviation sweeps fast.
     """
     cache = {}
 
-    def cached(spec, weights):
-        key = spec.ground
+    def cached(spec, weights, excluded=frozenset()):
+        key = frozenset(excluded)
         if key not in cache:
-            cache[key] = blackbox.procedure(spec, weights)
+            cache[key] = blackbox.procedure(spec, weights, key)
         return cache[key]
 
     return ApxBlackbox(blackbox.name, blackbox.alpha, cached)

@@ -1,8 +1,8 @@
 """Matroid families behind a common independence oracle.
 
 Every matroid here is described declaratively (kind plus parameters) and
-evaluated through ``is_independent``.  Deletion and restriction stay within
-the same family, so the derived matroids remain exact and cheap to query.
+evaluated through ``is_independent``.  Deletion stays within the same
+family, so a deleted matroid remains exact and cheap to query.
 
 ``extender(start)`` grows an independent set ``S`` from ``start``:
 ``fits(e)`` equals ``_independent(S | {e})`` for ``e`` not in ``S``, and
@@ -70,12 +70,6 @@ class Matroid:
         self.check_members(t)
         t = frozenset(t)
         return self._with_ground(tuple(e for e in self.ground if e not in t))
-
-    def restrict(self, t):
-        """Matroid on ``t`` with the independent sets of self contained in it."""
-        self.check_members(t)
-        t = frozenset(t)
-        return self._with_ground(tuple(e for e in self.ground if e in t))
 
     def to_json(self):
         raise NotImplementedError

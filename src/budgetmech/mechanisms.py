@@ -233,7 +233,8 @@ def run_intersection_mechanism(inst, blackbox):
     """Same mechanism with the exact greedy step replaced by an APX blackbox.
 
     A blackbox is an arbitrary approximation with no exchange property, so it
-    is rerun on the surviving ground set after every exclusion.
+    is asked again after every exclusion, on the instance's own spec and the
+    set excluded so far.
     """
     if not isinstance(inst.structure, IntersectionSpec):
         raise InputError("run_intersection_mechanism needs an intersection instance")
@@ -241,7 +242,7 @@ def run_intersection_mechanism(inst, blackbox):
 
     def exclude(x):
         excluded.add(x)
-        chosen = blackbox(inst.structure.delete(excluded), inst.weights)
+        chosen = blackbox(inst.structure, inst.weights, excluded)
         return chosen, set_weight(inst.weights, chosen)
 
     return _run_threshold_mechanism(inst, exclude)

@@ -63,6 +63,9 @@ MECHANISM_NAMES = (
     "broken-first-price",
 )
 
+# the blackbox (a ``get_blackbox`` name) each intersection mechanism runs
+BLACKBOX_OF = {"intersection-exact": "exact-bipartite", "intersection-greedy": "greedy"}
+
 
 # ---------------------------------------------------------------------------
 # reports
@@ -255,18 +258,15 @@ def make_runner(name, inst):
     """Closure running mechanism ``name`` on variations of ``inst``.
 
     The closure may be called with bid-deviated copies of the same instance.
-    Blackbox results are memoized per surviving ground set, which is sound
-    because blackboxes read weights only.  The matroid mechanism needs no
-    memo: it repairs its greedy set after each removal instead of
-    recomputing it.
+    Blackbox results are memoized per exclusion set on the instance's spec,
+    which is sound because blackboxes read weights only.  The matroid
+    mechanism needs no memo: it repairs its greedy set after each removal
+    instead of recomputing it.
     """
     if name == "matroid":
         return run_matroid_mechanism
-    if name == "intersection-exact":
-        blackbox = memoized_blackbox(get_blackbox("exact-bipartite", inst.structure))
-        return lambda i: run_intersection_mechanism(i, blackbox)
-    if name == "intersection-greedy":
-        blackbox = memoized_blackbox(get_blackbox("greedy", inst.structure))
+    if name in BLACKBOX_OF:
+        blackbox = memoized_blackbox(get_blackbox(BLACKBOX_OF[name], inst.structure))
         return lambda i: run_intersection_mechanism(i, blackbox)
     if name == "broken-first-price":
         return first_price_greedy
@@ -274,12 +274,11 @@ def make_runner(name, inst):
 
 
 def ratio_denominator(name, inst):
+    """``3 * alpha + 1``; alpha is 1 for the matroid greedy."""
     if name == "matroid":
         return mpq(4)
-    if name == "intersection-exact":
-        return mpq(4)  # 3 * 1 + 1
-    if name == "intersection-greedy":
-        return 3 * mpq(inst.structure.k) + 1  # 3 * alpha + 1 with alpha = k
+    if name in BLACKBOX_OF:
+        return 3 * get_blackbox(BLACKBOX_OF[name], inst.structure).alpha + 1
     raise InputError(f"no certified ratio for mechanism {name!r}")
 
 
@@ -432,17 +431,15 @@ def check_bid_independence(inst, outcome, mechanism="matroid"):
     the removal set alone (no bid can leak into the selection)."""
     report = VerificationReport("BidIndependence", mechanism, instances_checked=1)
     if mechanism == "matroid":
-        select = lambda sub: max_weight_independent_set(sub, inst.weights)
-    elif mechanism == "intersection-exact":
-        select = lambda sub: get_blackbox("exact-bipartite", inst.structure)(sub, inst.weights)
-    elif mechanism == "intersection-greedy":
-        select = lambda sub: get_blackbox("greedy", inst.structure)(sub, inst.weights)
+        select = max_weight_independent_set
+    elif mechanism in BLACKBOX_OF:
+        select = get_blackbox(BLACKBOX_OF[mechanism], inst.structure)
     else:
         return report
     removed = set()
     for step in outcome.trace:
         surviving = inst.structure.delete(removed | {outcome.tau})
-        expected = tuple(sorted(select(surviving)))
+        expected = tuple(sorted(select(surviving, inst.weights)))
         if expected != step.chosen:
             report.failures.append(
                 Failure("BidIndependence", mechanism, instance_to_json(inst),

@@ -69,10 +69,6 @@ class XosValuation:
         return best
 
 
-def xos_value(valuation, s):
-    return valuation.value(s)
-
-
 @dataclass(frozen=True)
 class XosParams:
     """Tuning constants for the sampling mechanism.

@@ -259,17 +259,23 @@ def test_verify_malformed_config_exit2(tmp_path, capsys):
 def test_bench_writes_csv(tmp_path, capsys):
     config = write(tmp_path, "bench.json", {
         "count": 6, "n_range": [3, 6], "seed": 3,
-        "mechanisms": ["matroid", "intersection-exact"],
+        "mechanisms": ["matroid", "intersection-exact", "intersection-greedy"],
     })
     out_csv = tmp_path / "sweep.csv"
     assert main(["bench", config, str(out_csv)]) == 0
     with open(out_csv) as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 12
+    assert len(rows) == 18
+    # alpha of the matroid greedy (1, not a column value), the exact
+    # blackbox, and the greedy blackbox on two partition matroids
+    alphas = {"matroid": ("", 1), "intersection-exact": ("1", 1),
+              "intersection-greedy": ("2", 2)}
     for row in rows:
         assert set(row) == {"instance_hash", "n", "matroid_kind", "mechanism",
                             "alpha", "ratio", "total_payment_over_budget", "runtime_us"}
-        assert float(row["ratio"]) <= (4 if row["mechanism"] == "matroid" else 4)
+        column, alpha = alphas[row["mechanism"]]
+        assert row["alpha"] == column
+        assert float(row["ratio"]) <= 3 * alpha + 1
         assert float(row["total_payment_over_budget"]) <= 1.0
 
 

@@ -169,10 +169,15 @@ def tie_heavy_bipartite(draw):
 @given(tie_heavy_bipartite())
 def test_exact_matching_is_the_oracle_set(case):
     """Set identity, not just value: the lexicographic tie-break among
-    value-equal optima is what keeps ``run`` output stable."""
+    value-equal optima is what keeps ``run`` output stable.  Each blackbox
+    answers an exclusion set on the base spec with the set it gives on the
+    deleted spec."""
     spec, w, removed = case
-    for sub in (spec, spec.delete(removed)):
+    deleted = spec.delete(removed)
+    for sub in (spec, deleted):
         assert exact_bipartite_matching(sub, w) == brute_force_opt(sub, w, w, None)
+    for blackbox in (exact_bipartite_matching, greedy_common_independent):
+        assert blackbox(spec, w, removed) == blackbox(deleted, w)
 
 
 def test_determinism():

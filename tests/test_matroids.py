@@ -1,4 +1,4 @@
-"""Matroid families: oracles, deletion/restriction, greedy optimality."""
+"""Matroid families: oracles, deletion, greedy optimality."""
 
 import itertools
 
@@ -100,15 +100,6 @@ def test_delete_examples():
     assert path.is_independent({"e1", "e2"})
 
 
-def test_restrict_examples():
-    m = UniformMatroid(["a", "b", "c"], 2)
-    assert m.restrict(set(m.ground)).ground == m.ground
-    r = m.restrict({"a"})
-    assert {s for s in enumerate_independent_sets(r)} == {frozenset(), frozenset("a")}
-    r2 = triangle().restrict({"e1", "e2"})
-    assert r2.is_independent({"e1", "e2"})
-
-
 @pytest.mark.parametrize("m", sample_matroids(), ids=lambda m: m.kind)
 def test_axioms_exhaustively(m):
     independents = set(enumerate_independent_sets(m))
@@ -123,7 +114,7 @@ def test_axioms_exhaustively(m):
 
 
 @pytest.mark.parametrize("m", sample_matroids(), ids=lambda m: m.kind)
-def test_delete_restrict_consistency(m):
+def test_delete_consistency(m):
     ground = list(m.ground)
     for r in range(len(ground) + 1):
         for t in itertools.combinations(ground, r):
@@ -132,10 +123,6 @@ def test_delete_restrict_consistency(m):
             for k in range(len(rest) + 1):
                 for s in itertools.combinations(rest, k):
                     assert deleted.is_independent(set(s)) == m.is_independent(set(s))
-            restricted = m.restrict(set(t))
-            for k in range(len(t) + 1):
-                for s in itertools.combinations(t, k):
-                    assert restricted.is_independent(set(s)) == m.is_independent(set(s))
 
 
 def test_greedy_examples():

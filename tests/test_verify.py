@@ -2,7 +2,7 @@
 
 import pytest
 
-from budgetmech import Instance, UniformMatroid, first_price_greedy, utility
+from budgetmech import InputError, Instance, UniformMatroid, first_price_greedy, utility
 from budgetmech.instance_io import instance_to_json, load_instance
 from budgetmech.rationals import mpq
 from budgetmech.verify import (
@@ -19,6 +19,7 @@ from budgetmech.verify import (
     gen_matroid_instance,
     gen_xos_instance,
     make_runner,
+    ratio_denominator,
     replay_failure,
     run_verification,
     truthful_deviation_bids,
@@ -27,6 +28,23 @@ from budgetmech.verify import (
 
 def test_epsilon_is_exact():
     assert EPSILON == mpq(1, 10**9)
+
+
+@pytest.mark.parametrize("name, gen, denominator", [
+    ("matroid", gen_matroid_instance, 4),
+    ("intersection-exact", gen_bipartite_instance, 4),
+    ("intersection-greedy", gen_bipartite_instance, 7),  # k = 2
+], ids=["matroid", "intersection-exact", "intersection-greedy"])
+def test_ratio_denominator_is_3_alpha_plus_1(name, gen, denominator):
+    inst = gen(GeneratorConfig(count=1, seed=0), 0)
+    assert ratio_denominator(name, inst) == denominator
+
+
+def test_ratio_denominator_rejects_uncertified_mechanism():
+    inst = gen_matroid_instance(GeneratorConfig(count=1, seed=0), 0)
+    with pytest.raises(InputError) as err:
+        ratio_denominator("broken-first-price", inst)
+    assert str(err.value) == "no certified ratio for mechanism 'broken-first-price'"
 
 
 def test_generator_determinism():

@@ -16,7 +16,6 @@ from budgetmech import (
     random_split,
     xos_mechanism_main,
     xos_objective,
-    xos_value,
 )
 from budgetmech.oracle import xos_opt
 from budgetmech.rationals import ZERO, mpq
@@ -35,10 +34,10 @@ def single_clause(values):
 
 def test_xos_value_examples():
     val = XosValuation(["a", "b"], [{"a": 1, "b": 0}, {"a": 0, "b": 2}])
-    assert xos_value(val, set()) == 0
-    assert xos_value(val, {"a", "b"}) == 2
+    assert val.value(set()) == 0
+    assert val.value({"a", "b"}) == 2
     additive = single_clause({"a": 3, "b": 4})
-    assert xos_value(additive, {"a", "b"}) == 7
+    assert additive.value({"a", "b"}) == 7
 
 
 def test_xos_value_monotone():

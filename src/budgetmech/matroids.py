@@ -39,12 +39,6 @@ class Matroid:
         self.ground = ground
         self._ground_set = frozenset(ground)
 
-    def __contains__(self, element_id):
-        return element_id in self._ground_set
-
-    def __len__(self):
-        return len(self.ground)
-
     def check_members(self, s):
         unknown = set(s) - self._ground_set
         if unknown:
@@ -73,16 +67,6 @@ class Matroid:
 
     def to_json(self):
         raise NotImplementedError
-
-    def __eq__(self, other):
-        return (
-            type(self) is type(other)
-            and self.ground == other.ground
-            and self.to_json() == other.to_json()
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.ground))
 
     def __repr__(self):
         return f"{type(self).__name__}(ground={list(self.ground)!r})"

@@ -96,9 +96,28 @@ class TraceStep:
     value: object
 
 
+class Payments:
+    """Payment view every outcome shares: a subclass has an ``allocation``
+    and a ``payments`` dict listing winners only (others pay 0)."""
+
+    def payment(self, e):
+        return self.payments.get(e, ZERO)
+
+    @property
+    def total_payment(self):
+        return sum(self.payments.values(), ZERO)
+
+    def utility(self, e, cost):
+        """Quasi-linear utility of ``e`` at true cost ``cost``: payment minus
+        cost if allocated, else payment."""
+        if e in self.allocation:
+            return self.payment(e) - cost
+        return self.payment(e)
+
+
 @dataclass(frozen=True)
-class Outcome:
-    """Allocation plus payments; ``payments`` lists winners only (others pay 0)."""
+class Outcome(Payments):
+    """Allocation plus payments of a threshold mechanism."""
 
     allocation: frozenset
     payments: dict
@@ -107,16 +126,6 @@ class Outcome:
     final_rate: Optional[object]  # None encodes +infinity
     trace: tuple
     budget: object
-
-    def payment(self, e):
-        return self.payments.get(e, ZERO)
-
-    @property
-    def total_payment(self):
-        total = ZERO
-        for p in self.payments.values():
-            total += p
-        return total
 
     def value(self, weights):
         return set_weight(weights, self.allocation)
@@ -164,21 +173,15 @@ def _run_threshold_mechanism(inst, exclude):
         rate = bb_prev
 
     if value > weights[tau]:
+        branch, allocation = "set", frozenset(chosen)
         payments = {e: rate * weights[e] for e in chosen}
-        return Outcome(
-            allocation=frozenset(chosen),
-            payments=payments,
-            tau=tau,
-            branch="set",
-            final_rate=rate,
-            trace=tuple(trace),
-            budget=budget,
-        )
+    else:
+        branch, allocation, payments = "tau", frozenset([tau]), {tau: budget}
     return Outcome(
-        allocation=frozenset([tau]),
-        payments={tau: budget},
+        allocation=allocation,
+        payments=payments,
         tau=tau,
-        branch="tau",
+        branch=branch,
         final_rate=rate,
         trace=tuple(trace),
         budget=budget,
@@ -249,13 +252,10 @@ def run_intersection_mechanism(inst, blackbox):
 
 
 def utility(inst, outcome, e):
-    """Quasi-linear utility: payment minus true cost if allocated, else payment."""
+    """``outcome.utility`` of ``e`` at its true cost in ``inst``."""
     if e not in inst.structure._ground_set:
         raise InputError(f"unknown element id {e!r}")
-    p = outcome.payment(e)
-    if e in outcome.allocation:
-        return p - inst.true_costs[e]
-    return p
+    return outcome.utility(e, inst.true_costs[e])
 
 
 def first_price_greedy(inst):

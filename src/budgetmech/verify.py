@@ -4,13 +4,17 @@ Every check compares a mechanism run against an independent brute-force
 oracle or an exact inequality, on deterministic seeded instance streams.
 Failures carry a replayable instance document so any violation can be
 reproduced from the report file alone.
+
+Truthfulness has one deviation sweep, ``_deviation_sweep``: both mechanism
+families are deterministic single-parameter mechanisms (XOS on a fixed coin
+tape), so each check supplies only its anchor bids and how to re-run.
 """
 
 import math
 import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import InputError, SchemaError
 from .instance_io import (
@@ -38,7 +42,6 @@ from .mechanisms import (
     first_price_greedy,
     run_intersection_mechanism,
     run_matroid_mechanism,
-    utility,
 )
 from .oracle import brute_force_opt
 from .rationals import ZERO, format_rational, mpq
@@ -82,27 +85,15 @@ class Failure:
     required: str = ""
 
     def to_json(self):
-        return {
-            "property": self.property,
-            "mechanism": self.mechanism,
-            "instance": self.instance,
-            "element": self.element,
-            "deviation": self.deviation,
-            "observed": self.observed,
-            "required": self.required,
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_json(doc):
-        return Failure(
-            property=doc["property"],
-            mechanism=doc["mechanism"],
-            instance=doc["instance"],
-            element=doc.get("element"),
-            deviation=doc.get("deviation"),
-            observed=doc.get("observed", ""),
-            required=doc.get("required", ""),
-        )
+    @classmethod
+    def from_json(cls, doc):
+        """Inverse of ``to_json``; a missing optional key takes its default."""
+        return cls(**{
+            f.name: doc[f.name] if f.default is MISSING else doc.get(f.name, f.default)
+            for f in fields(cls)
+        })
 
 
 @dataclass
@@ -121,12 +112,7 @@ class VerificationReport:
         self.failures.extend(other.failures)
 
     def to_json(self):
-        return {
-            "property": self.property,
-            "mechanism": self.mechanism,
-            "instances_checked": self.instances_checked,
-            "failures": [f.to_json() for f in self.failures],
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +310,46 @@ def check_outcome_invariants(inst, outcome, mechanism, doc=None):
     return failures
 
 
+def _around(x):
+    """``x`` and its neighbours EPSILON away: threshold mechanisms hide
+    violations exactly at a breakpoint."""
+    return (x - EPSILON, x, x + EPSILON)
+
+
+def _probe_bids(anchors, budget, rng, min_count):
+    """The anchors inside (0, budget], topped up with uniform draws
+    ``budget * k / 10**6`` until there are ``min_count``, sorted."""
+    probes = {d for d in anchors if 0 < d <= budget}
+    while len(probes) < min_count:
+        probes.add(budget * mpq(rng.randint(1, 10**6), 10**6))
+    return sorted(probes)
+
+
+def _deviation_sweep(report, doc, ground, costs, truthful, run, probes):
+    """The one truthfulness sweep, for any deterministic single-parameter
+    mechanism: no unilateral deviation may strictly raise a utility.
+
+    ``truthful`` is the outcome at bids equal to ``costs``; ``run(e, d)`` is
+    the outcome when ``e`` alone bids ``d``; ``probes(e)`` lists the bids
+    tried for ``e``.  Elements go in ``ground`` order and each element's
+    probes are drawn just before its runs, so the rng stream is fixed.
+    """
+    for e in ground:
+        u_truth = truthful.utility(e, costs[e])
+        for d in probes(e):
+            if d == costs[e]:
+                continue
+            u_dev = run(e, d).utility(e, costs[e])
+            if u_dev > u_truth:
+                report.failures.append(
+                    Failure("Truthful", report.mechanism, doc, element=e,
+                            deviation=format_rational(d),
+                            observed=format_rational(u_dev),
+                            required=f"<= truthful utility {format_rational(u_truth)}")
+                )
+    return report
+
+
 def truthful_deviation_bids(inst, e, truthful_outcome, rng, min_count):
     """Deviation bids for element ``e``: boundary probes plus uniform randoms.
 
@@ -331,30 +357,13 @@ def truthful_deviation_bids(inst, e, truthful_outcome, rng, min_count):
     breakpoint (scaled to e's weight) and at the truthful run's final rate
     times e's weight; threshold mechanisms hide violations exactly there.
     """
-    budget = inst.budget
     w_e = inst.weights[e]
-    probes = set()
-
-    def add(d):
-        if 0 < d <= budget:
-            probes.add(d)
-
-    for o in inst.structure.ground:
-        if o == e:
-            continue
-        breakpoint = inst.buck_per_bang(o) * w_e
-        add(breakpoint - EPSILON)
-        add(breakpoint)
-        add(breakpoint + EPSILON)
+    anchors = [d for o in inst.structure.ground if o != e
+               for d in _around(inst.buck_per_bang(o) * w_e)]
     if truthful_outcome is not None and truthful_outcome.final_rate is not None:
-        at_rate = truthful_outcome.final_rate * w_e
-        add(at_rate - EPSILON)
-        add(at_rate)
-        add(at_rate + EPSILON)
-    add(budget)
-    while len(probes) < min_count:
-        add(budget * mpq(rng.randint(1, 10**6), 10**6))
-    return sorted(probes)
+        anchors.extend(_around(truthful_outcome.final_rate * w_e))
+    anchors.append(inst.budget)
+    return _probe_bids(anchors, inst.budget, rng, min_count)
 
 
 def check_truthfulness(runner, inst, deviations_per_element=50, seed=0,
@@ -362,29 +371,19 @@ def check_truthfulness(runner, inst, deviations_per_element=50, seed=0,
     """No unilateral bid deviation may strictly improve an element's utility.
 
     The instance is evaluated at truthful bids first; every deviation re-runs
-    the full mechanism with one bid changed and compares exact utilities.
+    the full mechanism with one bid changed (``Instance.with_bid``) and
+    compares exact utilities in ``_deviation_sweep``.
     """
     report = VerificationReport("Truthful", mechanism, instances_checked=1)
     t_inst = inst.truthful()
     doc = instance_to_json(t_inst)
-    truthful_outcome = runner(t_inst)
+    truthful = runner(t_inst)
     rng = random.Random(f"dev:{seed}")
-    for e in t_inst.structure.ground:
-        u_truth = utility(t_inst, truthful_outcome, e)
-        for d in truthful_deviation_bids(t_inst, e, truthful_outcome, rng,
-                                         deviations_per_element):
-            if d == t_inst.bids[e]:
-                continue
-            deviated = t_inst.with_bid(e, d)
-            u_dev = utility(deviated, runner(deviated), e)
-            if u_dev > u_truth:
-                report.failures.append(
-                    Failure("Truthful", mechanism, doc, element=e,
-                            deviation=format_rational(d),
-                            observed=format_rational(u_dev),
-                            required=f"<= truthful utility {format_rational(u_truth)}")
-                )
-    return report
+    return _deviation_sweep(
+        report, doc, t_inst.structure.ground, t_inst.true_costs, truthful,
+        lambda e, d: runner(t_inst.with_bid(e, d)),
+        lambda e: truthful_deviation_bids(t_inst, e, truthful, rng, deviations_per_element),
+    )
 
 
 def check_ratio(runner, inst, denominator, mechanism="matroid"):
@@ -456,13 +455,6 @@ def check_bid_independence(inst, outcome, mechanism="matroid"):
 # XOS checks
 
 
-def xos_utility(outcome, costs, e):
-    p = outcome.payment(e)
-    if e in outcome.allocation:
-        return p - costs[e]
-    return p
-
-
 def _xos_failure_doc(valuation, costs, bids, budget, params):
     doc = xos_instance_to_json(valuation, costs, bids, budget)
     doc["xos"]["run"] = {
@@ -503,55 +495,38 @@ def check_xos_truthfulness(valuation, costs, budget, params,
                            deviations_per_element=20, seed=0):
     """Fixed-seed truthfulness: re-runs the whole pipeline per deviation.
 
-    The threshold and the surplus argmax both depend on bids, so nothing
-    short of a full replay is sound.  Probes include each element's
-    argmax-membership breakpoint, the inner proportional rate, and randoms.
+    On a fixed coin tape the mechanism is deterministic and single-parameter,
+    so the sweep is ``_deviation_sweep``'s.  The threshold and the surplus
+    argmax both depend on bids, so nothing short of a full replay is sound.
+    Probes include each element's argmax-membership breakpoint, the inner
+    proportional rate, and randoms.
     """
     report = VerificationReport("Truthful", "xos", instances_checked=1)
     doc = _xos_failure_doc(valuation, costs, costs, budget, params)
     truthful = xos_mechanism_main(valuation, costs, costs, budget, params)
     rng = random.Random(f"xosdev:{seed}:{params.seed}")
     table = _subset_table(valuation, sorted(truthful.t2), costs)
-    for e in valuation.ground:
-        u_truth = xos_utility(truthful, costs, e)
-        probes = set()
 
-        def add(d):
-            if 0 < d <= budget:
-                probes.add(d)
-
-        add(budget)
-        add(costs[e] - EPSILON)
-        add(costs[e] + EPSILON)
+    def probes(e):
+        anchors = [budget, costs[e] - EPSILON, costs[e] + EPSILON]
         if truthful.branch != "max-element":
             bp = _xos_membership_breakpoint(
                 valuation, truthful.t2, costs, truthful.threshold, e, table
             )
             if bp is not None:
-                add(bp - EPSILON)
-                add(bp)
-                add(bp + EPSILON)
+                anchors.extend(_around(bp))
         if truthful.inner is not None and truthful.inner.final_rate is not None \
                 and e in truthful.s_star:
             clause = valuation.functions[truthful.clause_index]
-            add(truthful.inner.final_rate * clause[e])
-        while len(probes) < deviations_per_element:
-            add(budget * mpq(rng.randint(1, 10**6), 10**6))
-        for d in sorted(probes):
-            if d == costs[e]:
-                continue
-            bids = dict(costs)
-            bids[e] = d
-            deviated = xos_mechanism_main(valuation, costs, bids, budget, params)
-            u_dev = xos_utility(deviated, costs, e)
-            if u_dev > u_truth:
-                report.failures.append(
-                    Failure("Truthful", "xos", doc, element=e,
-                            deviation=format_rational(d),
-                            observed=format_rational(u_dev),
-                            required=f"<= truthful utility {format_rational(u_truth)}")
-                )
-    return report
+            anchors.append(truthful.inner.final_rate * clause[e])
+        return _probe_bids(anchors, budget, rng, deviations_per_element)
+
+    def run(e, d):
+        # read as a module global at call time, so a wrapper installed on
+        # ``verify.xos_mechanism_main`` sees every deviation
+        return xos_mechanism_main(valuation, costs, {**costs, e: d}, budget, params)
+
+    return _deviation_sweep(report, doc, valuation.ground, costs, truthful, run, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -790,11 +765,9 @@ def replay_failure(doc):
     runner = make_runner(mechanism, inst)
     if prop == "Truthful":
         t_inst = inst.truthful()
-        truthful_outcome = runner(t_inst)
-        deviated = t_inst.with_bid(e, d)
-        u_truth = utility(t_inst, truthful_outcome, e)
-        u_dev = utility(deviated, runner(deviated), e)
-        return u_dev > u_truth
+        truthful, deviated = runner(t_inst), runner(t_inst.with_bid(e, d))
+        cost = t_inst.true_costs[e]
+        return deviated.utility(e, cost) > truthful.utility(e, cost)
     if prop in ("Independence", "IR", "BudgetFeasible"):
         outcome = runner(inst)
         failures = check_outcome_invariants(inst, outcome, mechanism)
@@ -811,10 +784,8 @@ def _replay_xos(prop, loaded, e, d, params):
     valuation, costs, bids, budget = loaded.xos, loaded.costs, loaded.bids, loaded.budget
     if prop == "Truthful":
         truthful = xos_mechanism_main(valuation, costs, costs, budget, params)
-        deviated_bids = dict(costs)
-        deviated_bids[e] = d
-        deviated = xos_mechanism_main(valuation, costs, deviated_bids, budget, params)
-        return xos_utility(deviated, costs, e) > xos_utility(truthful, costs, e)
+        deviated = xos_mechanism_main(valuation, costs, {**costs, e: d}, budget, params)
+        return deviated.utility(e, costs[e]) > truthful.utility(e, costs[e])
     if prop in ("IR", "BudgetFeasible"):
         outcome = xos_mechanism_main(valuation, costs, bids, budget, params)
         failures = check_xos_outcome(valuation, costs, bids, budget, outcome, params)

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import CapExceeded, InputError
 from .matroids import FreeMatroid
-from .mechanisms import Instance, Outcome, run_matroid_mechanism
+from .mechanisms import Instance, Outcome, Payments, run_matroid_mechanism
 from .rationals import ZERO, mpq, rational_isqrt
 
 XOS_ENUMERATION_CAP = 16
@@ -142,29 +142,20 @@ def random_split(ground, seed):
 
 
 @dataclass(frozen=True)
-class XosOutcome:
-    """Realized run of the sampling mechanism under one fixed coin tape."""
+class XosOutcome(Payments):
+    """Realized run of the sampling mechanism under one fixed coin tape; the
+    max-element branch leaves the fields after ``budget`` empty."""
 
     branch: str  # "max-element", "sub-mechanism", or "empty"
     allocation: frozenset
     payments: dict
     budget: object
-    t1: frozenset
-    t2: frozenset
-    threshold: Optional[object]
-    s_star: Optional[frozenset]
-    clause_index: Optional[int]
-    inner: Optional[Outcome]
-
-    def payment(self, e):
-        return self.payments.get(e, ZERO)
-
-    @property
-    def total_payment(self):
-        total = ZERO
-        for p in self.payments.values():
-            total += p
-        return total
+    t1: frozenset = frozenset()
+    t2: frozenset = frozenset()
+    threshold: Optional[object] = None
+    s_star: Optional[frozenset] = None
+    clause_index: Optional[int] = None
+    inner: Optional[Outcome] = None
 
 
 def _additive_subset_sums(ids, values):
@@ -215,7 +206,7 @@ def _argmax_surplus(valuation, ids, bids, threshold):
     return frozenset(best_ids)
 
 
-def xos_mechanism_main(valuation, true_costs, bids, budget, params, cap=XOS_ENUMERATION_CAP):
+def xos_mechanism_main(valuation, true_costs, bids, budget, params):
     """One seeded run of the random-sampling XOS mechanism.
 
     Coin tape: the first bit decides between buying the single most valuable
@@ -230,9 +221,10 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, cap=XOS_ENUM
     n = len(ground)
     if n == 0:
         raise InputError("mechanism needs a nonempty ground set")
-    if n > cap:
+    if n > XOS_ENUMERATION_CAP:
         raise CapExceeded(
-            f"XOS mechanism enumerates subsets exhaustively; reduce n to at most {cap}"
+            "XOS mechanism enumerates subsets exhaustively; "
+            f"reduce n to at most {XOS_ENUMERATION_CAP}"
         )
     budget = mpq(budget)
     bids = {e: mpq(bids[e]) for e in ground}
@@ -252,12 +244,6 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, cap=XOS_ENUM
             allocation=frozenset([star]),
             payments={star: budget},
             budget=budget,
-            t1=frozenset(),
-            t2=frozenset(),
-            threshold=None,
-            s_star=None,
-            clause_index=None,
-            inner=None,
         )
 
     t1_ids = sorted(t1)
@@ -281,7 +267,6 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, cap=XOS_ENUM
             threshold=threshold,
             s_star=s_star,
             clause_index=clause_index,
-            inner=None,
         )
 
     sub_instance = Instance(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from budgetmech import Instance, UniformMatroid, first_price_greedy
 from budgetmech.cli import main
 from budgetmech.instance_io import instance_to_json
-from budgetmech.rationals import mpq, parse_rational
+from budgetmech.rationals import format_rational, mpq, parse_rational
 from budgetmech.verify import (
     Failure,
     GeneratorConfig,
@@ -24,8 +24,9 @@ from budgetmech.verify import (
     gen_bipartite_instance,
     gen_matroid_instance,
     gen_xos_instance,
+    replay_failure,
 )
-from budgetmech.xos import XosParams
+from budgetmech.xos import XosParams, xos_mechanism_main
 
 EXAMPLE2 = {
     "matroid": {"kind": "uniform", "rank": 2},
@@ -246,6 +247,25 @@ def test_verify_broken_then_replay(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", str(out_dir / "report.json")]) == 0
     assert "reproduced" in capsys.readouterr().out
+
+
+def test_xos_truthful_replay_of_a_tie_is_missing(tmp_path, capsys):
+    # a T2 loser that raises its bid to the budget still loses, so its
+    # utility stays 0: the record is a tie, not a violation
+    valuation, costs, budget = gen_xos_instance(21, 0, n=6)
+    params = XosParams(seed=1, alpha=218, beta=mpq(9, 2), gamma=4)
+    outcome = xos_mechanism_main(valuation, costs, costs, budget, params)
+    assert outcome.branch == "sub-mechanism"
+    loser = min(outcome.t2 - outcome.allocation)
+    record = Failure(
+        "Truthful", "xos", _xos_failure_doc(valuation, costs, costs, budget, params),
+        element=loser, deviation=format_rational(budget), observed="0",
+        required="<= truthful utility 0",
+    ).to_json()
+    assert not replay_failure(record)
+    path = write(tmp_path, "report.json", {"reports": [{"failures": [record]}]})
+    assert main(["replay", path]) == 1
+    assert "MISSING" in capsys.readouterr().out
 
 
 def test_verify_malformed_config_exit2(tmp_path, capsys):

@@ -1,10 +1,21 @@
 """Verification harness: generators, probes, reports, replay."""
 
+import hashlib
+import json
+
 import pytest
 
-from budgetmech import InputError, Instance, UniformMatroid, first_price_greedy, utility
+from budgetmech import (
+    InputError,
+    Instance,
+    UniformMatroid,
+    XosParams,
+    first_price_greedy,
+    utility,
+    verify,
+)
 from budgetmech.instance_io import instance_to_json, load_instance
-from budgetmech.rationals import mpq
+from budgetmech.rationals import format_rational, mpq
 from budgetmech.verify import (
     EPSILON,
     Failure,
@@ -15,6 +26,7 @@ from budgetmech.verify import (
     check_outcome_invariants,
     check_ratio,
     check_truthfulness,
+    check_xos_truthfulness,
     gen_bipartite_instance,
     gen_matroid_instance,
     gen_xos_instance,
@@ -162,6 +174,15 @@ def test_report_round_trip():
     doc = report.to_json()
     again = Failure.from_json(doc["failures"][0])
     assert again == report.failures[0]
+    assert list(doc) == ["property", "mechanism", "instances_checked", "failures"]
+    # only the three required keys: the others take their defaults
+    minimal = Failure.from_json(
+        {"property": "IR", "mechanism": "matroid", "instance": {"budget": "3"}}
+    )
+    assert (minimal.element, minimal.deviation, minimal.observed, minimal.required) == (
+        None, None, "", "")
+    assert list(minimal.to_json()) == [
+        "property", "mechanism", "instance", "element", "deviation", "observed", "required"]
 
 
 def test_instance_doc_round_trip():
@@ -185,3 +206,50 @@ def test_utility_consistency_with_harness():
     for e in inst.structure.ground:
         u = utility(inst, out, e)
         assert u >= 0  # truthful bids: IR implies nonnegative utility
+
+
+# sha256 of the deviation sequences, pinned before the two truthfulness
+# sweeps were folded into one: every bid vector a sweep hands to a mechanism,
+# in call order, followed by the report it returns
+GOLDEN_DEVIATION_SHA256 = "1839f4c3fbcfb4bb368134965577646b3048631c591a7c0c8daa09d644db2070"
+
+
+def test_deviation_sequences_are_pinned(monkeypatch):
+    digest = hashlib.sha256()
+
+    def record(bids):
+        line = ",".join(f"{e}={format_rational(bids[e])}" for e in sorted(bids))
+        digest.update(line.encode() + b"\n")
+
+    def report_done(report):
+        digest.update(json.dumps(report.to_json()).encode() + b"\n")
+
+    xos_run = verify.xos_mechanism_main
+
+    def recording_xos_run(*args):
+        record(args[2])
+        return xos_run(*args)
+
+    monkeypatch.setattr(verify, "xos_mechanism_main", recording_xos_run)
+    config = GeneratorConfig(count=6, seed=5, n_range=(3, 7))
+    for mechanism in verify.MECHANISM_NAMES:
+        for index in range(6):
+            if mechanism in ("matroid", "broken-first-price"):
+                inst = gen_matroid_instance(config, index)
+            else:
+                inst = gen_bipartite_instance(config, index)
+            runner = make_runner(mechanism, inst)
+
+            def recording_runner(i, runner=runner):
+                record(i.bids)
+                return runner(i)
+
+            report_done(check_truthfulness(recording_runner, inst, 12, seed=index,
+                                           mechanism=mechanism))
+    for index in range(3):
+        valuation, costs, budget = gen_xos_instance(21, index, n=6)
+        for tape in (0, 1, 4, 7):  # max-element on 0, sub-mechanism on 1, 4, 7
+            params = XosParams(seed=tape, alpha=218, beta=mpq(9, 2), gamma=4)
+            report_done(check_xos_truthfulness(valuation, costs, budget, params,
+                                               seed=index))
+    assert digest.hexdigest() == GOLDEN_DEVIATION_SHA256

@@ -34,6 +34,7 @@ from .matroids import (
 from .mechanisms import (
     Instance,
     Outcome,
+    Plan,
     TraceStep,
     first_price_greedy,
     run_intersection_mechanism,

@@ -433,28 +433,41 @@ def set_weight(weights, s):
     return total
 
 
-def weight_order(ids, weights):
-    """``ids`` by weight descending, ties to the smaller id.
-
-    The keys are the integers ``w * d``, with ``d`` the common denominator of
-    the weights: a positive scale keeps the order and the ties exactly, and a
-    stable descending sort of the id-sorted list breaks ties by id.
-    """
+def scaled_weights(ids, weights):
+    """``(d, {e: w_e * d})``: the common denominator ``d`` of the weights of
+    ``ids`` and the weights as integers over it."""
     scale = common_denominator([weights[e] for e in ids])
-    key = {e: weights[e].numerator * (scale // weights[e].denominator) for e in ids}
+    return scale, {e: weights[e].numerator * (scale // weights[e].denominator) for e in ids}
+
+
+def descending(ids, key):
+    """``ids`` by the integers ``key`` descending, ties to the smaller id: a
+    stable descending sort of the id-sorted list."""
     return sorted(sorted(ids), key=key.__getitem__, reverse=True)
 
 
-def max_weight_independent_set(matroid, weights):
+def weight_order(ids, weights):
+    """``ids`` by weight descending, ties to the smaller id.
+
+    The keys are the integer weights of ``scaled_weights``: a positive scale
+    keeps the order and the ties exactly.
+    """
+    return descending(ids, scaled_weights(ids, weights)[1])
+
+
+def max_weight_independent_set(matroid, weights, order=None):
     """Maximum-weight independent set by the standard matroid greedy.
 
-    Deterministic tie-break: weight descending, then element id ascending.
-    Returns the empty set for an empty ground set.  Weights must be positive,
-    so the optimum is also inclusion-maximal.
+    Deterministic tie-break: weight descending, then element id ascending;
+    ``order`` is the ground set already in ``weight_order``, if the caller
+    has it.  Returns the empty set for an empty ground set.  Weights must be
+    positive, so the optimum is also inclusion-maximal.
     """
+    if order is None:
+        order = weight_order(matroid.ground, weights)
     grow = matroid.extender()
     chosen = []
-    for e in weight_order(matroid.ground, weights):
+    for e in order:
         if grow.fits(e):
             grow.add(e)
             chosen.append(e)

@@ -9,17 +9,31 @@ The per-iteration rate refresh (r = bb of the element currently considered)
 is deliberate: it is what makes the removal loop terminate and is the form
 the truthfulness argument needs.  Bids enter only through the buck-per-bang
 order and the budget test; the candidate sets themselves are computed from
-public weights alone.
+public weights alone.  So the bid-free part (tau, the weight order, the
+first candidate set, integer weights) is a ``Plan`` built once per structure
+and weight vector, and the loop itself compares integers.
 """
 
 import copy
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .errors import InputError
 from .intersection import IntersectionSpec
-from .matroids import Matroid, max_weight_independent_set, set_weight, weight_order
-from .rationals import ZERO, mpq
+from .matroids import (
+    Matroid,
+    descending,
+    max_weight_independent_set,
+    scaled_weights,
+    set_weight,
+)
+from .rationals import ZERO, common_denominator, mpq
+
+
+def _rational(value):
+    """``value`` as a rational; a rational is kept as it is."""
+    return value if type(value) is mpq else mpq(value)
 
 
 class Instance:
@@ -32,12 +46,12 @@ class Instance:
         if not ground:
             raise InputError("instance needs a nonempty ground set")
         self.structure = structure
-        self.budget = mpq(budget)
-        if self.budget <= 0:
+        self.budget = _rational(budget)
+        if self.budget.numerator <= 0:
             raise InputError("budget must be positive")
-        self.weights = {e: mpq(v) for e, v in weights.items()}
-        self.true_costs = {e: mpq(v) for e, v in true_costs.items()}
-        self.bids = {e: mpq(v) for e, v in bids.items()}
+        self.weights = {e: _rational(v) for e, v in weights.items()}
+        self.true_costs = {e: _rational(v) for e, v in true_costs.items()}
+        self.bids = {e: _rational(v) for e, v in bids.items()}
         for name, vec in (
             ("weights", self.weights),
             ("true_costs", self.true_costs),
@@ -46,7 +60,7 @@ class Instance:
             if set(vec) != ground:
                 raise InputError(f"{name} must cover exactly the ground set")
             for e, v in vec.items():
-                if v <= 0:
+                if v.numerator <= 0:
                     raise InputError(f"{name}[{e}] must be positive")
         # bids above the budget are rejected at the file-load boundary; the
         # in-memory type tolerates them so that above-budget declarations can
@@ -63,8 +77,8 @@ class Instance:
         """
         if e not in self.bids:
             raise InputError("bids must cover exactly the ground set")
-        bid = mpq(bid)
-        if bid <= 0:
+        bid = _rational(bid)
+        if bid.numerator <= 0:
             raise InputError(f"bids[{e}] must be positive")
         clone = copy.copy(self)
         clone.bids = {**self.bids, e: bid}
@@ -81,19 +95,74 @@ class Instance:
         return self.structure.ground
 
 
-@dataclass(frozen=True)
 class TraceStep:
     """One loop iteration: the rate tested, the set computed, the removal (if any).
 
     ``rate`` is None only on the exit iteration reached after every element
     has been removed (no candidate rate exists there).
+
+    The loop records a step in integers: the order key of the element
+    considered, the candidate set and its scaled weight, with the run's
+    ``(value_den, rate_den)``, so ``rate = key * value_den / rate_den`` and
+    ``value = weight / value_den``.  ``rate``, ``chosen`` (sorted ids) and
+    ``value`` are rendered when first read.  Equality is by those values.
     """
 
-    iteration: int
-    rate: Optional[object]
-    removed: Optional[str]
-    chosen: tuple
-    value: object
+    __slots__ = ("iteration", "removed", "_key", "_members", "_weight", "_scales",
+                 "_rendered")
+
+    def __init__(self, iteration, removed, key, members, weight, scales):
+        self.iteration = iteration
+        self.removed = removed
+        self._key = key
+        self._members = members
+        self._weight = weight
+        self._scales = scales
+        self._rendered = None
+
+    @classmethod
+    def of(cls, iteration, rate, removed, chosen, value):
+        """A step given by its rendered fields."""
+        step = cls(iteration, removed, None, None, None, None)
+        step._rendered = (rate, tuple(chosen), value)
+        return step
+
+    def _render(self):
+        if self._rendered is None:
+            value_den, rate_den = self._scales
+            rate = None if self._key is None else mpq(self._key * value_den, rate_den)
+            self._rendered = (rate, tuple(sorted(self._members)),
+                              mpq(self._weight, value_den))
+        return self._rendered
+
+    @property
+    def rate(self):
+        return self._render()[0]
+
+    @property
+    def chosen(self):
+        return self._render()[1]
+
+    @property
+    def value(self):
+        return self._render()[2]
+
+    def _fields(self):
+        rate, chosen, value = self._render()
+        return (self.iteration, rate, self.removed, chosen, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceStep):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        iteration, rate, removed, chosen, value = self._fields()
+        return (f"TraceStep(iteration={iteration!r}, rate={rate!r}, removed={removed!r}, "
+                f"chosen={chosen!r}, value={value!r})")
 
 
 class Payments:
@@ -131,50 +200,88 @@ class Outcome(Payments):
         return set_weight(weights, self.allocation)
 
 
-def _pick_tau(ground, weights):
-    # maximum weight, ties to the smallest element id (max keeps the first)
-    return max(sorted(ground), key=weights.__getitem__)
+class Plan:
+    """The bid-free part of the threshold mechanism on one structure and one
+    weight vector, shared by every bid vector on them.
+
+    ``scaled[e]`` is ``w_e * value_den``, with ``value_den`` the weights'
+    common denominator, so a set's weight is an integer sum.  ``lcm`` is the
+    least common multiple of the scaled weights and ``multiplier[e]`` is
+    ``lcm // scaled[e]``: for bids ``P_e / d`` over a common denominator
+    ``d``, ``P_e * multiplier[e]`` is buck-per-bang times ``d * lcm /
+    value_den``, an integer key for the removal order.  ``order`` is the
+    ground set by weight descending, ties to the smaller id; its head is tau,
+    the heaviest element, and ``rest`` the others in id order.  On a matroid
+    the plan also holds each element's ``position`` in ``order``, the greedy
+    set ``basis`` and its scaled weight ``basis_weight``.
+    """
+
+    def __init__(self, structure, weights):
+        self.value_den, self.scaled = scaled_weights(structure.ground, weights)
+        self.order = descending(structure.ground, self.scaled)
+        self.tau = self.order[0]
+        self.rest = tuple(sorted(self.order[1:]))
+        self.lcm = lcm(*self.scaled.values())
+        self.multiplier = {e: self.lcm // self.scaled[e] for e in self.rest}
+        if isinstance(structure, Matroid):
+            self.position = {e: k for k, e in enumerate(self.order)}
+            self.basis = max_weight_independent_set(structure, weights, self.order)
+            self.basis_weight = self.weight(self.basis)
+
+    def weight(self, s):
+        """Scaled weight of the element set ``s``."""
+        return sum(self.scaled[e] for e in s)
 
 
-def _run_threshold_mechanism(inst, exclude):
-    """The shared removal loop.
+def _run_threshold_mechanism(inst, plan, exclude):
+    """The shared removal loop, on integers.
 
     ``exclude(e)`` removes ``e`` from the candidate ground set and returns the
-    candidate set on what survives together with its weight.  It is called
-    first with tau, then with each removed element in turn.
+    candidate set on what survives (a frozenset) together with its scaled
+    weight.  It is called first with tau, then with each removed element in
+    turn.
+
+    With the bids of the others over their common denominator ``d`` and the
+    budget ``B = b_num / b_den``, element ``e``'s buck-per-bang is
+    ``key[e] * value_den / (d * lcm)``, so a candidate of scaled weight ``V``
+    fails the budget test ``value * rate > budget`` at ``e`` iff
+    ``V * key[e] * b_den > b_num * d * lcm``.  Rationals are built only for
+    the final rate and the payments.
     """
-    weights, budget = inst.weights, inst.budget
-    tau = _pick_tau(inst.ground, weights)
-    bb = {e: inst.buck_per_bang(e) for e in inst.ground if e != tau}
-    others = sorted(sorted(bb), key=bb.__getitem__, reverse=True)
+    bids, budget, tau = inst.bids, inst.budget, plan.tau
+    rest, multiplier = plan.rest, plan.multiplier
+    bid_den = common_denominator([bids[e] for e in rest])
+    key = {e: bids[e].numerator * (bid_den // bids[e].denominator) * multiplier[e]
+           for e in rest}
+    others = descending(rest, key)
+    budget_num, budget_den = budget.numerator, budget.denominator
+    limit = budget_num * bid_den * plan.lcm
+    scales = (plan.value_den, bid_den * plan.lcm)
 
     chosen, value = exclude(tau)
     trace = []
-    i = 1
-    while True:
-        if i > len(others):
-            trace.append(TraceStep(i, None, None, tuple(sorted(chosen)), value))
+    for i, e in enumerate(others, 1):
+        if value * key[e] * budget_den <= limit:
+            trace.append(TraceStep(i, None, key[e], chosen, value, scales))
             break
-        rate_i = bb[others[i - 1]]
-        if value * rate_i > budget:
-            trace.append(
-                TraceStep(i, rate_i, others[i - 1], tuple(sorted(chosen)), value)
-            )
-            chosen, value = exclude(others[i - 1])
-            i += 1
-        else:
-            trace.append(TraceStep(i, rate_i, None, tuple(sorted(chosen)), value))
-            break
-
-    bb_prev = None if i == 1 else bb[others[i - 2]]  # None = +inf
-    if value > 0:
-        rate = budget / value if bb_prev is None else min(budget / value, bb_prev)
+        trace.append(TraceStep(i, e, key[e], chosen, value, scales))
+        chosen, value = exclude(e)
     else:
-        rate = bb_prev
+        trace.append(TraceStep(len(others) + 1, None, None, chosen, value, scales))
 
-    if value > weights[tau]:
+    # rate = min(budget / value, bb_prev), or bb_prev when value is 0; bb_prev
+    # is the rate of the last removed element, +inf (None) if none was removed
+    removed = len(trace) - 1
+    prev_key = key[others[removed - 1]] if removed else None
+    value_den, rate_den = scales
+    if value > 0 and (prev_key is None or limit <= prev_key * budget_den * value):
+        rate = mpq(budget_num * value_den, budget_den * value)  # budget / value
+    else:
+        rate = None if prev_key is None else mpq(prev_key * value_den, rate_den)
+
+    if value > plan.scaled[tau]:
         branch, allocation = "set", frozenset(chosen)
-        payments = {e: rate * weights[e] for e in chosen}
+        payments = {e: rate * inst.weights[e] for e in chosen}
     else:
         branch, allocation, payments = "tau", frozenset([tau]), {tau: budget}
     return Outcome(
@@ -188,35 +295,38 @@ def _run_threshold_mechanism(inst, exclude):
     )
 
 
-def run_matroid_mechanism(inst):
+def run_matroid_mechanism(inst, plan=None):
     """Budget-feasible mechanism for procuring an independent set of a matroid.
 
-    The greedy set ``B`` (weight descending, id ascending) is computed once
-    and repaired as elements leave the ground set: excluding ``x`` not in
-    ``B`` changes nothing; excluding ``x`` in ``B`` gives ``B - x + f``, with
-    ``f`` the first surviving element after ``x`` outside ``B`` that keeps
-    it independent, or ``B - x`` if there is none.  Elements before ``x``
-    need no test: each one outside ``B`` is spanned by the members of ``B``
-    before it, which do not include ``x``.  The ``f`` outside ``B`` that keep
-    ``B - x + f`` independent form, with ``x``, the fundamental cocircuit of
-    ``x`` with respect to ``B``; ``structure.extender(B - x).fits`` tests
-    membership in it.
+    The greedy set ``B`` (weight descending, id ascending) is computed once,
+    in the plan, and repaired as elements leave the ground set: excluding
+    ``x`` not in ``B`` changes nothing; excluding ``x`` in ``B`` gives
+    ``B - x + f``, with ``f`` the first surviving element after ``x`` outside
+    ``B`` that keeps it independent, or ``B - x`` if there is none.  Elements
+    before ``x`` need no test: each one outside ``B`` is spanned by the
+    members of ``B`` before it, which do not include ``x``.  The ``f``
+    outside ``B`` that keep ``B - x + f`` independent form, with ``x``, the
+    fundamental cocircuit of ``x`` with respect to ``B``;
+    ``structure.extender(B - x).fits`` tests membership in it.
+
+    ``plan`` is ``Plan(inst.structure, inst.weights)``, built here when not
+    given.
     """
     if not isinstance(inst.structure, Matroid):
         raise InputError("run_matroid_mechanism needs a single-matroid instance")
-    structure, weights = inst.structure, inst.weights
-    order = weight_order(structure.ground, weights)
-    position = {e: k for k, e in enumerate(order)}
+    structure = inst.structure
+    if plan is None:
+        plan = Plan(structure, inst.weights)
+    scaled, order, position = plan.scaled, plan.order, plan.position
     excluded = set()
-    chosen = max_weight_independent_set(structure, weights)
-    value = set_weight(weights, chosen)
+    chosen, value = plan.basis, plan.basis_weight
 
     def exclude(x):
         nonlocal chosen, value
         excluded.add(x)
         if x in chosen:
             chosen = chosen - {x}
-            value -= weights[x]
+            value -= scaled[x]
             cocircuit = None  # built at the first candidate; often none is left
             for f in order[position[x] + 1:]:
                 if f in chosen or f in excluded:
@@ -225,30 +335,32 @@ def run_matroid_mechanism(inst):
                     cocircuit = structure.extender(chosen)
                 if cocircuit.fits(f):
                     chosen = chosen | {f}
-                    value += weights[f]
+                    value += scaled[f]
                     break
         return chosen, value
 
-    return _run_threshold_mechanism(inst, exclude)
+    return _run_threshold_mechanism(inst, plan, exclude)
 
 
-def run_intersection_mechanism(inst, blackbox):
+def run_intersection_mechanism(inst, blackbox, plan=None):
     """Same mechanism with the exact greedy step replaced by an APX blackbox.
 
     A blackbox is an arbitrary approximation with no exchange property, so it
     is asked again after every exclusion, on the instance's own spec and the
-    set excluded so far.
+    set excluded so far.  ``plan`` is as in ``run_matroid_mechanism``.
     """
     if not isinstance(inst.structure, IntersectionSpec):
         raise InputError("run_intersection_mechanism needs an intersection instance")
+    if plan is None:
+        plan = Plan(inst.structure, inst.weights)
     excluded = set()
 
     def exclude(x):
         excluded.add(x)
-        chosen = blackbox(inst.structure, inst.weights, excluded)
-        return chosen, set_weight(inst.weights, chosen)
+        chosen = frozenset(blackbox(inst.structure, inst.weights, excluded))
+        return chosen, plan.weight(chosen)
 
-    return _run_threshold_mechanism(inst, exclude)
+    return _run_threshold_mechanism(inst, plan, exclude)
 
 
 def utility(inst, outcome, e):

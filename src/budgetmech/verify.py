@@ -39,6 +39,7 @@ from .matroids import (
 )
 from .mechanisms import (
     Instance,
+    Plan,
     first_price_greedy,
     run_intersection_mechanism,
     run_matroid_mechanism,
@@ -244,16 +245,18 @@ def make_runner(name, inst):
     """Closure running mechanism ``name`` on variations of ``inst``.
 
     The closure may be called with bid-deviated copies of the same instance.
-    Blackbox results are memoized per exclusion set on the instance's spec,
-    which is sound because blackboxes read weights only.  The matroid
-    mechanism needs no memo: it repairs its greedy set after each removal
-    instead of recomputing it.
+    It builds the bid-free ``Plan`` once, and memoizes blackbox results per
+    exclusion set on the instance's spec; both are sound because they read
+    the structure and the weights only.  The matroid mechanism needs no memo:
+    it repairs its greedy set after each removal instead of recomputing it.
     """
     if name == "matroid":
-        return run_matroid_mechanism
+        plan = Plan(inst.structure, inst.weights)
+        return lambda i: run_matroid_mechanism(i, plan)
     if name in BLACKBOX_OF:
         blackbox = memoized_blackbox(get_blackbox(BLACKBOX_OF[name], inst.structure))
-        return lambda i: run_intersection_mechanism(i, blackbox)
+        plan = Plan(inst.structure, inst.weights)
+        return lambda i: run_intersection_mechanism(i, blackbox, plan)
     if name == "broken-first-price":
         return first_price_greedy
     raise InputError(f"unknown mechanism {name!r}")

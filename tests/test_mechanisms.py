@@ -1,5 +1,7 @@
 """The two procurement mechanisms: hand traces, invariants, edge cases."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,9 @@ from budgetmech import (
     InputError,
     Instance,
     IntersectionSpec,
+    Outcome,
     PartitionMatroid,
+    TraceStep,
     UniformMatroid,
     first_price_greedy,
     get_blackbox,
@@ -25,10 +29,13 @@ from budgetmech import (
 from budgetmech.oracle import enumerate_independent_sets
 from budgetmech.rationals import mpq
 from budgetmech.verify import (
+    BLACKBOX_OF,
     GeneratorConfig,
     check_outcome_invariants,
+    gen_bipartite_instance,
     gen_matroid_instance,
     make_runner,
+    truthful_deviation_bids,
 )
 
 
@@ -164,12 +171,30 @@ def test_invariants_on_random_instances():
 
 
 def test_cache_gives_identical_outcomes():
-    cfg = GeneratorConfig(count=10, seed=6)
-    inst = gen_matroid_instance(cfg, 3)
-    cached = make_runner("matroid", inst)
-    plain = run_matroid_mechanism(inst)
-    again = cached(inst)
-    assert plain.allocation == again.allocation and plain.payments == again.payments
+    # a make_runner runner reuses its plan (and its blackbox memo) across
+    # deviations; every deviation must give what a fresh run gives
+    cfg = GeneratorConfig(count=3, seed=6, n_range=(3, 7))
+    for mechanism in ("matroid", "intersection-exact", "intersection-greedy"):
+        for index in range(3):
+            if mechanism == "matroid":
+                inst = gen_matroid_instance(cfg, index).truthful()
+
+                def fresh(i):
+                    return run_matroid_mechanism(i)
+            else:
+                inst = gen_bipartite_instance(cfg, index).truthful()
+                blackbox = get_blackbox(BLACKBOX_OF[mechanism], inst.structure)
+
+                def fresh(i, blackbox=blackbox):
+                    return run_intersection_mechanism(i, blackbox)
+            runner = make_runner(mechanism, inst)
+            truthful = runner(inst)
+            assert truthful == fresh(inst)
+            rng = random.Random(index)
+            for e in inst.ground:
+                for d in truthful_deviation_bids(inst, e, truthful, rng, 12):
+                    deviated = inst.with_bid(e, d)
+                    assert runner(deviated) == fresh(deviated)
 
 
 MATROID_KINDS = ("uniform", "free", "partition", "graphic", "deadline", "explicit")
@@ -291,3 +316,135 @@ def test_with_bid_rejects_what_the_constructor_rejects():
         with pytest.raises(InputError) as copied:
             inst.with_bid(e, bid)
         assert str(copied.value) == str(fresh.value)
+
+
+# The removal loop runs on integer keys over a bid-free plan; the reference
+# below is the loop in plain rationals that it replaced, with every candidate
+# set recomputed from scratch.
+
+RATIONALS = st.builds(mpq, st.integers(1, 9), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+def reference_mechanism(inst, select):
+    """The threshold mechanism in rational arithmetic; ``select(excluded)``
+    is the candidate set on the ground set minus ``excluded``."""
+    weights, budget = inst.weights, inst.budget
+    tau = max(sorted(inst.ground), key=weights.__getitem__)
+    bb = {e: inst.bids[e] / weights[e] for e in inst.ground if e != tau}
+    others = sorted(sorted(bb), key=bb.__getitem__, reverse=True)
+    excluded = {tau}
+    chosen = select(excluded)
+    value = set_weight(weights, chosen)
+    trace = []
+    i = 1
+    while True:
+        if i > len(others):
+            trace.append(TraceStep.of(i, None, None, sorted(chosen), value))
+            break
+        rate_i = bb[others[i - 1]]
+        if value * rate_i > budget:
+            trace.append(TraceStep.of(i, rate_i, others[i - 1], sorted(chosen), value))
+            excluded.add(others[i - 1])
+            chosen = select(excluded)
+            value = set_weight(weights, chosen)
+            i += 1
+        else:
+            trace.append(TraceStep.of(i, rate_i, None, sorted(chosen), value))
+            break
+    bb_prev = None if i == 1 else bb[others[i - 2]]
+    if value > 0:
+        rate = budget / value if bb_prev is None else min(budget / value, bb_prev)
+    else:
+        rate = bb_prev
+    if value > weights[tau]:
+        branch, allocation = "set", frozenset(chosen)
+        payments = {e: rate * weights[e] for e in chosen}
+    else:
+        branch, allocation, payments = "tau", frozenset([tau]), {tau: budget}
+    return Outcome(allocation=allocation, payments=payments, tau=tau, branch=branch,
+                   final_rate=rate, trace=tuple(trace), budget=budget)
+
+
+@st.composite
+def priced(draw, structure):
+    """Instance on ``structure`` with rational weights, bids and budget over
+    mixed denominators; bids often share a buck-per-bang level (ties) and
+    often exceed the budget."""
+    weights = {e: draw(RATIONALS) for e in structure.ground}
+    levels = draw(st.lists(RATIONALS, min_size=1, max_size=2))
+    bids = {
+        e: draw(st.one_of(RATIONALS, st.sampled_from(levels).map(lambda r, w=w: r * w)))
+        for e, w in weights.items()
+    }
+    budget = draw(st.builds(mpq, st.integers(1, 40), st.sampled_from((1, 2, 5))))
+    return Instance(structure, weights, bids, bids, budget)
+
+
+@st.composite
+def bipartite_specs(draw):
+    """Two capacity-1 partition matroids: a bipartite graph, parallel edges
+    and isolated vertices in reach."""
+    ids = [f"x{j}" for j in range(draw(st.integers(1, 7)))][::-1]
+
+    def side():
+        labels = [draw(st.integers(0, 2)) for _ in ids]
+        return PartitionMatroid(ids, [({e for e, b in zip(ids, labels) if b == label}, 1)
+                                      for label in sorted(set(labels))])
+
+    return IntersectionSpec([side(), side()])
+
+
+@st.composite
+def mixed_specs(draw):
+    """A matroid of any kind intersected with a partition matroid."""
+    base = draw(matroids(draw(st.sampled_from(MATROID_KINDS))))
+    labels = [draw(st.integers(0, 1)) for _ in base.ground]
+    blocks = []
+    for label in sorted(set(labels)):
+        members = {e for e, b in zip(base.ground, labels) if b == label}
+        blocks.append((members, draw(st.integers(0, len(members)))))
+    return IntersectionSpec([base, PartitionMatroid(base.ground, blocks)])
+
+
+@pytest.mark.parametrize("kind", MATROID_KINDS)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_integer_loop_matches_rational_loop_on_matroids(kind, data):
+    inst = data.draw(priced(data.draw(matroids(kind))))
+    expected = reference_mechanism(
+        inst,
+        lambda excluded: max_weight_independent_set(inst.structure.delete(excluded),
+                                                    inst.weights),
+    )
+    assert run_matroid_mechanism(inst) == expected
+
+
+@pytest.mark.parametrize("apx", ("exact-bipartite", "greedy"))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_loop_matches_rational_loop_on_intersections(apx, data):
+    specs = bipartite_specs() if apx == "exact-bipartite" else st.one_of(
+        bipartite_specs(), mixed_specs())
+    inst = data.draw(priced(data.draw(specs)))
+    blackbox = get_blackbox(apx, inst.structure)
+    expected = reference_mechanism(
+        inst, lambda excluded: blackbox(inst.structure.delete(excluded), inst.weights))
+    assert run_intersection_mechanism(inst, blackbox) == expected
+
+
+def test_instance_keeps_rationals_and_checks_signs_on_numerators():
+    w, half = mpq(7, 3), mpq(1, 2)
+    inst = Instance(UniformMatroid(["a", "b"], 1), {"a": w, "b": 2}, {"a": half, "b": 1},
+                    {"a": half, "b": 1}, mpq(5, 2))
+    assert inst.weights["a"] is w and inst.bids["a"] is half
+    assert inst.weights["b"] == 2 and type(inst.weights["b"]) is type(w)
+    for field, bad in (("weights", mpq(-1, 3)), ("true_costs", 0), ("bids", mpq(0))):
+        vectors = {"weights": {"a": 1, "b": 1}, "true_costs": {"a": 1, "b": 1},
+                   "bids": {"a": 1, "b": 1}}
+        vectors[field]["b"] = bad
+        with pytest.raises(InputError, match=rf"^{field}\[b\] must be positive$"):
+            Instance(inst.structure, vectors["weights"], vectors["true_costs"],
+                     vectors["bids"], 3)
+    with pytest.raises(InputError, match="^budget must be positive$"):
+        Instance(inst.structure, {"a": 1, "b": 1}, {"a": 1, "b": 1}, {"a": 1, "b": 1},
+                 mpq(-3, 4))

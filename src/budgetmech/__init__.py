@@ -46,6 +46,7 @@ from .rationals import format_rational, mpq, parse_rational, to_decimal
 from .xos import (
     XosOutcome,
     XosParams,
+    XosPlan,
     XosValuation,
     optimize_constant,
     partition_halves,

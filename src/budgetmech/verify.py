@@ -45,8 +45,8 @@ from .mechanisms import (
     run_matroid_mechanism,
 )
 from .oracle import brute_force_opt
-from .rationals import ZERO, format_rational, mpq
-from .xos import XosParams, XosValuation, _subset_table, xos_mechanism_main
+from .rationals import ZERO, common_denominator, format_rational, mpq
+from .xos import XosParams, XosPlan, XosValuation, _subset_table, xos_mechanism_main
 
 EPSILON = mpq(1, 10**9)
 
@@ -321,11 +321,14 @@ def _around(x):
 
 def _probe_bids(anchors, budget, rng, min_count):
     """The anchors inside (0, budget], topped up with uniform draws
-    ``budget * k / 10**6`` until there are ``min_count``, sorted."""
+    ``budget * k / 10**6`` until there are ``min_count``, sorted (on the
+    integers over their common denominator, which keep the order exactly)."""
     probes = {d for d in anchors if 0 < d <= budget}
+    num, den = budget.numerator, budget.denominator * 10**6
     while len(probes) < min_count:
-        probes.add(budget * mpq(rng.randint(1, 10**6), 10**6))
-    return sorted(probes)
+        probes.add(mpq(num * rng.randint(1, 10**6), den))
+    scale = common_denominator(probes)
+    return sorted(probes, key=lambda d: d.numerator * (scale // d.denominator))
 
 
 def _deviation_sweep(report, doc, ground, costs, truthful, run, probes):
@@ -496,23 +499,34 @@ def _xos_membership_breakpoint(valuation, t2_ids, bids, threshold, e, table=None
 
 def check_xos_truthfulness(valuation, costs, budget, params,
                            deviations_per_element=20, seed=0):
-    """Fixed-seed truthfulness: re-runs the whole pipeline per deviation.
+    """Fixed-seed truthfulness: re-runs the pipeline per deviation on one plan.
 
     On a fixed coin tape the mechanism is deterministic and single-parameter,
-    so the sweep is ``_deviation_sweep``'s.  The threshold and the surplus
-    argmax both depend on bids, so nothing short of a full replay is sound.
-    Probes include each element's argmax-membership breakpoint, the inner
+    so the sweep is ``_deviation_sweep``'s.  Every run shares one
+    ``XosPlan``: the branch coin, the T1/T2 split, the max-element winner and
+    v(S) on each half read the tape and the valuation only, never a bid.
+    The threshold and the surplus argmax do read bids, so every deviation
+    still recomputes them, except that the plan reuses the last T1 optimum
+    while the budget and the T1 bids are unchanged, and the last argmax
+    while the threshold and the T2 bids are; a half's result reads nothing
+    else, so each reuse gives exactly what a full replay would.  Probes
+    include each element's argmax-membership breakpoint, the inner
     proportional rate, and randoms.
     """
     report = VerificationReport("Truthful", "xos", instances_checked=1)
     doc = _xos_failure_doc(valuation, costs, costs, budget, params)
-    truthful = xos_mechanism_main(valuation, costs, costs, budget, params)
+    plan = XosPlan(valuation, params)
+    # passed positionally, so a wrapper on ``verify.xos_mechanism_main`` that
+    # reads ``*args`` (a tracer, a recording test) still sees each whole call
+    truthful = xos_mechanism_main(valuation, costs, costs, budget, params, plan)
     rng = random.Random(f"xosdev:{seed}:{params.seed}")
-    table = _subset_table(valuation, sorted(truthful.t2), costs)
+    table = None
+    if not plan.take_max_element:
+        table = _subset_table(valuation, plan.t2_ids, costs, plan.t2_value)
 
     def probes(e):
         anchors = [budget, costs[e] - EPSILON, costs[e] + EPSILON]
-        if truthful.branch != "max-element":
+        if table is not None:
             bp = _xos_membership_breakpoint(
                 valuation, truthful.t2, costs, truthful.threshold, e, table
             )
@@ -527,7 +541,7 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     def run(e, d):
         # read as a module global at call time, so a wrapper installed on
         # ``verify.xos_mechanism_main`` sees every deviation
-        return xos_mechanism_main(valuation, costs, {**costs, e: d}, budget, params)
+        return xos_mechanism_main(valuation, costs, {**costs, e: d}, budget, params, plan)
 
     return _deviation_sweep(report, doc, valuation.ground, costs, truthful, run, probes)
 
@@ -786,8 +800,9 @@ def replay_failure(doc):
 def _replay_xos(prop, loaded, e, d, params):
     valuation, costs, bids, budget = loaded.xos, loaded.costs, loaded.bids, loaded.budget
     if prop == "Truthful":
-        truthful = xos_mechanism_main(valuation, costs, costs, budget, params)
-        deviated = xos_mechanism_main(valuation, costs, {**costs, e: d}, budget, params)
+        plan = XosPlan(valuation, params)
+        truthful = xos_mechanism_main(valuation, costs, costs, budget, params, plan)
+        deviated = xos_mechanism_main(valuation, costs, {**costs, e: d}, budget, params, plan)
         return deviated.utility(e, costs[e]) > truthful.utility(e, costs[e])
     if prop in ("IR", "BudgetFeasible"):
         outcome = xos_mechanism_main(valuation, costs, bids, budget, params)

@@ -166,30 +166,33 @@ def _additive_subset_sums(ids, values):
     return sums
 
 
-def _subset_table(valuation, ids, bids):
-    """Bid total and v(S) of every subset S of ``ids``, indexed by bitmask
-    (bit j set when ``ids[j]`` is in S)."""
+def _value_table(valuation, ids):
+    """v(S) of every subset S of ``ids``, indexed by bitmask (bit j set when
+    ``ids[j]`` is in S): the max over clauses of each clause's subset sums."""
+    clause_sums = [_additive_subset_sums(ids, [f[e] for e in ids]) for f in valuation.functions]
+    return [max(sums) for sums in zip(*clause_sums)]
+
+
+def _subset_table(valuation, ids, bids, value=None):
+    """Bid total and v(S) of every subset S of ``ids``, indexed by bitmask;
+    ``value`` is ``_value_table(valuation, ids)``, built here when not given."""
     cost = _additive_subset_sums(ids, [bids[e] for e in ids])
-    clause_sums = [
-        _additive_subset_sums(ids, [valuation.functions[k][e] for e in ids])
-        for k in range(valuation.num_clauses)
-    ]
-    return cost, [max(sums) for sums in zip(*clause_sums)]
+    return cost, _value_table(valuation, ids) if value is None else value
 
 
-def _opt_value_under_budget(valuation, ids, bids, budget):
+def _opt_value_under_budget(valuation, ids, bids, budget, value=None):
     """max v(S) over S within ``ids`` with bid total at most ``budget``."""
-    cost, value = _subset_table(valuation, ids, bids)
+    cost, value = _subset_table(valuation, ids, bids, value)
     return max(v for c, v in zip(cost, value) if c <= budget)
 
 
-def _argmax_surplus(valuation, ids, bids, threshold):
+def _argmax_surplus(valuation, ids, bids, threshold, value=None):
     """argmax over subsets of ``ids`` of v(S) - threshold * bids(S).
 
     Ties: smaller bid total, then lexicographically smallest id set.  The
     empty set (objective 0, cost 0) is always a candidate.
     """
-    cost, value = _subset_table(valuation, ids, bids)
+    cost, value = _subset_table(valuation, ids, bids, value)
     best_obj, best_cost = ZERO, ZERO
     best_ids = ()
     for mask in range(1, 1 << len(ids)):
@@ -206,7 +209,64 @@ def _argmax_surplus(valuation, ids, bids, threshold):
     return frozenset(best_ids)
 
 
-def xos_mechanism_main(valuation, true_costs, bids, budget, params):
+class XosPlan:
+    """The bid-free part of one seeded run of ``xos_mechanism_main``.
+
+    The coin tape is drawn from ``params.seed`` alone, so the branch coin
+    (``take_max_element``), the split ``t1``/``t2`` (ids sorted in
+    ``t1_ids``/``t2_ids``), the max-element winner ``star`` and the v(S)
+    tables of both halves (``t1_value``, ``t2_value``; ``_value_table``)
+    read no bid.  The tables are built only on the sampling branch, where a
+    run reads them; on the max-element branch they are None.
+
+    Each half reads only its own bids, so the plan also keeps the last T1
+    optimum, keyed on the budget and the T1 bids, and the last surplus
+    argmax, keyed on the threshold and the T2 bids.  The keys are exact, so
+    a run through a plan gives the outcome of a run without one.
+    """
+
+    def __init__(self, valuation, params):
+        ground = valuation.ground
+        if not ground:
+            raise InputError("mechanism needs a nonempty ground set")
+        if len(ground) > XOS_ENUMERATION_CAP:
+            raise CapExceeded(
+                "XOS mechanism enumerates subsets exhaustively; "
+                f"reduce n to at most {XOS_ENUMERATION_CAP}"
+            )
+        rng = random.Random(params.seed)
+        self.take_max_element = bool(rng.getrandbits(1))
+        self.t1, self.t2 = _split_with_rng(rng, ground)
+        self.t1_ids, self.t2_ids = sorted(self.t1), sorted(self.t2)
+        self.star = self.t1_value = self.t2_value = None
+        if self.take_max_element:
+            self.star = min(ground, key=lambda e: (-valuation.value(frozenset([e])), e))
+        else:
+            self.t1_value = _value_table(valuation, self.t1_ids)
+            self.t2_value = _value_table(valuation, self.t2_ids)
+        self._t1_key = self._t1_optimum = None
+        self._t2_key = self._t2_argmax = None
+
+    def t1_optimum(self, valuation, bids, budget):
+        """``_opt_value_under_budget`` over T1."""
+        key = (budget, [bids[e] for e in self.t1_ids])
+        if key != self._t1_key:
+            self._t1_key = key
+            self._t1_optimum = _opt_value_under_budget(
+                valuation, self.t1_ids, bids, budget, self.t1_value)
+        return self._t1_optimum
+
+    def t2_argmax(self, valuation, bids, threshold):
+        """``_argmax_surplus`` over T2."""
+        key = (threshold, [bids[e] for e in self.t2_ids])
+        if key != self._t2_key:
+            self._t2_key = key
+            self._t2_argmax = _argmax_surplus(
+                valuation, self.t2_ids, bids, threshold, self.t2_value)
+        return self._t2_argmax
+
+
+def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
     """One seeded run of the random-sampling XOS mechanism.
 
     Coin tape: the first bit decides between buying the single most valuable
@@ -216,16 +276,13 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params):
     thresholded subset of T2 and hands it to the additive sub-mechanism
     (the matroid mechanism on a free matroid) under the clause achieving its
     value.  The mechanism reads declared bids, never true costs.
+
+    ``plan`` is ``XosPlan(valuation, params)``, built here when not given;
+    pass one to share it across runs that differ only in bids and budget.
     """
-    ground = tuple(valuation.ground)
-    n = len(ground)
-    if n == 0:
-        raise InputError("mechanism needs a nonempty ground set")
-    if n > XOS_ENUMERATION_CAP:
-        raise CapExceeded(
-            "XOS mechanism enumerates subsets exhaustively; "
-            f"reduce n to at most {XOS_ENUMERATION_CAP}"
-        )
+    if plan is None:
+        plan = XosPlan(valuation, params)
+    ground = valuation.ground
     budget = mpq(budget)
     bids = {e: mpq(bids[e]) for e in ground}
     true_costs = {e: mpq(true_costs[e]) for e in ground}
@@ -233,24 +290,16 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params):
         if bids[e] > budget or bids[e] <= 0:
             raise InputError(f"bid of {e!r} must lie in (0, budget]")
 
-    rng = random.Random(params.seed)
-    take_max_element = bool(rng.getrandbits(1))
-    t1, t2 = _split_with_rng(rng, ground)
-
-    if take_max_element:
-        star = min(ground, key=lambda e: (-valuation.value(frozenset([e])), e))
+    if plan.take_max_element:
         return XosOutcome(
             branch="max-element",
-            allocation=frozenset([star]),
-            payments={star: budget},
+            allocation=frozenset([plan.star]),
+            payments={plan.star: budget},
             budget=budget,
         )
 
-    t1_ids = sorted(t1)
-    t2_ids = sorted(t2)
-    opt_t1_value = _opt_value_under_budget(valuation, t1_ids, bids, budget)
-    threshold = opt_t1_value / (params.beta * budget)
-    s_star = _argmax_surplus(valuation, t2_ids, bids, threshold)
+    threshold = plan.t1_optimum(valuation, bids, budget) / (params.beta * budget)
+    s_star = plan.t2_argmax(valuation, bids, threshold)
     clause_index = valuation.best_clause(s_star) if s_star else None
     clause = valuation.functions[clause_index] if s_star else {}
     # elements the chosen clause values at zero can never receive an
@@ -262,8 +311,8 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params):
             allocation=frozenset(),
             payments={},
             budget=budget,
-            t1=t1,
-            t2=t2,
+            t1=plan.t1,
+            t2=plan.t2,
             threshold=threshold,
             s_star=s_star,
             clause_index=clause_index,
@@ -282,8 +331,8 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params):
         allocation=inner.allocation,
         payments=dict(inner.payments),
         budget=budget,
-        t1=t1,
-        t2=t2,
+        t1=plan.t1,
+        t2=plan.t2,
         threshold=threshold,
         s_star=s_star,
         clause_index=clause_index,

@@ -1,6 +1,7 @@
 """XOS valuations: value oracle, lemma constructions, sampling mechanism."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from budgetmech import (
     CapExceeded,
     InputError,
     XosParams,
+    XosPlan,
     XosValuation,
     optimize_constant,
     partition_halves,
@@ -130,6 +132,26 @@ def test_cap_enforced():
     costs = {e: mpq(1) for e in ids}
     with pytest.raises(CapExceeded):
         xos_mechanism_main(val, costs, costs, 30, XosParams(seed=0, **PARAMS))
+
+
+def test_plan_and_run_keep_the_cap_and_the_empty_ground_errors():
+    message = re.escape(
+        "XOS mechanism enumerates subsets exhaustively; reduce n to at most 16")
+    ids = [f"e{j:02d}" for j in range(17)]
+    val = single_clause({e: 1 for e in ids})
+    costs = {e: mpq(1) for e in ids}
+    params = XosParams(seed=0, **PARAMS)
+    with pytest.raises(CapExceeded, match=message):
+        XosPlan(val, params)
+    with pytest.raises(CapExceeded, match=message):
+        xos_mechanism_main(val, costs, costs, 30, params)
+    with pytest.raises(CapExceeded, match=message):
+        xos_mechanism_main(val, costs, costs, 30, params, XosPlan(val, params))
+    empty = XosValuation([], [{}])
+    with pytest.raises(InputError, match="nonempty ground set"):
+        XosPlan(empty, params)
+    with pytest.raises(InputError, match="nonempty ground set"):
+        xos_mechanism_main(empty, {}, {}, 30, params)
 
 
 def test_params_validation():
@@ -287,3 +309,60 @@ def test_subset_helpers_match_second_routes(case):
     for e in valuation.ground:
         assert _xos_membership_breakpoint(valuation, subset, bids, threshold, e) == \
             _breakpoint_by_subsets(valuation, subset, bids, threshold, e)
+
+
+# ---------------------------------------------------------------------------
+# one plan shared by a sequence of runs against fresh runs
+
+
+@st.composite
+def xos_bid_sequences(draw):
+    """A small XOS valuation, a coin tape, and bid vectors with budgets that
+    change one T1 bid, one T2 bid and the budget, then go back: A, B, C, D,
+    A, B, A.  Bids stay at most 4, so every budget here admits them.  Clause
+    values spread over powers of two, and D raises the budget from 4..7 to
+    8..24, so the threshold often moves the surplus argmax."""
+    ids = [f"e{j}" for j in range(draw(st.integers(1, 6)))]
+    functions = [
+        {e: mpq(draw(st.sampled_from([0, 1, 2, 4, 8, 16]))) for e in ids}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    valuation = XosValuation(ids, functions)
+    params = XosParams(seed=draw(st.integers(0, 255)), **PARAMS)
+    plan = XosPlan(valuation, params)
+    bid = st.builds(mpq, st.integers(1, 8), st.integers(2, 3))
+    costs = {e: draw(bid) for e in ids}
+    a = (dict(costs), mpq(draw(st.integers(8, 14)), 2))
+    b = a
+    if plan.t1_ids:
+        b = ({**a[0], draw(st.sampled_from(plan.t1_ids)): draw(bid)}, a[1])
+    c = b
+    if plan.t2_ids:
+        c = ({**b[0], draw(st.sampled_from(plan.t2_ids)): draw(bid)}, b[1])
+    d = (c[0], mpq(draw(st.integers(16, 48)), 2))
+    return valuation, costs, params, [a, b, c, d, a, b, a]
+
+
+def _compared(outcome):
+    inner_rate = outcome.inner.final_rate if outcome.inner is not None else None
+    return (outcome.branch, outcome.allocation, outcome.payments, outcome.t1,
+            outcome.t2, outcome.threshold, outcome.s_star, outcome.clause_index,
+            inner_rate)
+
+
+def test_shared_plan_matches_fresh_runs():
+    branches = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(xos_bid_sequences())
+    def check(case):
+        valuation, costs, params, sequence = case
+        plan = XosPlan(valuation, params)
+        for bids, budget in sequence:
+            shared = xos_mechanism_main(valuation, costs, bids, budget, params, plan)
+            fresh = xos_mechanism_main(valuation, costs, bids, budget, params)
+            assert _compared(shared) == _compared(fresh)
+            branches.add(fresh.branch)
+
+    check()
+    assert branches == {"max-element", "empty", "sub-mechanism"}

@@ -240,6 +240,8 @@ def greedy_common_independent(spec, weights, excluded=frozenset()):
 def get_blackbox(name, spec):
     """Blackbox by name (``--apx``, ``verify.BLACKBOX_OF``); the procedures
     are read as module globals at each call, so a later wrapper is seen."""
+    if not isinstance(spec, IntersectionSpec):
+        raise InputError(f"blackbox {name!r} needs a matroid intersection, not a single matroid")
     if name == "exact-bipartite":
         _bipartite_shape(spec)  # validate shape up front
         return ApxBlackbox("exact-bipartite", mpq(1), exact_bipartite_matching)

@@ -399,29 +399,71 @@ class _SlotExtender:
                 self.last_tight = t
 
 
+def _json_int(value, what):
+    """``value`` if it is a JSON integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ids(value, what):
+    """``value`` if it is a list of element ids (strings)."""
+    if not isinstance(value, list) or not all(isinstance(e, str) for e in value):
+        raise InputError(f"{what} must be a list of element ids")
+    return value
+
+
+def _json_edge(edge):
+    """``edge`` if it is ``[id, u, v]`` with string or integer endpoints."""
+    if (
+        not isinstance(edge, list) or len(edge) != 3 or not isinstance(edge[0], str)
+        or not all(isinstance(x, (str, int)) and not isinstance(x, bool) for x in edge[1:])
+    ):
+        raise InputError(f"graphic edge must be [id, u, v] with string or integer "
+                         f"endpoints, got {edge!r}")
+    return edge
+
+
+def _json_list(obj, key, kind):
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise InputError(f"{kind} matroid needs a list {key!r}")
+    return value
+
+
 def matroid_from_json(obj, ground):
-    """Build a matroid over ``ground`` from its wire-format description."""
+    """Build a matroid over ``ground`` from its wire-format description;
+    raises InputError unless every field has its JSON type."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("matroid spec must be an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "uniform":
-        return UniformMatroid(ground, obj["rank"])
+        return UniformMatroid(ground, _json_int(obj.get("rank"), "uniform rank"))
     if kind == "free":
         return FreeMatroid(ground)
     if kind == "partition":
-        blocks = [(b["members"], b["capacity"]) for b in obj["blocks"]]
-        m = PartitionMatroid(ground, blocks)
-        return m
+        blocks = _json_list(obj, "blocks", kind)
+        if not all(isinstance(b, dict) for b in blocks):
+            raise InputError("partition blocks must be objects")
+        return PartitionMatroid(ground, [
+            (_json_ids(b.get("members"), "partition members"),
+             _json_int(b.get("capacity"), "partition capacity"))
+            for b in blocks
+        ])
     if kind == "graphic":
-        edges = [(e, u, v) for e, u, v in obj["edges"]]
-        m = GraphicMatroid(edges)
+        m = GraphicMatroid([_json_edge(edge) for edge in _json_list(obj, "edges", kind)])
         if m.ground != tuple(ground):
             raise InputError("graphic edge labels must match the element list exactly")
         return m
     if kind == "deadline":
-        return DeadlineMatroid(ground, obj["deadlines"])
+        deadlines = obj.get("deadlines")
+        if not isinstance(deadlines, dict):
+            raise InputError("deadline matroid needs an object 'deadlines'")
+        return DeadlineMatroid(ground, {e: _json_int(d, f"deadline of {e!r}")
+                                        for e, d in deadlines.items()})
     if kind == "explicit":
-        return ExplicitMatroid(ground, obj["independents"])
+        return ExplicitMatroid(ground, [_json_ids(s, "explicit independent set")
+                                        for s in _json_list(obj, "independents", kind)])
     raise InputError(f"unknown matroid kind {kind!r}")
 
 

@@ -46,26 +46,26 @@ from .mechanisms import (
 )
 from .oracle import brute_force_opt
 from .rationals import ZERO, common_denominator, format_rational, mpq
-from .xos import XosParams, XosPlan, XosValuation, _subset_table, xos_mechanism_main
+from .xos import XosParams, XosPlan, XosValuation, xos_mechanism_main
 
 EPSILON = mpq(1, 10**9)
 
-PROPERTIES = (
-    "Independence",
-    "IR",
-    "BudgetFeasible",
-    "Truthful",
-    "ApproxRatio",
-    "Lemma1Bound",
-    "BidIndependence",
-)
+# the properties checked for each mechanism (the threshold mechanisms by
+# ``_verify_one``, XOS by ``check_xos_truthfulness`` and ``check_xos_outcome``),
+# so the only (property, mechanism) pairs a failure record can name
+CHECKED_PROPERTIES = {
+    "matroid": ("Independence", "IR", "BudgetFeasible", "Truthful", "ApproxRatio",
+                "Lemma1Bound", "BidIndependence"),
+    "intersection-exact": ("Independence", "IR", "BudgetFeasible", "Truthful",
+                           "ApproxRatio", "BidIndependence"),
+    "intersection-greedy": ("Independence", "IR", "BudgetFeasible", "Truthful",
+                            "ApproxRatio", "BidIndependence"),
+    "broken-first-price": ("Independence", "IR", "BudgetFeasible", "Truthful"),
+    "xos": ("Truthful", "IR", "BudgetFeasible"),
+}
 
-MECHANISM_NAMES = (
-    "matroid",
-    "intersection-exact",
-    "intersection-greedy",
-    "broken-first-price",
-)
+# the mechanisms ``make_runner`` builds
+MECHANISM_NAMES = tuple(m for m in CHECKED_PROPERTIES if m != "xos")
 
 # the blackbox (a ``get_blackbox`` name) each intersection mechanism runs
 BLACKBOX_OF = {"intersection-exact": "exact-bipartite", "intersection-greedy": "greedy"}
@@ -222,19 +222,14 @@ def gen_bipartite_instance(config, index):
     return Instance(spec, weights, costs, dict(costs), budget)
 
 
-def gen_xos_instance(seed, index, n=10, m_choices=(2, 3, 4), weight_range=(10, 20),
-                     cost_range=(1, 10), budget=60):
-    """Deterministic XOS instance: clause weights and costs are uniform
-    integers, budget fixed.  Returns (valuation, costs, budget)."""
+def gen_xos_instance(seed, index, n=10):
+    """Deterministic XOS instance: 2 + index % 3 clauses with weights in
+    10..20, costs in 1..10, budget 60.  Returns (valuation, costs, budget)."""
     rng = _rng(seed, "xos", index)
     ids = _element_ids(n)
-    m = m_choices[index % len(m_choices)]
-    functions = [
-        {e: mpq(rng.randint(*weight_range)) for e in ids} for _ in range(m)
-    ]
-    valuation = XosValuation(ids, functions)
-    costs = {e: mpq(rng.randint(*cost_range)) for e in ids}
-    return valuation, costs, mpq(budget)
+    functions = [{e: mpq(rng.randint(10, 20)) for e in ids} for _ in range(2 + index % 3)]
+    costs = {e: mpq(rng.randint(1, 10)) for e in ids}
+    return XosValuation(ids, functions), costs, mpq(60)
 
 
 # ---------------------------------------------------------------------------
@@ -478,25 +473,6 @@ def check_xos_outcome(valuation, costs, bids, budget, outcome, params, mechanism
     return _payment_failures(outcome, bids, budget, mechanism, doc)
 
 
-def _xos_membership_breakpoint(valuation, t2_ids, bids, threshold, e, table=None):
-    """Bid level where ``e`` leaves the surplus argmax, if the threshold is
-    positive: above it the argmax excludes e, below it the argmax keeps e.
-
-    ``table`` is ``_subset_table(valuation, sorted(t2_ids), bids)``; pass it
-    to share one table across the elements of T2.
-    """
-    if threshold <= 0 or e not in t2_ids:
-        return None
-    ids = sorted(t2_ids)
-    cost, value = table or _subset_table(valuation, ids, bids)
-    bit = 1 << ids.index(e)
-    # the best set with e, scored as if e bid 0, against the best set
-    # without e (the empty set included)
-    best_in = max(value[m] - threshold * cost[m] for m in range(len(cost)) if m & bit)
-    best_out = max(value[m] - threshold * cost[m] for m in range(len(cost)) if not m & bit)
-    return (best_in + threshold * bids[e] - best_out) / threshold
-
-
 def check_xos_truthfulness(valuation, costs, budget, params,
                            deviations_per_element=20, seed=0):
     """Fixed-seed truthfulness: re-runs the pipeline per deviation on one plan.
@@ -510,8 +486,8 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     while the budget and the T1 bids are unchanged, and the last argmax
     while the threshold and the T2 bids are; a half's result reads nothing
     else, so each reuse gives exactly what a full replay would.  Probes
-    include each element's argmax-membership breakpoint, the inner
-    proportional rate, and randoms.
+    include each element's argmax-membership breakpoint (the plan computes
+    all of them once per check), the inner proportional rate, and randoms.
     """
     report = VerificationReport("Truthful", "xos", instances_checked=1)
     doc = _xos_failure_doc(valuation, costs, costs, budget, params)
@@ -520,18 +496,14 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     # reads ``*args`` (a tracer, a recording test) still sees each whole call
     truthful = xos_mechanism_main(valuation, costs, costs, budget, params, plan)
     rng = random.Random(f"xosdev:{seed}:{params.seed}")
-    table = None
+    breakpoints = {}
     if not plan.take_max_element:
-        table = _subset_table(valuation, plan.t2_ids, costs, plan.t2_value)
+        breakpoints = plan.t2_breakpoints(costs, truthful.threshold)
 
     def probes(e):
         anchors = [budget, costs[e] - EPSILON, costs[e] + EPSILON]
-        if table is not None:
-            bp = _xos_membership_breakpoint(
-                valuation, truthful.t2, costs, truthful.threshold, e, table
-            )
-            if bp is not None:
-                anchors.extend(_around(bp))
+        if e in breakpoints:
+            anchors.extend(_around(breakpoints[e]))
         if truthful.inner is not None and truthful.inner.final_rate is not None \
                 and e in truthful.s_star:
             clause = valuation.functions[truthful.clause_index]
@@ -663,31 +635,27 @@ def run_sweep(job, cfg, mechanisms):
 
 
 def _verify_one(cfg, mechanism, index):
-    """All configured property reports for one (mechanism, instance) pair."""
+    """The reports of every property ``CHECKED_PROPERTIES`` names for one
+    (mechanism, instance) pair."""
     inst = sweep_instance(cfg, mechanism, index)
     runner = make_runner(mechanism, inst)
     outcome = runner(inst)
 
-    reports = {p: VerificationReport(p, mechanism) for p in PROPERTIES}
-    for p in ("Independence", "IR", "BudgetFeasible"):
-        reports[p].instances_checked = 1
+    reports = {p: VerificationReport(p, mechanism, instances_checked=1)
+               for p in ("Independence", "IR", "BudgetFeasible")}
     for f in check_outcome_invariants(inst, outcome, mechanism):
         reports[f.property].failures.append(f)
-
-    reports["Truthful"].merge(
-        check_truthfulness(runner, inst, cfg["deviations_per_element"],
-                           seed=cfg["seed"] * 7919 + index, mechanism=mechanism)
-    )
-    if mechanism != "broken-first-price":
-        reports["ApproxRatio"].merge(
-            check_ratio(runner, inst, ratio_denominator(mechanism, inst), mechanism)
-        )
-        reports["BidIndependence"].merge(
-            check_bid_independence(inst, outcome, mechanism)
-        )
-    if mechanism == "matroid":
-        reports["Lemma1Bound"].merge(check_lemma1(inst, outcome, mechanism))
-    return [r for r in reports.values() if r.instances_checked]
+    checks = {
+        "Truthful": lambda: check_truthfulness(
+            runner, inst, cfg["deviations_per_element"],
+            seed=cfg["seed"] * 7919 + index, mechanism=mechanism),
+        "ApproxRatio": lambda: check_ratio(
+            runner, inst, ratio_denominator(mechanism, inst), mechanism),
+        "BidIndependence": lambda: check_bid_independence(inst, outcome, mechanism),
+        "Lemma1Bound": lambda: check_lemma1(inst, outcome, mechanism),
+    }
+    return [reports[p] if p in reports else checks[p]()
+            for p in CHECKED_PROPERTIES[mechanism]]
 
 
 def run_verification(config_doc):
@@ -736,10 +704,12 @@ def _load_record(doc):
         if key not in doc:
             raise SchemaError(key, "missing")
     record = Failure.from_json(doc)
-    if record.property not in PROPERTIES:
-        raise SchemaError("property", "must be one of " + ", ".join(PROPERTIES))
-    if record.mechanism not in MECHANISM_NAMES + ("xos",):
-        raise SchemaError("mechanism", "must be xos or one of " + ", ".join(MECHANISM_NAMES))
+    if not isinstance(record.mechanism, str) or record.mechanism not in CHECKED_PROPERTIES:
+        raise SchemaError("mechanism", "must be one of " + ", ".join(CHECKED_PROPERTIES))
+    checked = CHECKED_PROPERTIES[record.mechanism]
+    if record.property not in checked:
+        raise SchemaError("property", f"must be one of {', '.join(checked)} "
+                                      f"for mechanism {record.mechanism}")
     loaded = load_instance(record.instance)
     if record.element is not None and record.element not in loaded.elements:
         raise SchemaError("element", "must be null or an element id of the instance")
@@ -804,8 +774,6 @@ def _replay_xos(prop, loaded, e, d, params):
         truthful = xos_mechanism_main(valuation, costs, costs, budget, params, plan)
         deviated = xos_mechanism_main(valuation, costs, {**costs, e: d}, budget, params, plan)
         return deviated.utility(e, costs[e]) > truthful.utility(e, costs[e])
-    if prop in ("IR", "BudgetFeasible"):
-        outcome = xos_mechanism_main(valuation, costs, bids, budget, params)
-        failures = check_xos_outcome(valuation, costs, bids, budget, outcome, params)
-        return any(f.property == prop for f in failures)
-    raise InputError(f"cannot replay XOS property {prop!r}")
+    outcome = xos_mechanism_main(valuation, costs, bids, budget, params)
+    failures = check_xos_outcome(valuation, costs, bids, budget, outcome, params)
+    return any(f.property == prop for f in failures)

@@ -158,9 +158,11 @@ class XosOutcome(Payments):
     inner: Optional[Outcome] = None
 
 
-def _additive_subset_sums(ids, values):
-    sums = [ZERO] * (1 << len(ids))
-    for mask in range(1, 1 << len(ids)):
+def _additive_subset_sums(values):
+    """Sum of every subset of ``values``, indexed by bitmask (bit j set when
+    ``values[j]`` is in the subset)."""
+    sums = [ZERO] * (1 << len(values))
+    for mask in range(1, 1 << len(values)):
         low = mask & (-mask)
         sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
     return sums
@@ -169,30 +171,21 @@ def _additive_subset_sums(ids, values):
 def _value_table(valuation, ids):
     """v(S) of every subset S of ``ids``, indexed by bitmask (bit j set when
     ``ids[j]`` is in S): the max over clauses of each clause's subset sums."""
-    clause_sums = [_additive_subset_sums(ids, [f[e] for e in ids]) for f in valuation.functions]
+    clause_sums = [_additive_subset_sums([f[e] for e in ids]) for f in valuation.functions]
     return [max(sums) for sums in zip(*clause_sums)]
 
 
-def _subset_table(valuation, ids, bids, value=None):
-    """Bid total and v(S) of every subset S of ``ids``, indexed by bitmask;
-    ``value`` is ``_value_table(valuation, ids)``, built here when not given."""
-    cost = _additive_subset_sums(ids, [bids[e] for e in ids])
-    return cost, _value_table(valuation, ids) if value is None else value
-
-
-def _opt_value_under_budget(valuation, ids, bids, budget, value=None):
-    """max v(S) over S within ``ids`` with bid total at most ``budget``."""
-    cost, value = _subset_table(valuation, ids, bids, value)
+def _opt_value_under_budget(cost, value, budget):
+    """max v(S) over the subsets with bid total at most ``budget``."""
     return max(v for c, v in zip(cost, value) if c <= budget)
 
 
-def _argmax_surplus(valuation, ids, bids, threshold, value=None):
+def _argmax_surplus(ids, cost, value, threshold):
     """argmax over subsets of ``ids`` of v(S) - threshold * bids(S).
 
     Ties: smaller bid total, then lexicographically smallest id set.  The
     empty set (objective 0, cost 0) is always a candidate.
     """
-    cost, value = _subset_table(valuation, ids, bids, value)
     best_obj, best_cost = ZERO, ZERO
     best_ids = ()
     for mask in range(1, 1 << len(ids)):
@@ -209,15 +202,35 @@ def _argmax_surplus(valuation, ids, bids, threshold, value=None):
     return frozenset(best_ids)
 
 
+def _membership_breakpoints(ids, cost, value, threshold):
+    """Bid level of each element of ``ids`` above which the surplus argmax
+    excludes it and below which it keeps it: the best set with e, scored as
+    if e bid 0, against the best set without e (the empty set included).
+    Empty unless the threshold is positive."""
+    if threshold <= 0:
+        return {}
+    surplus = [v - threshold * c for c, v in zip(cost, value)]
+    breakpoints = {}
+    for j, e in enumerate(ids):
+        bit = 1 << j
+        best_in = max(s for m, s in enumerate(surplus) if m & bit)
+        best_out = max(s for m, s in enumerate(surplus) if not m & bit)
+        breakpoints[e] = (best_in - best_out) / threshold + cost[bit]
+    return breakpoints
+
+
 class XosPlan:
-    """The bid-free part of one seeded run of ``xos_mechanism_main``.
+    """The bid-free part of one seeded run of ``xos_mechanism_main``, and
+    the only reader of its subset tables.
 
     The coin tape is drawn from ``params.seed`` alone, so the branch coin
     (``take_max_element``), the split ``t1``/``t2`` (ids sorted in
     ``t1_ids``/``t2_ids``), the max-element winner ``star`` and the v(S)
     tables of both halves (``t1_value``, ``t2_value``; ``_value_table``)
     read no bid.  The tables are built only on the sampling branch, where a
-    run reads them; on the max-element branch they are None.
+    run reads them; on the max-element branch they are None.  Each method
+    builds the bid totals of its half and hands both tables to a kernel, a
+    pure function of the tables (``cost`` and ``value`` by subset bitmask).
 
     Each half reads only its own bids, so the plan also keeps the last T1
     optimum, keyed on the budget and the T1 bids, and the last surplus
@@ -247,23 +260,28 @@ class XosPlan:
         self._t1_key = self._t1_optimum = None
         self._t2_key = self._t2_argmax = None
 
-    def t1_optimum(self, valuation, bids, budget):
-        """``_opt_value_under_budget`` over T1."""
+    def t1_optimum(self, bids, budget):
+        """max v(S) over S within T1 with bid total at most ``budget``."""
         key = (budget, [bids[e] for e in self.t1_ids])
         if key != self._t1_key:
             self._t1_key = key
             self._t1_optimum = _opt_value_under_budget(
-                valuation, self.t1_ids, bids, budget, self.t1_value)
+                _additive_subset_sums(key[1]), self.t1_value, budget)
         return self._t1_optimum
 
-    def t2_argmax(self, valuation, bids, threshold):
+    def t2_argmax(self, bids, threshold):
         """``_argmax_surplus`` over T2."""
         key = (threshold, [bids[e] for e in self.t2_ids])
         if key != self._t2_key:
             self._t2_key = key
             self._t2_argmax = _argmax_surplus(
-                valuation, self.t2_ids, bids, threshold, self.t2_value)
+                self.t2_ids, _additive_subset_sums(key[1]), self.t2_value, threshold)
         return self._t2_argmax
+
+    def t2_breakpoints(self, bids, threshold):
+        """``_membership_breakpoints`` of every T2 element at ``bids``."""
+        cost = _additive_subset_sums([bids[e] for e in self.t2_ids])
+        return _membership_breakpoints(self.t2_ids, cost, self.t2_value, threshold)
 
 
 def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
@@ -298,38 +316,26 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
             budget=budget,
         )
 
-    threshold = plan.t1_optimum(valuation, bids, budget) / (params.beta * budget)
-    s_star = plan.t2_argmax(valuation, bids, threshold)
+    threshold = plan.t1_optimum(bids, budget) / (params.beta * budget)
+    s_star = plan.t2_argmax(bids, threshold)
     clause_index = valuation.best_clause(s_star) if s_star else None
     clause = valuation.functions[clause_index] if s_star else {}
     # elements the chosen clause values at zero can never receive an
     # individually rational proportional payment; they are left out
     positive = sorted(e for e in s_star if clause[e] > 0)
-    if not positive:
-        return XosOutcome(
-            branch="empty",
-            allocation=frozenset(),
-            payments={},
-            budget=budget,
-            t1=plan.t1,
-            t2=plan.t2,
-            threshold=threshold,
-            s_star=s_star,
-            clause_index=clause_index,
-        )
-
-    sub_instance = Instance(
-        FreeMatroid(positive),
-        {e: clause[e] for e in positive},
-        {e: true_costs[e] for e in positive},
-        {e: bids[e] for e in positive},
-        budget,
-    )
-    inner = run_matroid_mechanism(sub_instance)
+    inner = None
+    if positive:
+        inner = run_matroid_mechanism(Instance(
+            FreeMatroid(positive),
+            {e: clause[e] for e in positive},
+            {e: true_costs[e] for e in positive},
+            {e: bids[e] for e in positive},
+            budget,
+        ))
     return XosOutcome(
-        branch="sub-mechanism",
-        allocation=inner.allocation,
-        payments=dict(inner.payments),
+        branch="sub-mechanism" if positive else "empty",
+        allocation=inner.allocation if positive else frozenset(),
+        payments=dict(inner.payments) if positive else {},
         budget=budget,
         t1=plan.t1,
         t2=plan.t2,

@@ -178,6 +178,14 @@ def test_run_intersection_both_blackboxes(tmp_path, capsys):
     assert doc["total_payment_decimal"]
 
 
+@pytest.mark.parametrize("apx", ["exact-bipartite", "greedy"])
+def test_run_intersection_on_a_single_matroid_exit2(tmp_path, capsys, apx):
+    path = write(tmp_path, "ex2.json", EXAMPLE2)
+    assert main(["run", path, "--mechanism", "intersection", "--apx", apx]) == 2
+    assert capsys.readouterr().err == \
+        f"error: blackbox {apx!r} needs a matroid intersection, not a single matroid\n"
+
+
 def test_empty_elements_exit2(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"matroid": {"kind": "free"}, "elements": [],
                                         "budget": 1})
@@ -365,16 +373,33 @@ def _report_doc():
     xos_doc = _xos_failure_doc(valuation, costs, costs, budget,
                                XosParams(alpha=218, beta="9/2", gamma=4, seed=0))
     xos = Failure("BudgetFeasible", "xos", xos_doc, observed="61", required="<= budget 60")
+    lemma1 = Failure("Lemma1Bound", "matroid", instance_to_json(inst))
+    intersection = Failure("IR", "intersection-greedy", BIPARTITE_2X2)
     return {"reports": [
         {"property": "Truthful", "mechanism": "broken-first-price",
          "instances_checked": 1, "failures": [truthful.to_json()]},
         {"property": "BudgetFeasible", "mechanism": "xos",
          "instances_checked": 1, "failures": [xos.to_json()]},
+        {"property": "Lemma1Bound", "mechanism": "matroid",
+         "instances_checked": 1, "failures": [lemma1.to_json()]},
+        {"property": "IR", "mechanism": "intersection-greedy",
+         "instances_checked": 1, "failures": [intersection.to_json()]},
     ]}
+
+
+def _run_doc(matroid):
+    """A three-element instance over ``matroid``."""
+    return {"matroid": matroid, "budget": 6, "elements": [
+        {"id": e, "weight": w, "cost": 2} for e, w in (("a", 4), ("b", 3), ("c", 2))]}
 
 
 DOCUMENTS = {
     "run": EXAMPLE2,
+    "run-graphic": _run_doc({"kind": "graphic",
+                             "edges": [["a", "u", "v"], ["b", "v", "w"], ["c", 0, "u"]]}),
+    "run-partition": _run_doc({"kind": "partition", "blocks": [
+        {"members": ["a", "b"], "capacity": 1}, {"members": ["c"], "capacity": 1}]}),
+    "run-deadline": _run_doc({"kind": "deadline", "deadlines": {"a": 1, "b": 1, "c": 2}}),
     "run-xos": {
         "elements": [{"id": "a", "weight": 1, "cost": 2}, {"id": "b", "weight": 1, "cost": 3}],
         "budget": 9,
@@ -422,9 +447,22 @@ def _mutated_text(name, path, value):
     return json.dumps(doc)
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(TARGETS, st.sampled_from(VALUES))
 @example(("run-xos", ("xos", "functions")), 3)
+@example(("run", ("matroid", "rank")), 1.5)
+@example(("run", ("matroid", "rank")), True)
+@example(("run", ("matroid", "rank")), "2")
+@example(("run-partition", ("matroid", "blocks", 0, "capacity")), 1.5)
+@example(("run-partition", ("matroid", "blocks", 0, "members")), "abc")
+@example(("run-deadline", ("matroid", "deadlines", "a")), 1.5)
+@example(("run-graphic", ("matroid", "edges", 0, 1)), ["u"])
+@example(("replay", ("reports", 2, "failures", 0, "mechanism")), "broken-first-price")
+@example(("replay", ("reports", 0, "failures", 0, "property")), "Lemma1Bound")
+@example(("replay", ("reports", 0, "failures", 0, "property")), "BidIndependence")
+@example(("replay", ("reports", 0, "failures", 0, "mechanism")), "intersection-exact")
+@example(("replay", ("reports", 3, "failures", 0, "instance", "matroid")),
+         {"kind": "uniform", "rank": 1})
 @example(("bench", ("n_range",)), [5, 3])
 @example(("bench", ("count",)), "3")
 @example(("bench", ("kinds",)), [])

@@ -1,0 +1,41 @@
+"""Module boundaries of the package source."""
+
+import ast
+import pathlib
+
+import budgetmech
+
+SOURCE = pathlib.Path(budgetmech.__file__).parent
+
+
+def _private_sibling_imports(path):
+    """``(line, module, name)`` of each underscore-prefixed name that the
+    module at ``path`` imports from another module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("budgetmech"):
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.append((node.lineno, node.module, alias.name))
+    return found
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    offenders = {
+        path.name: found
+        for path in sorted(SOURCE.glob("*.py"))
+        if (found := _private_sibling_imports(path))
+    }
+    assert not offenders, offenders
+
+
+def test_the_guard_sees_a_private_sibling_import(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("from .xos import XosPlan, _value_table\n"
+                      "from budgetmech.verify import _around\n"
+                      "from os import _exit\n")
+    assert _private_sibling_imports(module) == [
+        (1, "xos", "_value_table"), (2, "budgetmech.verify", "_around")]

@@ -8,6 +8,7 @@ import pytest
 from budgetmech import (
     InputError,
     Instance,
+    SchemaError,
     UniformMatroid,
     XosParams,
     first_price_greedy,
@@ -163,6 +164,23 @@ def test_run_verification_flags_broken():
     broken = [r for r in reports if r.mechanism == "broken-first-price"
               and r.property == "Truthful"]
     assert broken and not broken[0].passed
+
+
+def test_verify_and_replay_read_one_property_map():
+    config = {"count": 2, "n_range": [3, 4], "deviations_per_element": 2, "seed": 4,
+              "include_broken": True}
+    reports, _ = run_verification(config)
+    assert {(r.property, r.mechanism) for r in reports} == {
+        (p, m) for m in verify.MECHANISM_NAMES for p in verify.CHECKED_PROPERTIES[m]}
+    inst = Instance(UniformMatroid(["a", "b"], 2), {"a": 5, "b": 4}, {"a": 2, "b": 2},
+                    {"a": 2, "b": 2}, 10)
+    every = {p for checked in verify.CHECKED_PROPERTIES.values() for p in checked}
+    for mechanism, checked in verify.CHECKED_PROPERTIES.items():
+        for prop in sorted(every - set(checked)):
+            record = Failure(prop, mechanism, instance_to_json(inst)).to_json()
+            with pytest.raises(SchemaError) as err:
+                replay_failure(record)
+            assert err.value.field == "property"
 
 
 def test_report_round_trip():

@@ -21,13 +21,14 @@ from budgetmech import (
 )
 from budgetmech.oracle import xos_opt
 from budgetmech.rationals import ZERO, mpq
-from budgetmech.verify import (
-    _xos_membership_breakpoint,
-    check_xos_outcome,
-    check_xos_truthfulness,
-    gen_xos_instance,
+from budgetmech.verify import check_xos_outcome, check_xos_truthfulness, gen_xos_instance
+from budgetmech.xos import (
+    _additive_subset_sums,
+    _argmax_surplus,
+    _membership_breakpoints,
+    _opt_value_under_budget,
+    _value_table,
 )
-from budgetmech.xos import _argmax_surplus, _opt_value_under_budget
 
 
 def single_clause(values):
@@ -294,9 +295,11 @@ def _breakpoint_by_subsets(valuation, t2_ids, bids, threshold, e):
 @given(xos_subset_cases())
 def test_subset_helpers_match_second_routes(case):
     valuation, subset, bids, threshold, budget = case
+    cost = _additive_subset_sums([bids[e] for e in subset])
+    value = _value_table(valuation, subset)
 
     restricted = XosValuation(subset, [{e: f[e] for e in subset} for f in valuation.functions])
-    assert _opt_value_under_budget(valuation, subset, bids, budget) == \
+    assert _opt_value_under_budget(cost, value, budget) == \
         xos_opt(restricted, {e: bids[e] for e in subset}, budget)[1]
 
     def rank(members):  # documented tie order: objective, then cost, then ids
@@ -304,11 +307,11 @@ def test_subset_helpers_match_second_routes(case):
         return (-(valuation.value(frozenset(members)) - threshold * cost), cost, members)
 
     candidates = [c for r in range(len(subset) + 1) for c in itertools.combinations(subset, r)]
-    assert _argmax_surplus(valuation, subset, bids, threshold) == frozenset(min(candidates, key=rank))
+    assert _argmax_surplus(subset, cost, value, threshold) == frozenset(min(candidates, key=rank))
 
+    breakpoints = _membership_breakpoints(subset, cost, value, threshold)
     for e in valuation.ground:
-        assert _xos_membership_breakpoint(valuation, subset, bids, threshold, e) == \
-            _breakpoint_by_subsets(valuation, subset, bids, threshold, e)
+        assert breakpoints.get(e) == _breakpoint_by_subsets(valuation, subset, bids, threshold, e)
 
 
 # ---------------------------------------------------------------------------

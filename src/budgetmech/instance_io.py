@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SchemaError
+from .errors import InputError, SchemaError
 from .intersection import IntersectionSpec
 from .matroids import matroid_from_json
 from .mechanisms import Instance, Outcome
@@ -96,14 +96,17 @@ def load_instance(obj):
     structure = None
     if "matroid" in obj and obj["matroid"] is not None:
         spec = obj["matroid"]
+        intersection = isinstance(spec, dict) and "intersection" in spec
+        if intersection and not isinstance(spec["intersection"], list):
+            raise SchemaError("matroid.intersection", "must be a list of matroids")
         try:
-            if isinstance(spec, dict) and "intersection" in spec:
+            if intersection:
                 structure = IntersectionSpec(
                     [matroid_from_json(m, ids) for m in spec["intersection"]]
                 )
             else:
                 structure = matroid_from_json(spec, ids)
-        except Exception as exc:
+        except InputError as exc:
             raise SchemaError("matroid", str(exc)) from exc
     elif "xos" not in obj:
         raise SchemaError("matroid", "missing (required unless 'xos' is present)")
@@ -129,7 +132,7 @@ def load_instance(obj):
             )
         try:
             valuation = XosValuation(ids, functions)
-        except Exception as exc:
+        except InputError as exc:
             raise SchemaError("xos", str(exc)) from exc
 
     return LoadedInstance(

@@ -345,20 +345,28 @@ def run_matroid_mechanism(inst, plan=None):
 def run_intersection_mechanism(inst, blackbox, plan=None):
     """Same mechanism with the exact greedy step replaced by an APX blackbox.
 
-    A blackbox is an arbitrary approximation with no exchange property, so it
-    is asked again after every exclusion, on the instance's own spec and the
-    set excluded so far.  ``plan`` is as in ``run_matroid_mechanism``.
+    The blackbox is asked on the instance's own spec and the set excluded so
+    far.  It is asked at the first exclusion (tau) and again after each
+    later one, except that excluding an element outside the current set
+    keeps that set when the blackbox declares ``keeps_unchosen``, as the
+    matroid repair keeps ``B`` for ``x`` not in ``B``.  A blackbox without
+    the declaration is an arbitrary approximation with no such property and
+    is asked at every exclusion.  ``plan`` is as in ``run_matroid_mechanism``.
     """
     if not isinstance(inst.structure, IntersectionSpec):
         raise InputError("run_intersection_mechanism needs an intersection instance")
     if plan is None:
         plan = Plan(inst.structure, inst.weights)
     excluded = set()
+    chosen = value = None  # no set yet: excluding tau always asks
 
     def exclude(x):
+        nonlocal chosen, value
         excluded.add(x)
-        chosen = frozenset(blackbox(inst.structure, inst.weights, excluded))
-        return chosen, plan.weight(chosen)
+        if chosen is None or x in chosen or not blackbox.keeps_unchosen:
+            chosen = frozenset(blackbox(inst.structure, inst.weights, excluded))
+            value = plan.weight(chosen)
+        return chosen, value
 
     return _run_threshold_mechanism(inst, plan, exclude)
 

@@ -428,14 +428,20 @@ def check_lemma1(inst, outcome, mechanism="matroid"):
 
 def check_bid_independence(inst, outcome, mechanism="matroid"):
     """Each trace step's candidate set must be recomputable from weights and
-    the removal set alone (no bid can leak into the selection)."""
-    report = VerificationReport("BidIndependence", mechanism, instances_checked=1)
+    the removal set alone (no bid can leak into the selection).
+
+    Every step's set is recomputed from scratch on ``spec.delete(...)``, so
+    for an intersection mechanism this is also a second route to the sets
+    the mechanism kept without asking its blackbox.  Only the threshold
+    mechanisms have such a trace; any other mechanism is an ``InputError``.
+    """
     if mechanism == "matroid":
         select = max_weight_independent_set
     elif mechanism in BLACKBOX_OF:
         select = get_blackbox(BLACKBOX_OF[mechanism], inst.structure)
     else:
-        return report
+        raise InputError(f"no bid-independence check for mechanism {mechanism!r}")
+    report = VerificationReport("BidIndependence", mechanism, instances_checked=1)
     removed = set()
     for step in outcome.trace:
         surviving = inst.structure.delete(removed | {outcome.tau})

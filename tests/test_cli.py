@@ -186,6 +186,19 @@ def test_run_intersection_on_a_single_matroid_exit2(tmp_path, capsys, apx):
         f"error: blackbox {apx!r} needs a matroid intersection, not a single matroid\n"
 
 
+@pytest.mark.parametrize("matroid, message", [
+    ({"intersection": 5}, "matroid.intersection: must be a list of matroids"),
+    ({"intersection": "ab"}, "matroid.intersection: must be a list of matroids"),
+    ({"intersection": [5, 6]}, "matroid: matroid spec must be an object with a 'kind' field"),
+    ({"intersection": []}, "matroid: an intersection needs at least two matroids"),
+    ("ab", "matroid: matroid spec must be an object with a 'kind' field"),
+], ids=["int", "string", "not-objects", "empty", "matroid-string"])
+def test_malformed_matroid_exit2(tmp_path, capsys, matroid, message):
+    path = write(tmp_path, "bad.json", {**BIPARTITE_2X2, "matroid": matroid})
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_empty_elements_exit2(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"matroid": {"kind": "free"}, "elements": [],
                                         "budget": 1})

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from budgetmech import (
+    ApxBlackbox,
     InputError,
     IntersectionSpec,
     PartitionMatroid,
@@ -14,9 +15,11 @@ from budgetmech import (
     greedy_common_independent,
     set_weight,
 )
+from budgetmech.intersection import memoized_blackbox
 from budgetmech.oracle import brute_force_max, brute_force_opt
 from budgetmech.rationals import mpq
 from budgetmech.verify import GeneratorConfig, gen_bipartite_instance
+from conftest import RATIONALS, bipartite_specs, mixed_specs
 
 
 def bipartite(edges):
@@ -115,6 +118,9 @@ def test_blackbox_registry():
     assert exact.alpha == 1
     greedy = get_blackbox("greedy", spec)
     assert greedy.alpha == 2
+    assert exact.keeps_unchosen and greedy.keeps_unchosen
+    assert memoized_blackbox(exact).keeps_unchosen
+    assert not ApxBlackbox("any", mpq(1), greedy_common_independent).keeps_unchosen
     with pytest.raises(InputError):
         get_blackbox("nope", spec)
     with pytest.raises(InputError):
@@ -178,6 +184,24 @@ def test_exact_matching_is_the_oracle_set(case):
         assert exact_bipartite_matching(sub, w) == brute_force_opt(sub, w, w, None)
     for blackbox in (exact_bipartite_matching, greedy_common_independent):
         assert blackbox(spec, w, removed) == blackbox(deleted, w)
+
+
+@pytest.mark.parametrize("apx", ("exact-bipartite", "greedy"))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_excluding_an_unchosen_element_keeps_the_answer(apx, data):
+    """The ``keeps_unchosen`` contract each shipped blackbox declares: for an
+    exclusion set X and any x outside bb(X), bb(X | {x}) == bb(X).  Weights
+    come from one to three levels, so value ties are the rule."""
+    spec = data.draw(bipartite_specs() if apx == "exact-bipartite"
+                     else st.one_of(bipartite_specs(), mixed_specs()))
+    levels = data.draw(st.lists(RATIONALS, min_size=1, max_size=3))
+    w = {e: data.draw(st.sampled_from(levels)) for e in spec.ground}
+    excluded = data.draw(st.frozensets(st.sampled_from(spec.ground)))
+    blackbox = get_blackbox(apx, spec)
+    chosen = blackbox(spec, w, excluded)
+    for x in set(spec.ground) - excluded - chosen:
+        assert blackbox(spec, w, excluded | {x}) == chosen
 
 
 def test_determinism():

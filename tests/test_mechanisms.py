@@ -1,15 +1,14 @@
 """The two procurement mechanisms: hand traces, invariants, edge cases."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from budgetmech import (
-    DeadlineMatroid,
-    ExplicitMatroid,
-    FreeMatroid,
+    ApxBlackbox,
     GraphicMatroid,
     InputError,
     Instance,
@@ -26,7 +25,6 @@ from budgetmech import (
     set_weight,
     utility,
 )
-from budgetmech.oracle import enumerate_independent_sets
 from budgetmech.rationals import mpq
 from budgetmech.verify import (
     BLACKBOX_OF,
@@ -37,6 +35,7 @@ from budgetmech.verify import (
     make_runner,
     truthful_deviation_bids,
 )
+from conftest import MATROID_KINDS, RATIONALS, bipartite_specs, matroids, mixed_specs
 
 
 def uniform_instance(weights, bids, budget, rank=2):
@@ -197,36 +196,6 @@ def test_cache_gives_identical_outcomes():
                     assert runner(deviated) == fresh(deviated)
 
 
-MATROID_KINDS = ("uniform", "free", "partition", "graphic", "deadline", "explicit")
-
-
-@st.composite
-def matroids(draw, kind):
-    """Small matroid of ``kind`` over ids listed out of id order, with loops
-    (rank 0, capacity 0, self-loops) and parallel edges in reach."""
-    n = draw(st.integers(1, 8))
-    ids = [f"x{j}" for j in range(n)][::-1]
-    if kind == "uniform":
-        return UniformMatroid(ids, draw(st.integers(0, n)))
-    if kind == "free":
-        return FreeMatroid(ids)
-    if kind == "partition":
-        labels = [draw(st.integers(0, 2)) for _ in ids]
-        blocks = []
-        for label in sorted(set(labels)):
-            members = {e for e, b in zip(ids, labels) if b == label}
-            blocks.append((members, draw(st.integers(0, len(members)))))
-        return PartitionMatroid(ids, blocks)
-    if kind == "graphic":
-        # three vertices: parallel edges are common, u == v is a self-loop
-        ends = st.integers(0, 2)
-        return GraphicMatroid([(e, draw(ends), draw(ends)) for e in ids])
-    if kind == "deadline":
-        return DeadlineMatroid(ids, {e: draw(st.integers(1, n)) for e in ids})
-    base = draw(matroids(draw(st.sampled_from(MATROID_KINDS[:-1]))))
-    return ExplicitMatroid(base.ground, enumerate_independent_sets(base))
-
-
 def assert_trace_matches_recomputation(inst, out):
     removed = set()
     for step in out.trace:
@@ -322,8 +291,6 @@ def test_with_bid_rejects_what_the_constructor_rejects():
 # below is the loop in plain rationals that it replaced, with every candidate
 # set recomputed from scratch.
 
-RATIONALS = st.builds(mpq, st.integers(1, 9), st.sampled_from((1, 2, 3, 4, 6)))
-
 
 def reference_mechanism(inst, select):
     """The threshold mechanism in rational arithmetic; ``select(excluded)``
@@ -380,32 +347,6 @@ def priced(draw, structure):
     return Instance(structure, weights, bids, bids, budget)
 
 
-@st.composite
-def bipartite_specs(draw):
-    """Two capacity-1 partition matroids: a bipartite graph, parallel edges
-    and isolated vertices in reach."""
-    ids = [f"x{j}" for j in range(draw(st.integers(1, 7)))][::-1]
-
-    def side():
-        labels = [draw(st.integers(0, 2)) for _ in ids]
-        return PartitionMatroid(ids, [({e for e, b in zip(ids, labels) if b == label}, 1)
-                                      for label in sorted(set(labels))])
-
-    return IntersectionSpec([side(), side()])
-
-
-@st.composite
-def mixed_specs(draw):
-    """A matroid of any kind intersected with a partition matroid."""
-    base = draw(matroids(draw(st.sampled_from(MATROID_KINDS))))
-    labels = [draw(st.integers(0, 1)) for _ in base.ground]
-    blocks = []
-    for label in sorted(set(labels)):
-        members = {e for e, b in zip(base.ground, labels) if b == label}
-        blocks.append((members, draw(st.integers(0, len(members)))))
-    return IntersectionSpec([base, PartitionMatroid(base.ground, blocks)])
-
-
 @pytest.mark.parametrize("kind", MATROID_KINDS)
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
@@ -430,6 +371,55 @@ def test_integer_loop_matches_rational_loop_on_intersections(apx, data):
     expected = reference_mechanism(
         inst, lambda excluded: blackbox(inst.structure.delete(excluded), inst.weights))
     assert run_intersection_mechanism(inst, blackbox) == expected
+
+
+def counted_runs(inst, apx):
+    """Outcome and blackbox call count of one run with ``apx``'s procedure
+    built without ``keeps_unchosen``, then of one run with it declared."""
+    declared = get_blackbox(apx, inst.structure)
+    calls = []
+
+    def counted(spec, weights, excluded):
+        calls.append(frozenset(excluded))
+        return declared.procedure(spec, weights, excluded)
+
+    undeclared = ApxBlackbox(declared.name, declared.alpha, counted)
+    runs = []
+    for blackbox in (undeclared, replace(undeclared, keeps_unchosen=True)):
+        calls.clear()
+        runs.append((run_intersection_mechanism(inst, blackbox), len(calls)))
+    return runs
+
+
+@pytest.mark.parametrize("apx", ("exact-bipartite", "greedy"))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_blackbox_is_asked_again_only_when_a_chosen_element_leaves(apx, data):
+    """Without the declaration the blackbox is asked once per exclusion, that
+    is once per trace step; with it, at tau and at each removal of a chosen
+    element.  The outcome is the same."""
+    specs = bipartite_specs() if apx == "exact-bipartite" else st.one_of(
+        bipartite_specs(), mixed_specs())
+    inst = data.draw(priced(data.draw(specs)))
+    (plain, plain_calls), (skipping, skipping_calls) = counted_runs(inst, apx)
+    assert skipping == plain
+    assert plain_calls == len(plain.trace)
+    assert skipping_calls == 1 + sum(step.removed in step.chosen for step in plain.trace
+                                     if step.removed is not None)
+
+
+def test_skip_fires_on_generated_instances():
+    # tight budgets at n = 30 remove many elements, most outside the set
+    cfg = GeneratorConfig(count=6, seed=3, n_range=(30, 30), budget_regime="tight")
+    for apx in ("exact-bipartite", "greedy"):
+        plain_total = skipping_total = 0
+        for index in range(6):
+            (plain, plain_calls), (skipping, skipping_calls) = counted_runs(
+                gen_bipartite_instance(cfg, index), apx)
+            assert skipping == plain
+            plain_total += plain_calls
+            skipping_total += skipping_calls
+        assert skipping_total < plain_total
 
 
 def test_instance_keeps_rationals_and_checks_signs_on_numerators():

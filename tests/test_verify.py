@@ -60,6 +60,26 @@ def test_ratio_denominator_rejects_uncertified_mechanism():
     assert str(err.value) == "no certified ratio for mechanism 'broken-first-price'"
 
 
+@pytest.mark.parametrize("mechanism", ["broken-first-price", "xos"])
+def test_bid_independence_rejects_a_mechanism_without_a_threshold_trace(mechanism):
+    inst = gen_matroid_instance(GeneratorConfig(count=1, seed=0), 0)
+    with pytest.raises(InputError) as err:
+        check_bid_independence(inst, first_price_greedy(inst), mechanism)
+    assert str(err.value) == f"no bid-independence check for mechanism {mechanism!r}"
+
+
+def test_bid_independence_recomputes_every_intersection_step():
+    # tight budgets at n = 30 remove many elements outside the current set,
+    # which the mechanism keeps without asking its blackbox again
+    cfg = GeneratorConfig(count=4, seed=3, n_range=(30, 30), budget_regime="tight")
+    for mechanism in ("intersection-exact", "intersection-greedy"):
+        for index in range(4):
+            inst = gen_bipartite_instance(cfg, index)
+            out = make_runner(mechanism, inst)(inst)
+            assert any(step.removed not in step.chosen for step in out.trace[:-1])
+            assert check_bid_independence(inst, out, mechanism).passed
+
+
 def test_generator_determinism():
     cfg = GeneratorConfig(count=10, seed=3)
     a = gen_matroid_instance(cfg, 4)

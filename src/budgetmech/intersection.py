@@ -5,14 +5,14 @@ hands it a structure, the public weight vector and the elements excluded so
 far, so cost manipulation cannot influence which common independent set it
 computes.  It answers as on ``spec.delete(excluded)``, without building it.
 
-A blackbox may declare ``keeps_unchosen``: excluding an element outside its
-answer leaves the answer as it is.  The mechanism then asks it again only
-when an element it chose leaves the ground set.  Both blackboxes here meet
-the contract (see ``get_blackbox``); an arbitrary alpha-approximation need
-not, so the declaration is off unless a blackbox sets it.
+Every blackbox must also keep its answer when an element outside that
+answer is excluded, so the mechanism asks it again only when an element it
+chose leaves the ground set.  Both blackboxes here meet this requirement
+(see ``get_blackbox``); an arbitrary alpha-approximation need not, so a new
+one is added only with a proof that it does.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -65,16 +65,17 @@ class IntersectionSpec:
 class ApxBlackbox:
     """Deterministic alpha-approximation for max-weight common independent sets.
 
-    ``keeps_unchosen`` declares that for every exclusion set ``X`` and every
-    ``x`` outside ``bb(spec, w, X)``, ``bb(spec, w, X | {x}) == bb(spec, w, X)``.
-    Declare it only with a proof for the procedure and with the test of the
-    property in ``tests/test_intersection.py`` extended to the new blackbox.
+    Besides determinism, every blackbox must keep its answer when an
+    unchosen element leaves: for every exclusion set ``X`` and every ``x``
+    outside ``bb(spec, w, X)``, ``bb(spec, w, X | {x}) == bb(spec, w, X)``.
+    ``run_intersection_mechanism`` relies on it to skip such calls.  A new
+    procedure needs a proof of it and the property test in
+    ``tests/test_intersection.py`` extended to it.
     """
 
     name: str
     alpha: object  # rational >= 1
     procedure: Callable[[IntersectionSpec, dict, frozenset], frozenset]
-    keeps_unchosen: bool = False
 
     def __call__(self, spec, weights, excluded=frozenset()):
         return self.procedure(spec, weights, excluded)
@@ -254,22 +255,21 @@ def get_blackbox(name, spec):
     """Blackbox by name (``--apx``, ``verify.BLACKBOX_OF``); the procedures
     are read as module globals at each call, so a later wrapper is seen.
 
-    Both declare ``keeps_unchosen``.  ``exact-bipartite``: deleting an edge
-    outside the perturbed optimum leaves that optimum feasible, and it stays
-    optimal among fewer candidates; deleting the edge drops a bonus bit that
-    is 0 in every remaining candidate, so their perturbed order is kept.
-    ``greedy``: a rejected element changed no extender state, so without it
-    the scan makes the same choices.
+    Both keep their answer when an unchosen element leaves.
+    ``exact-bipartite``: deleting an edge outside the perturbed optimum
+    leaves that optimum feasible, and it stays optimal among fewer
+    candidates; deleting the edge drops a bonus bit that is 0 in every
+    remaining candidate, so their perturbed order is kept.  ``greedy``: a
+    rejected element changed no extender state, so without it the scan
+    makes the same choices.
     """
     if not isinstance(spec, IntersectionSpec):
         raise InputError(f"blackbox {name!r} needs a matroid intersection, not a single matroid")
     if name == "exact-bipartite":
         _bipartite_shape(spec)  # validate shape up front
-        return ApxBlackbox("exact-bipartite", mpq(1), exact_bipartite_matching,
-                           keeps_unchosen=True)
+        return ApxBlackbox("exact-bipartite", mpq(1), exact_bipartite_matching)
     if name == "greedy":
-        return ApxBlackbox("greedy", mpq(spec.k), greedy_common_independent,
-                           keeps_unchosen=True)
+        return ApxBlackbox("greedy", mpq(spec.k), greedy_common_independent)
     raise InputError(f"unknown blackbox {name!r} (expected exact-bipartite or greedy)")
 
 
@@ -288,4 +288,4 @@ def memoized_blackbox(blackbox):
             cache[key] = blackbox.procedure(spec, weights, key)
         return cache[key]
 
-    return replace(blackbox, procedure=cached)
+    return ApxBlackbox(blackbox.name, blackbox.alpha, cached)

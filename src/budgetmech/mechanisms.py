@@ -348,10 +348,9 @@ def run_intersection_mechanism(inst, blackbox, plan=None):
     The blackbox is asked on the instance's own spec and the set excluded so
     far.  It is asked at the first exclusion (tau) and again after each
     later one, except that excluding an element outside the current set
-    keeps that set when the blackbox declares ``keeps_unchosen``, as the
-    matroid repair keeps ``B`` for ``x`` not in ``B``.  A blackbox without
-    the declaration is an arbitrary approximation with no such property and
-    is asked at every exclusion.  ``plan`` is as in ``run_matroid_mechanism``.
+    keeps that set, as the matroid repair keeps ``B`` for ``x`` not in
+    ``B``.  Every ``ApxBlackbox`` must give that same answer when asked.
+    ``plan`` is as in ``run_matroid_mechanism``.
     """
     if not isinstance(inst.structure, IntersectionSpec):
         raise InputError("run_intersection_mechanism needs an intersection instance")
@@ -363,7 +362,7 @@ def run_intersection_mechanism(inst, blackbox, plan=None):
     def exclude(x):
         nonlocal chosen, value
         excluded.add(x)
-        if chosen is None or x in chosen or not blackbox.keeps_unchosen:
+        if chosen is None or x in chosen:
             chosen = frozenset(blackbox(inst.structure, inst.weights, excluded))
             value = plan.weight(chosen)
         return chosen, value

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from budgetmech import (
-    ApxBlackbox,
     InputError,
     IntersectionSpec,
     PartitionMatroid,
@@ -15,7 +14,6 @@ from budgetmech import (
     greedy_common_independent,
     set_weight,
 )
-from budgetmech.intersection import memoized_blackbox
 from budgetmech.oracle import brute_force_max, brute_force_opt
 from budgetmech.rationals import mpq
 from budgetmech.verify import GeneratorConfig, gen_bipartite_instance
@@ -118,9 +116,6 @@ def test_blackbox_registry():
     assert exact.alpha == 1
     greedy = get_blackbox("greedy", spec)
     assert greedy.alpha == 2
-    assert exact.keeps_unchosen and greedy.keeps_unchosen
-    assert memoized_blackbox(exact).keeps_unchosen
-    assert not ApxBlackbox("any", mpq(1), greedy_common_independent).keeps_unchosen
     with pytest.raises(InputError):
         get_blackbox("nope", spec)
     with pytest.raises(InputError):
@@ -190,7 +185,7 @@ def test_exact_matching_is_the_oracle_set(case):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_excluding_an_unchosen_element_keeps_the_answer(apx, data):
-    """The ``keeps_unchosen`` contract each shipped blackbox declares: for an
+    """The requirement ``ApxBlackbox`` places on every blackbox: for an
     exclusion set X and any x outside bb(X), bb(X | {x}) == bb(X).  Weights
     come from one to three levels, so value ties are the rule."""
     spec = data.draw(bipartite_specs() if apx == "exact-bipartite"

@@ -1,7 +1,6 @@
 """The two procurement mechanisms: hand traces, invariants, edge cases."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -370,56 +369,17 @@ def test_integer_loop_matches_rational_loop_on_intersections(apx, data):
     blackbox = get_blackbox(apx, inst.structure)
     expected = reference_mechanism(
         inst, lambda excluded: blackbox(inst.structure.delete(excluded), inst.weights))
-    assert run_intersection_mechanism(inst, blackbox) == expected
-
-
-def counted_runs(inst, apx):
-    """Outcome and blackbox call count of one run with ``apx``'s procedure
-    built without ``keeps_unchosen``, then of one run with it declared."""
-    declared = get_blackbox(apx, inst.structure)
     calls = []
 
     def counted(spec, weights, excluded):
         calls.append(frozenset(excluded))
-        return declared.procedure(spec, weights, excluded)
+        return blackbox.procedure(spec, weights, excluded)
 
-    undeclared = ApxBlackbox(declared.name, declared.alpha, counted)
-    runs = []
-    for blackbox in (undeclared, replace(undeclared, keeps_unchosen=True)):
-        calls.clear()
-        runs.append((run_intersection_mechanism(inst, blackbox), len(calls)))
-    return runs
-
-
-@pytest.mark.parametrize("apx", ("exact-bipartite", "greedy"))
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_blackbox_is_asked_again_only_when_a_chosen_element_leaves(apx, data):
-    """Without the declaration the blackbox is asked once per exclusion, that
-    is once per trace step; with it, at tau and at each removal of a chosen
-    element.  The outcome is the same."""
-    specs = bipartite_specs() if apx == "exact-bipartite" else st.one_of(
-        bipartite_specs(), mixed_specs())
-    inst = data.draw(priced(data.draw(specs)))
-    (plain, plain_calls), (skipping, skipping_calls) = counted_runs(inst, apx)
-    assert skipping == plain
-    assert plain_calls == len(plain.trace)
-    assert skipping_calls == 1 + sum(step.removed in step.chosen for step in plain.trace
-                                     if step.removed is not None)
-
-
-def test_skip_fires_on_generated_instances():
-    # tight budgets at n = 30 remove many elements, most outside the set
-    cfg = GeneratorConfig(count=6, seed=3, n_range=(30, 30), budget_regime="tight")
-    for apx in ("exact-bipartite", "greedy"):
-        plain_total = skipping_total = 0
-        for index in range(6):
-            (plain, plain_calls), (skipping, skipping_calls) = counted_runs(
-                gen_bipartite_instance(cfg, index), apx)
-            assert skipping == plain
-            plain_total += plain_calls
-            skipping_total += skipping_calls
-        assert skipping_total < plain_total
+    out = run_intersection_mechanism(inst, ApxBlackbox(blackbox.name, blackbox.alpha, counted))
+    assert out == expected
+    # asked at tau and again only when an element of the current set leaves
+    assert len(calls) == 1 + sum(step.removed in step.chosen for step in out.trace
+                                 if step.removed is not None)
 
 
 def test_instance_keeps_rationals_and_checks_signs_on_numerators():

@@ -291,3 +291,39 @@ def test_deviation_sequences_are_pinned(monkeypatch):
             report_done(check_xos_truthfulness(valuation, costs, budget, params,
                                                seed=index))
     assert digest.hexdigest() == GOLDEN_DEVIATION_SHA256
+
+
+# every outcome the XOS truthfulness sweep computes, the truthful run and each
+# deviation, in call order: the pool of the test above plus n = 10 instances,
+# whose tapes 1, 4 and 7 leave 5 to 9 elements in T2
+GOLDEN_XOS_OUTCOME_SHA256 = "37dced64dae213a9537e367e2ba3cfb3a772109702bc2e172f4ac8d4b7898fbd"
+
+
+def test_deviated_xos_outcomes_are_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    xos_run = verify.xos_mechanism_main
+
+    def rational(x):
+        return "-" if x is None else format_rational(x)
+
+    def recording_xos_run(*args):
+        outcome = xos_run(*args)
+        fields = [
+            outcome.branch,
+            ",".join(sorted(outcome.allocation)),
+            ",".join(f"{e}={rational(p)}" for e, p in sorted(outcome.payments.items())),
+            rational(outcome.threshold),
+            "-" if outcome.s_star is None else ",".join(sorted(outcome.s_star)),
+            str(outcome.clause_index),
+        ]
+        digest.update("|".join(fields).encode() + b"\n")
+        return outcome
+
+    monkeypatch.setattr(verify, "xos_mechanism_main", recording_xos_run)
+    for n in (6, 10):
+        for index in range(3):
+            valuation, costs, budget = gen_xos_instance(21, index, n=n)
+            for tape in (0, 1, 4, 7):
+                params = XosParams(seed=tape, alpha=218, beta=mpq(9, 2), gamma=4)
+                check_xos_truthfulness(valuation, costs, budget, params, seed=index)
+    assert digest.hexdigest() == GOLDEN_XOS_OUTCOME_SHA256

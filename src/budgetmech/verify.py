@@ -487,13 +487,13 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     so the sweep is ``_deviation_sweep``'s.  Every run shares one
     ``XosPlan``: the branch coin, the T1/T2 split, the max-element winner and
     v(S) on each half read the tape and the valuation only, never a bid.
-    The threshold and the surplus argmax do read bids, so every deviation
-    still recomputes them, except that the plan reuses the last T1 optimum
-    while the budget and the T1 bids are unchanged, and the last argmax
-    while the threshold and the T2 bids are; a half's result reads nothing
-    else, so each reuse gives exactly what a full replay would.  Probes
-    include each element's argmax-membership breakpoint (the plan computes
-    all of them once per check), the inner proportional rate, and randoms.
+    The plan reuses the last T1 optimum while the budget and the T1 bids
+    are unchanged, and the last argmax while the threshold and the T2 bids
+    are; a T2 deviation keeps the threshold, so its argmax is read off the
+    per-element table that ``XosPlan.t2_breakpoints`` builds once per check
+    at the truthful bids.  Each reuse gives exactly what a full replay
+    would.  Probes include each element's argmax-membership breakpoint
+    (from the same table), the inner proportional rate, and randoms.
     """
     report = VerificationReport("Truthful", "xos", instances_checked=1)
     doc = _xos_failure_doc(valuation, costs, costs, budget, params)

@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import CapExceeded, InputError
 from .matroids import FreeMatroid
 from .mechanisms import Instance, Outcome, Payments, run_matroid_mechanism
-from .rationals import ZERO, mpq, rational_isqrt
+from .rationals import ZERO, common_denominator, mpq, rational_isqrt
 
 XOS_ENUMERATION_CAP = 16
 
@@ -202,21 +202,21 @@ def _argmax_surplus(ids, cost, value, threshold):
     return frozenset(best_ids)
 
 
-def _membership_breakpoints(ids, cost, value, threshold):
-    """Bid level of each element of ``ids`` above which the surplus argmax
-    excludes it and below which it keeps it: the best set with e, scored as
-    if e bid 0, against the best set without e (the empty set included).
-    Empty unless the threshold is positive."""
-    if threshold <= 0:
-        return {}
-    surplus = [v - threshold * c for c, v in zip(cost, value)]
-    breakpoints = {}
-    for j, e in enumerate(ids):
-        bit = 1 << j
-        best_in = max(s for m, s in enumerate(surplus) if m & bit)
-        best_out = max(s for m, s in enumerate(surplus) if not m & bit)
-        breakpoints[e] = (best_in - best_out) / threshold + cost[bit]
-    return breakpoints
+def _class_winners(ids, cost, value, threshold):
+    """For each element e of ``ids``, the best subset with e and the best
+    without e (the empty set included) in ``_argmax_surplus``'s order, each
+    as its rank (threshold * bids(S) - v(S), bids(S), id tuple): the smaller
+    rank is the better set.  Changing e's bid alone by D adds
+    (threshold * D, D) to the rank of every set with e, so both stay the
+    best of their class.  O(k 2^k) for k ids."""
+    deficit = [threshold * c - v for c, v in zip(cost, value)]
+    scale = common_denominator(deficit)  # so the sort compares integers
+    ranked = sorted(
+        (int(d.numerator) * (scale // int(d.denominator)), d, c,
+         tuple(e for j, e in enumerate(ids) if m >> j & 1), m)
+        for m, (d, c) in enumerate(zip(deficit, cost)))
+    return [tuple(next(r[1:4] for r in ranked if (r[4] >> j & 1) == side) for side in (1, 0))
+            for j in range(len(ids))]
 
 
 class XosPlan:
@@ -234,8 +234,10 @@ class XosPlan:
 
     Each half reads only its own bids, so the plan also keeps the last T1
     optimum, keyed on the budget and the T1 bids, and the last surplus
-    argmax, keyed on the threshold and the T2 bids.  The keys are exact, so
-    a run through a plan gives the outcome of a run without one.
+    argmax, keyed on the threshold and the T2 bids.  ``t2_breakpoints``
+    keeps the ``_class_winners`` table under its threshold and T2 bids; an
+    argmax there with at most one T2 bid moved is read off it.  The keys
+    are exact, so a run through a plan gives the outcome of a run without one.
     """
 
     def __init__(self, valuation, params):
@@ -258,7 +260,7 @@ class XosPlan:
             self.t1_value = _value_table(valuation, self.t1_ids)
             self.t2_value = _value_table(valuation, self.t2_ids)
         self._t1_key = self._t1_optimum = None
-        self._t2_key = self._t2_argmax = None
+        self._t2_key = self._t2_argmax = self._winners = None
 
     def t1_optimum(self, bids, budget):
         """max v(S) over S within T1 with bid total at most ``budget``."""
@@ -274,14 +276,37 @@ class XosPlan:
         key = (threshold, [bids[e] for e in self.t2_ids])
         if key != self._t2_key:
             self._t2_key = key
-            self._t2_argmax = _argmax_surplus(
-                self.t2_ids, _additive_subset_sums(key[1]), self.t2_value, threshold)
+            self._t2_argmax = self._t2_from_winners(*key)
+            if self._t2_argmax is None:
+                self._t2_argmax = _argmax_surplus(
+                    self.t2_ids, _additive_subset_sums(key[1]), self.t2_value, threshold)
         return self._t2_argmax
 
+    def _t2_from_winners(self, threshold, t2_bids):
+        """The surplus argmax read off the ``_class_winners`` table, or None
+        unless the threshold is the table's and at most one T2 bid moved."""
+        if self._winners is None or self._winners[0][0] != threshold or not self.t2_ids:
+            return None
+        (_, base), winners = self._winners
+        # with no bid moved, any element's pair gives the argmax (shift 0)
+        moved = [j for j, (b, b0) in enumerate(zip(t2_bids, base)) if b != b0] or [0]
+        if len(moved) > 1:
+            return None
+        shift = t2_bids[moved[0]] - base[moved[0]]
+        (deficit, cost, ids), out = winners[moved[0]]
+        return frozenset(min((deficit + threshold * shift, cost + shift, ids), out)[2])
+
     def t2_breakpoints(self, bids, threshold):
-        """``_membership_breakpoints`` of every T2 element at ``bids``."""
-        cost = _additive_subset_sums([bids[e] for e in self.t2_ids])
-        return _membership_breakpoints(self.t2_ids, cost, self.t2_value, threshold)
+        """Bid level of each T2 element above which the surplus argmax at
+        ``bids`` leaves it out and below which it keeps it (empty unless the
+        threshold is positive), read off the ``_class_winners`` table kept."""
+        key = (threshold, [bids[e] for e in self.t2_ids])
+        self._winners = key, _class_winners(
+            self.t2_ids, _additive_subset_sums(key[1]), self.t2_value, threshold)
+        if threshold <= 0:
+            return {}
+        return {e: (out[0] - inn[0]) / threshold + bids[e]
+                for e, (inn, out) in zip(self.t2_ids, self._winners[1])}
 
 
 def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):

@@ -4,7 +4,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from budgetmech import (
@@ -25,7 +25,7 @@ from budgetmech.verify import check_xos_outcome, check_xos_truthfulness, gen_xos
 from budgetmech.xos import (
     _additive_subset_sums,
     _argmax_surplus,
-    _membership_breakpoints,
+    _class_winners,
     _opt_value_under_budget,
     _value_table,
 )
@@ -291,8 +291,25 @@ def _breakpoint_by_subsets(valuation, t2_ids, bids, threshold, e):
     return (best_in - best_out) / threshold
 
 
+# {e0, e2} and {e1} tie on value and on cost, and e3 adds nothing: without
+# e3 the best set is {e0, e2}, which comes first in id order, not in bitmask
+# order (random draws rarely tie this way); tape 16 puts all four elements in
+# T2 on the sampling branch
+ID_TIE = (
+    XosValuation(["e0", "e1", "e2", "e3"], [
+        {"e0": mpq(1), "e1": ZERO, "e2": mpq(1), "e3": ZERO},
+        {"e0": ZERO, "e1": mpq(2), "e2": ZERO, "e3": ZERO},
+    ]),
+    ["e0", "e1", "e2", "e3"],
+    {"e0": mpq(1), "e1": mpq(2), "e2": mpq(1), "e3": mpq(1)},
+    ZERO,
+    mpq(4),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(xos_subset_cases())
+@example(ID_TIE)
 def test_subset_helpers_match_second_routes(case):
     valuation, subset, bids, threshold, budget = case
     cost = _additive_subset_sums([bids[e] for e in subset])
@@ -309,9 +326,51 @@ def test_subset_helpers_match_second_routes(case):
     candidates = [c for r in range(len(subset) + 1) for c in itertools.combinations(subset, r)]
     assert _argmax_surplus(subset, cost, value, threshold) == frozenset(min(candidates, key=rank))
 
-    breakpoints = _membership_breakpoints(subset, cost, value, threshold)
+    winners = _class_winners(subset, cost, value, threshold)
+    for e, (best_in, best_out) in zip(subset, winners):
+        assert best_in == rank(min((c for c in candidates if e in c), key=rank))
+        assert best_out == rank(min((c for c in candidates if e not in c), key=rank))
+
+    breakpoints = {}
+    if threshold > 0:  # a class winner's rank is (-objective, cost, ids)
+        breakpoints = {e: (best_out[0] - best_in[0]) / threshold + bids[e]
+                       for e, (best_in, best_out) in zip(subset, winners)}
     for e in valuation.ground:
         assert breakpoints.get(e) == _breakpoint_by_subsets(valuation, subset, bids, threshold, e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xos_subset_cases(), st.integers(0, 255), st.lists(st.integers(1, 8), max_size=3))
+@example(ID_TIE, 16, [])
+def test_one_bid_argmax_matches_a_fresh_argmax(case, tape, drawn):
+    """After ``t2_breakpoints`` at some bids and threshold, the plan answers
+    each one-bid T2 change at that threshold from its class winners; each
+    answer equals a fresh ``_argmax_surplus`` over the re-summed bids.  The
+    new bids include those that tie the two class winners on objective, on
+    cost, or on both (threshold 0 ties every objective shift)."""
+    valuation, _, bids, threshold, _ = case
+    plan = XosPlan(valuation, XosParams(seed=tape, **PARAMS))
+    assume(not plan.take_max_element)
+    ids = plan.t2_ids
+    plan.t2_breakpoints(bids, threshold)
+    value = _value_table(valuation, ids)
+    candidates = [c for r in range(len(ids) + 1) for c in itertools.combinations(ids, r)]
+
+    def rank(members):  # the tie order: -objective, then cost, then ids
+        cost = sum((bids[e] for e in members), ZERO)
+        return (threshold * cost - valuation.value(frozenset(members)), cost, members)
+
+    for e in ids:
+        deficit_in, cost_in, _ = min(rank(c) for c in candidates if e in c)
+        deficit_out, cost_out, _ = min(rank(c) for c in candidates if e not in c)
+        shifts = [cost_out - cost_in] + [mpq(k, 2) - bids[e] for k in drawn]
+        if threshold > 0:
+            shifts.append((deficit_out - deficit_in) / threshold)
+        for shift in shifts:
+            moved = {**bids, e: bids[e] + shift}
+            fresh = _argmax_surplus(ids, _additive_subset_sums([moved[o] for o in ids]),
+                                    value, threshold)
+            assert plan.t2_argmax(moved, threshold) == fresh
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +414,30 @@ def _compared(outcome):
 
 def test_shared_plan_matches_fresh_runs():
     branches = set()
+    table_answers = []
 
     @settings(max_examples=300, deadline=None)
     @given(xos_bid_sequences())
     def check(case):
         valuation, costs, params, sequence = case
         plan = XosPlan(valuation, params)
-        for bids, budget in sequence:
+        from_winners = plan._t2_from_winners
+
+        def counted(*key):
+            answer = from_winners(*key)
+            table_answers.append(answer is not None)
+            return answer
+
+        plan._t2_from_winners = counted
+        for k, (bids, budget) in enumerate(sequence):
             shared = xos_mechanism_main(valuation, costs, bids, budget, params, plan)
             fresh = xos_mechanism_main(valuation, costs, bids, budget, params)
             assert _compared(shared) == _compared(fresh)
             branches.add(fresh.branch)
+            if k == 0 and not plan.take_max_element:
+                # the table at A's bids and threshold answers C, a T2-only change
+                plan.t2_breakpoints(bids, shared.threshold)
 
     check()
     assert branches == {"max-element", "empty", "sub-mechanism"}
+    assert sum(table_answers) > 0

@@ -6,10 +6,9 @@ far, so cost manipulation cannot influence which common independent set it
 computes.  It answers as on ``spec.delete(excluded)``, without building it.
 
 Every blackbox must also keep its answer when an element outside that
-answer is excluded, so the mechanism asks it again only when an element it
-chose leaves the ground set.  Both blackboxes here meet this requirement
-(see ``get_blackbox``); an arbitrary alpha-approximation need not, so a new
-one is added only with a proof that it does.
+answer is excluded: the mechanisms' shared removal loop
+(``mechanisms._run_threshold_mechanism``) relies on it to skip such calls.
+``get_blackbox`` proves it for both blackboxes here.
 """
 
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Callable
 
 from .errors import InputError
 from .matroids import PartitionMatroid, weight_order
-from .rationals import common_denominator, mpq
+from .rationals import mpq, scale_to_integers
 
 
 class IntersectionSpec:
@@ -67,10 +66,11 @@ class ApxBlackbox:
 
     Besides determinism, every blackbox must keep its answer when an
     unchosen element leaves: for every exclusion set ``X`` and every ``x``
-    outside ``bb(spec, w, X)``, ``bb(spec, w, X | {x}) == bb(spec, w, X)``.
-    ``run_intersection_mechanism`` relies on it to skip such calls.  A new
-    procedure needs a proof of it and the property test in
-    ``tests/test_intersection.py`` extended to it.
+    outside ``bb(spec, w, X)``, ``bb(spec, w, X | {x}) == bb(spec, w, X)``,
+    the rule of ``mechanisms._run_threshold_mechanism``.  An arbitrary
+    alpha-approximation need not meet it, so a new procedure needs a proof
+    of it and the property test in ``tests/test_intersection.py`` extended
+    to it.
     """
 
     name: str
@@ -105,12 +105,8 @@ def _perturb_for_lex(weights, ids):
     the lexicographically smallest id set among the value-equal optima.
     """
     m = len(ids)
-    values = [weights[e] for e in ids]
-    scale = common_denominator(values) << (m + 1)
-    return [
-        int(q.numerator) * (scale // int(q.denominator)) + (1 << (m - j))
-        for j, q in enumerate(values)
-    ]
+    _, scaled = scale_to_integers([weights[e] for e in ids])
+    return [(w << (m + 1)) + (1 << (m - j)) for j, w in enumerate(scaled)]
 
 
 def _check_dual_certificate(wp, left, right, matched, y_left, y_right):
@@ -255,7 +251,8 @@ def get_blackbox(name, spec):
     """Blackbox by name (``--apx``, ``verify.BLACKBOX_OF``); the procedures
     are read as module globals at each call, so a later wrapper is seen.
 
-    Both keep their answer when an unchosen element leaves.
+    Both keep their answer when an unchosen element leaves, as the removal
+    loop ``mechanisms._run_threshold_mechanism`` requires.
     ``exact-bipartite``: deleting an edge outside the perturbed optimum
     leaves that optimum feasible, and it stays optimal among fewer
     candidates; deleting the edge drops a bonus bit that is 0 in every

@@ -24,7 +24,7 @@ information.
 from itertools import accumulate
 
 from .errors import InputError
-from .rationals import ZERO, common_denominator
+from .rationals import ZERO, scale_to_integers
 
 
 class Matroid:
@@ -475,13 +475,6 @@ def set_weight(weights, s):
     return total
 
 
-def scaled_weights(ids, weights):
-    """``(d, {e: w_e * d})``: the common denominator ``d`` of the weights of
-    ``ids`` and the weights as integers over it."""
-    scale = common_denominator([weights[e] for e in ids])
-    return scale, {e: weights[e].numerator * (scale // weights[e].denominator) for e in ids}
-
-
 def descending(ids, key):
     """``ids`` by the integers ``key`` descending, ties to the smaller id: a
     stable descending sort of the id-sorted list."""
@@ -491,10 +484,11 @@ def descending(ids, key):
 def weight_order(ids, weights):
     """``ids`` by weight descending, ties to the smaller id.
 
-    The keys are the integer weights of ``scaled_weights``: a positive scale
-    keeps the order and the ties exactly.
+    The keys are the weights as integers over their common denominator,
+    which keep the order and the ties exactly.
     """
-    return descending(ids, scaled_weights(ids, weights)[1])
+    _, scaled = scale_to_integers([weights[e] for e in ids])
+    return descending(ids, dict(zip(ids, scaled)))
 
 
 def max_weight_independent_set(matroid, weights, order=None):

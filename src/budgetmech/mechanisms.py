@@ -21,14 +21,8 @@ from typing import Optional
 
 from .errors import InputError
 from .intersection import IntersectionSpec
-from .matroids import (
-    Matroid,
-    descending,
-    max_weight_independent_set,
-    scaled_weights,
-    set_weight,
-)
-from .rationals import ZERO, common_denominator, mpq
+from .matroids import Matroid, descending, max_weight_independent_set
+from .rationals import ZERO, mpq, scale_to_integers
 
 
 def _rational(value):
@@ -196,9 +190,6 @@ class Outcome(Payments):
     trace: tuple
     budget: object
 
-    def value(self, weights):
-        return set_weight(weights, self.allocation)
-
 
 class Plan:
     """The bid-free part of the threshold mechanism on one structure and one
@@ -217,11 +208,13 @@ class Plan:
     """
 
     def __init__(self, structure, weights):
-        self.value_den, self.scaled = scaled_weights(structure.ground, weights)
-        self.order = descending(structure.ground, self.scaled)
+        ground = structure.ground
+        self.value_den, scaled = scale_to_integers([weights[e] for e in ground])
+        self.scaled = dict(zip(ground, scaled))
+        self.order = descending(ground, self.scaled)
         self.tau = self.order[0]
         self.rest = tuple(sorted(self.order[1:]))
-        self.lcm = lcm(*self.scaled.values())
+        self.lcm = lcm(*scaled)
         self.multiplier = {e: self.lcm // self.scaled[e] for e in self.rest}
         if isinstance(structure, Matroid):
             self.position = {e: k for k, e in enumerate(self.order)}
@@ -233,13 +226,23 @@ class Plan:
         return sum(self.scaled[e] for e in s)
 
 
-def _run_threshold_mechanism(inst, plan, exclude):
+def _run_threshold_mechanism(inst, plan, reselect, chosen=None, value=None):
     """The shared removal loop, on integers.
 
-    ``exclude(e)`` removes ``e`` from the candidate ground set and returns the
-    candidate set on what survives (a frozenset) together with its scaled
-    weight.  It is called first with tau, then with each removed element in
-    turn.
+    The loop keeps the set ``excluded`` of elements that have left the
+    candidate ground set: tau first, then each removed element in turn.
+    ``chosen`` and ``value`` are the candidate set on what survives (a
+    frozenset) and its scaled weight, or None before any set is known.  When
+    ``x`` leaves, ``reselect(x, chosen, value, excluded)``, with ``x``
+    already in ``excluded``, returns the new set and its scaled weight.
+
+    The loop calls ``reselect`` at tau when it has no set yet, and otherwise
+    only when the element that leaves is in ``chosen``: a set that avoids
+    ``x`` is also the answer once ``x`` has left.  For the matroid
+    mechanism this is trivial: the greedy scan rejected ``x``, so without
+    ``x`` it makes the same choices and keeps its set ``B``.  For the
+    intersection mechanism it is the contract of every ``ApxBlackbox``,
+    proved for each shipped blackbox in ``get_blackbox``.
 
     With the bids of the others over their common denominator ``d`` and the
     budget ``B = b_num / b_den``, element ``e``'s buck-per-bang is
@@ -250,24 +253,25 @@ def _run_threshold_mechanism(inst, plan, exclude):
     """
     bids, budget, tau = inst.bids, inst.budget, plan.tau
     rest, multiplier = plan.rest, plan.multiplier
-    bid_den = common_denominator([bids[e] for e in rest])
-    key = {e: bids[e].numerator * (bid_den // bids[e].denominator) * multiplier[e]
-           for e in rest}
+    bid_den, bid_ints = scale_to_integers([bids[e] for e in rest])
+    key = {e: p * multiplier[e] for e, p in zip(rest, bid_ints)}
     others = descending(rest, key)
     budget_num, budget_den = budget.numerator, budget.denominator
     limit = budget_num * bid_den * plan.lcm
     scales = (plan.value_den, bid_den * plan.lcm)
 
-    chosen, value = exclude(tau)
-    trace = []
-    for i, e in enumerate(others, 1):
-        if value * key[e] * budget_den <= limit:
-            trace.append(TraceStep(i, None, key[e], chosen, value, scales))
+    # each pass first excludes the element that left last (tau on the first
+    # pass), then tests the next one; None stands past the last element
+    excluded, trace, leaving = set(), [], tau
+    for i, e in enumerate([*others, None], 1):
+        excluded.add(leaving)
+        if chosen is None or leaving in chosen:
+            chosen, value = reselect(leaving, chosen, value, excluded)
+        if e is None or value * key[e] * budget_den <= limit:
+            trace.append(TraceStep(i, None, key.get(e), chosen, value, scales))
             break
         trace.append(TraceStep(i, e, key[e], chosen, value, scales))
-        chosen, value = exclude(e)
-    else:
-        trace.append(TraceStep(len(others) + 1, None, None, chosen, value, scales))
+        leaving = e
 
     # rate = min(budget / value, bb_prev), or bb_prev when value is 0; bb_prev
     # is the rate of the last removed element, +inf (None) if none was removed
@@ -299,14 +303,13 @@ def run_matroid_mechanism(inst, plan=None):
     """Budget-feasible mechanism for procuring an independent set of a matroid.
 
     The greedy set ``B`` (weight descending, id ascending) is computed once,
-    in the plan, and repaired as elements leave the ground set: excluding
-    ``x`` not in ``B`` changes nothing; excluding ``x`` in ``B`` gives
-    ``B - x + f``, with ``f`` the first surviving element after ``x`` outside
-    ``B`` that keeps it independent, or ``B - x`` if there is none.  Elements
-    before ``x`` need no test: each one outside ``B`` is spanned by the
-    members of ``B`` before it, which do not include ``x``.  The ``f``
-    outside ``B`` that keep ``B - x + f`` independent form, with ``x``, the
-    fundamental cocircuit of ``x`` with respect to ``B``;
+    in the plan, and repaired as elements of ``B`` leave the ground set:
+    excluding ``x`` gives ``B - x + f``, with ``f`` the first surviving
+    element after ``x`` outside ``B`` that keeps it independent, or ``B - x``
+    if there is none.  Elements before ``x`` need no test: each one outside
+    ``B`` is spanned by the members of ``B`` before it, which do not include
+    ``x``.  The ``f`` outside ``B`` that keep ``B - x + f`` independent form,
+    with ``x``, the fundamental cocircuit of ``x`` with respect to ``B``;
     ``structure.extender(B - x).fits`` tests membership in it.
 
     ``plan`` is ``Plan(inst.structure, inst.weights)``, built here when not
@@ -318,56 +321,38 @@ def run_matroid_mechanism(inst, plan=None):
     if plan is None:
         plan = Plan(structure, inst.weights)
     scaled, order, position = plan.scaled, plan.order, plan.position
-    excluded = set()
-    chosen, value = plan.basis, plan.basis_weight
 
-    def exclude(x):
-        nonlocal chosen, value
-        excluded.add(x)
-        if x in chosen:
-            chosen = chosen - {x}
-            value -= scaled[x]
-            cocircuit = None  # built at the first candidate; often none is left
-            for f in order[position[x] + 1:]:
-                if f in chosen or f in excluded:
-                    continue
-                if cocircuit is None:
-                    cocircuit = structure.extender(chosen)
-                if cocircuit.fits(f):
-                    chosen = chosen | {f}
-                    value += scaled[f]
-                    break
+    def repair(x, chosen, value, excluded):
+        chosen = chosen - {x}
+        value -= scaled[x]
+        cocircuit = None  # built at the first candidate; often none is left
+        for f in order[position[x] + 1:]:
+            if f in chosen or f in excluded:
+                continue
+            if cocircuit is None:
+                cocircuit = structure.extender(chosen)
+            if cocircuit.fits(f):
+                return chosen | {f}, value + scaled[f]
         return chosen, value
 
-    return _run_threshold_mechanism(inst, plan, exclude)
+    return _run_threshold_mechanism(inst, plan, repair, plan.basis, plan.basis_weight)
 
 
 def run_intersection_mechanism(inst, blackbox, plan=None):
-    """Same mechanism with the exact greedy step replaced by an APX blackbox.
-
-    The blackbox is asked on the instance's own spec and the set excluded so
-    far.  It is asked at the first exclusion (tau) and again after each
-    later one, except that excluding an element outside the current set
-    keeps that set, as the matroid repair keeps ``B`` for ``x`` not in
-    ``B``.  Every ``ApxBlackbox`` must give that same answer when asked.
-    ``plan`` is as in ``run_matroid_mechanism``.
+    """Same mechanism with the exact greedy step replaced by an APX blackbox,
+    asked on the instance's own spec and the set excluded so far.  ``plan``
+    is as in ``run_matroid_mechanism``.
     """
     if not isinstance(inst.structure, IntersectionSpec):
         raise InputError("run_intersection_mechanism needs an intersection instance")
     if plan is None:
         plan = Plan(inst.structure, inst.weights)
-    excluded = set()
-    chosen = value = None  # no set yet: excluding tau always asks
 
-    def exclude(x):
-        nonlocal chosen, value
-        excluded.add(x)
-        if chosen is None or x in chosen:
-            chosen = frozenset(blackbox(inst.structure, inst.weights, excluded))
-            value = plan.weight(chosen)
-        return chosen, value
+    def reselect(x, chosen, value, excluded):
+        chosen = frozenset(blackbox(inst.structure, inst.weights, excluded))
+        return chosen, plan.weight(chosen)
 
-    return _run_threshold_mechanism(inst, plan, exclude)
+    return _run_threshold_mechanism(inst, plan, reselect)
 
 
 def utility(inst, outcome, e):

@@ -56,9 +56,13 @@ def to_decimal(q, significant_digits=12):
     return str(d)
 
 
-def common_denominator(values):
-    """Least common multiple of the denominators of the rationals ``values`` (≥ 1)."""
-    return lcm(1, *(int(v.denominator) for v in values))
+def scale_to_integers(values):
+    """``(d, [v * d for v in values])``: the least common multiple ``d`` (≥ 1)
+    of the denominators of the rationals ``values`` (a sequence) and the
+    values as integers over it.  A positive scale keeps order and ties, so
+    integer keys compare as the rationals do."""
+    d = lcm(1, *(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def rational_isqrt(q, digits=24):

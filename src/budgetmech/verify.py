@@ -45,7 +45,7 @@ from .mechanisms import (
     run_matroid_mechanism,
 )
 from .oracle import brute_force_opt
-from .rationals import ZERO, common_denominator, format_rational, mpq
+from .rationals import ZERO, format_rational, mpq, scale_to_integers
 from .xos import XosParams, XosPlan, XosValuation, xos_mechanism_main
 
 EPSILON = mpq(1, 10**9)
@@ -322,8 +322,9 @@ def _probe_bids(anchors, budget, rng, min_count):
     num, den = budget.numerator, budget.denominator * 10**6
     while len(probes) < min_count:
         probes.add(mpq(num * rng.randint(1, 10**6), den))
-    scale = common_denominator(probes)
-    return sorted(probes, key=lambda d: d.numerator * (scale // d.denominator))
+    probes = list(probes)
+    _, scaled = scale_to_integers(probes)  # distinct, so no probe is compared
+    return [d for _, d in sorted(zip(scaled, probes))]
 
 
 def _deviation_sweep(report, doc, ground, costs, truthful, run, probes):

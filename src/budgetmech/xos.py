@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import CapExceeded, InputError
 from .matroids import FreeMatroid
 from .mechanisms import Instance, Outcome, Payments, run_matroid_mechanism
-from .rationals import ZERO, common_denominator, mpq, rational_isqrt
+from .rationals import ZERO, mpq, rational_isqrt, scale_to_integers
 
 XOS_ENUMERATION_CAP = 16
 
@@ -210,11 +210,10 @@ def _class_winners(ids, cost, value, threshold):
     (threshold * D, D) to the rank of every set with e, so both stay the
     best of their class.  O(k 2^k) for k ids."""
     deficit = [threshold * c - v for c, v in zip(cost, value)]
-    scale = common_denominator(deficit)  # so the sort compares integers
+    _, scaled = scale_to_integers(deficit)  # so the sort compares integers
     ranked = sorted(
-        (int(d.numerator) * (scale // int(d.denominator)), d, c,
-         tuple(e for j, e in enumerate(ids) if m >> j & 1), m)
-        for m, (d, c) in enumerate(zip(deficit, cost)))
+        (k, d, c, tuple(e for j, e in enumerate(ids) if m >> j & 1), m)
+        for m, (k, d, c) in enumerate(zip(scaled, deficit, cost)))
     return [tuple(next(r[1:4] for r in ranked if (r[4] >> j & 1) == side) for side in (1, 0))
             for j in range(len(ids))]
 
@@ -332,6 +331,8 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
     for e in ground:
         if bids[e] > budget or bids[e] <= 0:
             raise InputError(f"bid of {e!r} must lie in (0, budget]")
+        if true_costs[e].numerator <= 0:
+            raise InputError(f"true_costs[{e}] must be positive")
 
     if plan.take_max_element:
         return XosOutcome(

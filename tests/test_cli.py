@@ -320,6 +320,43 @@ def test_bench_writes_csv(tmp_path, capsys):
         assert float(row["total_payment_over_budget"]) <= 1.0
 
 
+# sha256 of the `verify` outputs and of the `bench` CSV without its
+# runtime_us column, taken at --threads 1: the process pool must give the
+# serial sweep's bytes
+POOL_MECHANISMS = ["matroid", "intersection-exact", "intersection-greedy"]
+POOL_SWEEP_SHA256 = {
+    "report.json": "c0e23c03f9e874e57bff98ea8fa2c77098dba8b02401600a9bcc12d728416fab",
+    "summary.csv": "d3447f0f08d3e3d4ddd3f2536bb349aac10c937292bdfa262935a05e1f637d5c",
+    "stdout": "67c4447950330829792d6a64abea39a7eec2fa0db176306d085dada51c228e76",
+    "bench": "3c3d03694155583a26cea21ce3826d8eccee52cf78bd21ba0fa5b6a9b0acbe5d",
+}
+
+
+def test_process_pool_sweeps_match_the_serial_outputs(tmp_path, capsys):
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    config = write(tmp_path, "verify.json", {
+        "seed": 3, "count": 6, "n_range": [3, 6], "deviations_per_element": 4,
+        "mechanisms": POOL_MECHANISMS, "include_broken": True,
+    })
+    out_dir = tmp_path / "reports"
+    assert main(["verify", config, "--out", str(out_dir), "--threads", "2"]) == 1
+    digests = {name: sha((out_dir / name).read_bytes())
+               for name in ("report.json", "summary.csv")}
+    digests["stdout"] = sha(capsys.readouterr().out.encode())
+
+    config = write(tmp_path, "bench.json", {
+        "seed": 3, "count": 6, "n_range": [3, 6], "mechanisms": POOL_MECHANISMS,
+    })
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["bench", config, str(out_csv), "--threads", "2"]) == 0
+    with open(out_csv, newline="") as fh:
+        rows = [row[:-1] for row in csv.reader(fh)]
+    digests["bench"] = sha(json.dumps(rows).encode())
+    assert digests == POOL_SWEEP_SHA256
+
+
 def test_bench_empty_sweep_header_only(tmp_path):
     config = write(tmp_path, "bench.json", {"count": 0, "mechanisms": ["matroid"]})
     out_csv = tmp_path / "sweep.csv"

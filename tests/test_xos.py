@@ -155,6 +155,18 @@ def test_plan_and_run_keep_the_cap_and_the_empty_ground_errors():
         xos_mechanism_main(empty, {}, {}, 30, params)
 
 
+@pytest.mark.parametrize("cost", [mpq(-5), ZERO])
+def test_non_positive_true_cost_rejected_on_every_coin_tape(cost):
+    # the mechanism reads only bids, so the check must not depend on the
+    # tape putting the element into the inner instance
+    val, costs, budget = gen_xos_instance(0, 1, n=8)
+    for seed in range(5):
+        params = XosParams(seed=seed, **PARAMS)
+        for e in val.ground:
+            with pytest.raises(InputError, match=re.escape(f"true_costs[{e}] must be positive")):
+                xos_mechanism_main(val, {**costs, e: cost}, costs, budget, params)
+
+
 def test_params_validation():
     with pytest.raises(InputError):
         XosParams(alpha=2, beta=1, gamma=3, seed=0)  # alpha*beta - beta - 4alpha < 0

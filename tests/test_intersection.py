@@ -1,5 +1,9 @@
 """Matroid intersections and the two approximation blackboxes."""
 
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,7 @@ from budgetmech import (
     greedy_common_independent,
     set_weight,
 )
+from budgetmech.matroids import weight_order
 from budgetmech.oracle import brute_force_max, brute_force_opt
 from budgetmech.rationals import mpq
 from budgetmech.verify import GeneratorConfig, gen_bipartite_instance
@@ -138,6 +143,51 @@ def test_blackboxes_against_brute_force():
         greedy = greedy_common_independent(spec, w)
         assert spec.is_independent(greedy)
         assert set_weight(w, greedy) * spec.k >= opt_value
+
+
+def _larger_graphs():
+    """``(spec, weights)`` on graphs beyond the golden runs' n <= 30: generated
+    instances at n = 100 and 200, a 200-leaf star, 200 disjoint edges, a
+    199-edge chain and a sparse graph with more left vertices than right.
+    The four shapes draw weights from {1, 3/2, 2, 3} and shuffled ids, so
+    value ties between differently-ordered edge sets are common."""
+    graphs = []
+    for n in (100, 200):
+        for index, regime in enumerate(("tight", "loose", "tight")):
+            config = GeneratorConfig(1, 7, (n, n), budget_regime=regime)
+            inst = gen_bipartite_instance(config, index)
+            graphs.append((inst.structure, inst.weights))
+    rng = random.Random(15)
+    shapes = (
+        [(0, v) for v in range(200)],
+        [(k, k) for k in range(200)],
+        [(k // 2 + k % 2, k // 2) for k in range(199)],
+        [(rng.randrange(150), rng.randrange(60)) for _ in range(300)],
+    )
+    levels = (mpq(1), mpq(3, 2), mpq(2), mpq(3))
+    for ends in shapes:
+        ids = [f"e{k:03d}" for k in range(len(ends))]
+        rng.shuffle(ids)
+        graphs.append((bipartite(dict(zip(ids, ends))),
+                       {e: rng.choice(levels) for e in ids}))
+    return graphs
+
+
+# sha256 of every answer of ``test_larger_graph_answers_are_pinned``, as the
+# primal-dual Dijkstra implementation of the blackbox computed them
+LARGER_GRAPH_ANSWERS_SHA256 = "a5e2d7e7116b0093518656eb1d48eb9bfc1b39f0ae07e4d1908601dbb233057b"
+
+
+def test_larger_graph_answers_are_pinned():
+    """The exact blackbox's answers, with the heaviest 0, 1, 2, 5, 13 and
+    n/3 edges excluded, on every graph of ``_larger_graphs``."""
+    answers = []
+    for spec, w in _larger_graphs():
+        order = weight_order(spec.ground, w)
+        for k in (0, 1, 2, 5, 13, len(order) // 3):
+            answers.append(sorted(exact_bipartite_matching(spec, w, frozenset(order[:k]))))
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == LARGER_GRAPH_ANSWERS_SHA256
 
 
 @st.composite

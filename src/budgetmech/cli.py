@@ -2,7 +2,7 @@
 
 Subcommands: run, verify, bench, replay, xos-constant.
 Exit codes: 0 success, 1 verification failures or unreproduced replays,
-2 malformed input, 3 enumeration cap exceeded, 4 operating-system (I/O) error.
+2 malformed input, 3 enumeration cap exceeded, 4 I/O or worker-pool error.
 """
 
 import argparse
@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 
 from .errors import CapExceeded, InputError, SchemaError
 from .instance_io import (
@@ -261,6 +262,9 @@ def main(argv=None):
     except OSError as exc:
         where = exc.filename if exc.filename is not None else "I/O"
         print(f"error: {where}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenExecutor as exc:
+        print(f"error: worker pool: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -3,16 +3,11 @@
 A blackbox reads element weights only, never bids: the procurement mechanism
 hands it a structure, the public weight vector and the elements excluded so
 far, so cost manipulation cannot influence which common independent set it
-computes.  It answers as on ``spec.delete(excluded)``, without building it.
-
-Every blackbox must also keep its answer when an element outside that
-answer is excluded: the mechanisms' shared removal loop
-(``mechanisms._run_threshold_mechanism``) relies on it to skip such calls.
-``get_blackbox`` proves it for both blackboxes here.
+computes.  It answers as on ``spec.delete(excluded)``, without building it,
+and keeps its answer when an unchosen element leaves (``ApxBlackbox``).
 """
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable
 
 from .errors import InputError
@@ -109,121 +104,82 @@ def _perturb_for_lex(weights, ids):
     return [(w << (m + 1)) + (1 << (m - j)) for j, w in enumerate(scaled)]
 
 
-def _check_dual_certificate(wp, left, right, matched, y_left, y_right):
-    """Raise unless the duals prove ``matched`` a maximum-weight matching.
+def _check_dual_certificate(entry, owner, y_row, y_col):
+    """Raise unless the potentials prove that giving each column ``j`` of
+    ``entry`` to row ``owner[j]`` (every row once) is a maximum assignment.
 
-    Checks LP-duality for max-weight bipartite matching: duals nonnegative,
-    ``y_u + y_v >= wp_e`` on every edge with equality on matched edges, and
-    zero on every unmatched vertex.  Then any matching N has
-    ``wp(N) <= sum of duals = wp(matched)``.
+    LP duality: ``y_row[i] + y_col[j] >= entry[i][j]``, tight on assigned
+    entries; column potentials >= 0, and 0 on unassigned columns.  As
+    entries are >= 0 and rows no more than columns, any matching extends to
+    a row-covering assignment of no smaller weight, which weighs at most the
+    sum of the potentials: the weight of this assignment.
     """
-    covered_left = {left[j] for j in matched}
-    covered_right = {right[j] for j in matched}
+    assigned = [(i, j) for j, i in enumerate(owner) if i is not None]
     ok = (
-        all(y >= 0 for y in y_left)
-        and all(y >= 0 for y in y_right)
-        and all(y_left[u] + y_right[v] >= w for w, u, v in zip(wp, left, right))
-        and all(y_left[left[j]] + y_right[right[j]] == wp[j] for j in matched)
-        and all(y == 0 for u, y in enumerate(y_left) if u not in covered_left)
-        and all(y == 0 for v, y in enumerate(y_right) if v not in covered_right)
+        sorted(i for i, _ in assigned) == list(range(len(entry)))
+        and all(y >= 0 and (i is not None or y == 0) for i, y in zip(owner, y_col))
+        and all(y_row[i] + y >= e for i, row in enumerate(entry) for y, e in zip(y_col, row))
+        and all(y_row[i] + y_col[j] == entry[i][j] for i, j in assigned)
     )
     if not ok:
-        raise AssertionError("dual certificate failed: matching is not maximum-weight")
+        raise AssertionError("dual certificate failed: assignment is not maximum-weight")
 
 
 def exact_bipartite_matching(spec, weights, excluded=frozenset()):
     """Maximum-weight matching in the bipartite graph encoded by ``spec``
-    minus the edges in ``excluded``.
+    minus the edges in ``excluded``: the Kuhn-Munkres assignment method
+    (Kuhn 1955; Munkres 1957) on the ``_perturb_for_lex`` weights of the
+    surviving edges only, whose unique optimum is the one on the deleted spec.
 
-    Primal-dual (Hungarian) augmentation on the integer weights of
-    ``_perturb_for_lex``.  Duals start at ``max wp`` on the left and 0 on the
-    right; reduced costs ``y_u + y_v - wp_e`` stay nonnegative and matched
-    edges stay tight.  The free left vertices always share one dual ``delta``.
-    Each phase runs one Dijkstra over alternating paths from all free left
-    vertices: an augmenting path of reduced length ``D`` gains ``delta - D``,
-    so the phase augments along the shortest one if ``D < delta``, and
-    otherwise lowers ``delta`` to 0 and stops, since no positive-gain path is
-    left.  Perturbed weights make the optimum unique, so the result is
-    deterministic with value-equal optima resolved to the smallest id set.
-    Only surviving edges are numbered, so the result is the one on
-    ``spec.delete(excluded)``; a vertex with no surviving edge stays free.
+    Rows are the vertices with a surviving edge on the side with fewer of
+    them, columns the other side's; an entry is the heaviest edge between
+    its row and column, or 0, and a row assigned to a 0 stays unmatched.
+    Each phase adds a row and moves the potentials by the least ``slack``
+    outside its tree of tight entries until the tree reaches a free column.
     """
     left_of, right_of = _bipartite_shape(spec)
     ids = sorted(e for e in spec.ground if e not in excluded)
-    if not ids:
-        return frozenset()
-    wp = _perturb_for_lex(weights, ids)
-    left = [left_of[e] for e in ids]
-    right = [right_of[e] for e in ids]
-    adj = [[] for _ in spec.matroids[0].blocks]
-    for j, u in enumerate(left):
-        adj[u].append(j)
+    if len({left_of[e] for e in ids}) > len({right_of[e] for e in ids}):
+        left_of, right_of = right_of, left_of
+    row_at = {u: i for i, u in enumerate(sorted({left_of[e] for e in ids}))}
+    col_at = {v: j for j, v in enumerate(sorted({right_of[e] for e in ids}))}
+    c = len(col_at)
+    entry = [[0] * c for _ in row_at]
+    edge_of = dict(zip(_perturb_for_lex(weights, ids), ids))
+    for w, e in sorted(edge_of.items()):  # of parallel edges, the heaviest is written last
+        entry[row_at[left_of[e]]][col_at[right_of[e]]] = w
 
-    delta = max(wp)
-    y_left = [delta] * len(adj)
-    y_right = [0] * len(spec.matroids[1].blocks)
-    mate_left = [None] * len(y_left)  # edge index matched at each vertex
-    mate_right = [None] * len(y_right)
-
-    while delta > 0:
-        free = [u for u, j in enumerate(mate_left) if j is None]
-        if not free:
-            break
-        # Dijkstra; a matched right vertex settles its mate at the same distance
-        settled_left = dict.fromkeys(free, 0)
-        settled_right = {}
-        best, via, heap = {}, {}, []
-
-        def scan(u, d):
-            y_u = y_left[u]
-            for j in adj[u]:
-                v = right[j]
-                if v in settled_right:
-                    continue
-                dv = d + y_u + y_right[v] - wp[j]
-                if v not in best or dv < best[v]:
-                    best[v], via[v] = dv, j
-                    heappush(heap, (dv, v))
-
-        for u in free:
-            scan(u, 0)
-        end = None
-        while heap:
-            d, v = heappop(heap)
-            if v in settled_right:
-                continue
-            if d >= delta:
+    y_row, y_col = [0] * len(row_at), [0] * (c + 1)
+    owner = [None] * (c + 1)  # row assigned to each column; column c roots a phase
+    for start in range(len(row_at)):
+        owner[c] = start
+        slack = [y_col[j] - entry[start][j] for j in range(c)]
+        way = [c] * c  # the tree column whose row gives j its slack
+        tree, outside = [c], list(range(c))
+        while True:
+            j0 = min(outside, key=slack.__getitem__)
+            delta = slack[j0]
+            for j in tree:
+                y_row[owner[j]] -= delta
+                y_col[j] += delta
+            slack = [s - delta for s in slack]
+            if owner[j0] is None:
                 break
-            settled_right[v] = d
-            j = mate_right[v]
-            if j is None:
-                end = v
-                break
-            u = left[j]
-            settled_left[u] = d
-            scan(u, d)
+            tree.append(j0)
+            outside.remove(j0)
+            i = owner[j0]
+            for j in outside:
+                reduced = y_row[i] + y_col[j] - entry[i][j]
+                if reduced < slack[j]:
+                    slack[j], way[j] = reduced, j0
+        while j0 != c:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
 
-        step = delta if end is None else settled_right[end]
-        for u, d in settled_left.items():
-            if d < step:
-                y_left[u] -= step - d
-        for v, d in settled_right.items():
-            if d < step:
-                y_right[v] += step - d
-        delta -= step
-        if end is None:
-            break
-        v = end
-        while v is not None:
-            j = via[v]
-            u = left[j]
-            previous = mate_left[u]
-            mate_left[u], mate_right[v] = j, j
-            v = None if previous is None else right[previous]
-
-    matched = [j for j in mate_left if j is not None]
-    _check_dual_certificate(wp, left, right, matched, y_left, y_right)
-    result = frozenset(ids[j] for j in matched)
+    del owner[c], y_col[c]
+    _check_dual_certificate(entry, owner, y_row, y_col)
+    result = frozenset(edge_of[entry[i][j]] for j, i in enumerate(owner)
+                       if i is not None and entry[i][j])
     assert spec.is_independent(result)
     return result
 

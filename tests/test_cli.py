@@ -7,12 +7,13 @@ import hashlib
 import io
 import json
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from budgetmech import Instance, UniformMatroid, first_price_greedy
+from budgetmech import Instance, UniformMatroid, cli, first_price_greedy, verify
 from budgetmech.cli import main
 from budgetmech.instance_io import instance_to_json
 from budgetmech.rationals import format_rational, mpq, parse_rational
@@ -408,6 +409,23 @@ def test_zero_threads_rejected(tmp_path, capsys, command):
     argv = [command, config, "--out", out] if command == "verify" else [command, config, out]
     assert main([*argv, "--threads", "0"]) == 2
     assert capsys.readouterr().err == "error: threads: must be a positive integer\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_broken_worker_pool_exits_4(tmp_path, capsys, monkeypatch, command):
+    """A pool whose worker died is an operating-system failure, not a
+    verification failure: one error line and exit 4, no traceback."""
+    def broken_sweep(job, cfg, mechanisms):
+        raise BrokenProcessPool("a worker process terminated abruptly")
+
+    monkeypatch.setattr(verify, "run_sweep", broken_sweep)
+    monkeypatch.setattr(cli, "run_sweep", broken_sweep)
+    config = write(tmp_path, "cfg.json", {"count": 2, "mechanisms": ["matroid"]})
+    out = str(tmp_path / ("reports" if command == "verify" else "sweep.csv"))
+    argv = [command, config, "--out", out] if command == "verify" else [command, config, out]
+    assert main([*argv, "--threads", "2"]) == 4
+    assert capsys.readouterr().err == \
+        "error: worker pool: a worker process terminated abruptly\n"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from budgetmech import (
     greedy_common_independent,
     set_weight,
 )
+from budgetmech.intersection import _check_dual_certificate
 from budgetmech.matroids import weight_order
 from budgetmech.oracle import brute_force_max, brute_force_opt
 from budgetmech.rationals import mpq
@@ -188,6 +189,27 @@ def test_larger_graph_answers_are_pinned():
             answers.append(sorted(exact_bipartite_matching(spec, w, frozenset(order[:k]))))
     digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
     assert digest == LARGER_GRAPH_ANSWERS_SHA256
+
+
+# a 2x3 assignment problem: rows 0 and 1 take columns 1 and 0 (weight 6),
+# column 2 stays unassigned; potentials (3, 2) and (1, 0, 0) prove it maximum
+ENTRY = [[4, 3, 0], [3, 1, 0]]
+OWNER = [1, 0, None]
+
+
+def test_dual_certificate_accepts_the_optimum():
+    _check_dual_certificate(ENTRY, OWNER, [3, 2], [1, 0, 0])
+
+
+@pytest.mark.parametrize("owner, y_row, y_col", [
+    ([0, 1, None], [3, 2], [1, 0, 0]),  # suboptimal assignment, optimal potentials
+    (OWNER, [3, 3], [0, 0, 0]),  # assigned entries tight, entry (0, 0) uncovered
+    (OWNER, [3, 2], [1, 0, 1]),  # positive potential on the unassigned column
+    ([1, None, None], [3, 2], [1, 0, 0]),  # row 0 left without a column
+])
+def test_dual_certificate_rejects(owner, y_row, y_col):
+    with pytest.raises(AssertionError, match="dual certificate failed"):
+        _check_dual_certificate(ENTRY, owner, y_row, y_col)
 
 
 @st.composite

@@ -39,3 +39,37 @@ def test_the_guard_sees_a_private_sibling_import(tmp_path):
                       "from os import _exit\n")
     assert _private_sibling_imports(module) == [
         (1, "xos", "_value_table"), (2, "budgetmech.verify", "_around")]
+
+
+# modules whose arithmetic must stay exact: integers and rationals only
+EXACT_MODULES = ("matroids", "intersection", "mechanisms", "xos", "oracle", "rationals")
+
+
+def _floats(path):
+    """``(line, source)`` of each float literal and ``float(...)`` call in the
+    module at ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        literal = isinstance(node, ast.Constant) and isinstance(node.value, float)
+        call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float")
+        if literal or call:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_exact_modules_use_no_float():
+    offenders = {
+        name: found
+        for name in EXACT_MODULES
+        if (found := _floats(SOURCE / f"{name}.py"))
+    }
+    assert not offenders, offenders
+
+
+def test_the_guard_sees_a_float(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("big = float('inf')\n"
+                      "half = 0.5\n"
+                      "exact = Fraction('1.5'), 3 // 2\n")
+    assert _floats(module) == [(1, "float('inf')"), (2, "0.5")]

@@ -327,3 +327,46 @@ def test_deviated_xos_outcomes_are_pinned(monkeypatch):
                 params = XosParams(seed=tape, alpha=218, beta=mpq(9, 2), gamma=4)
                 check_xos_truthfulness(valuation, costs, budget, params, seed=index)
     assert digest.hexdigest() == GOLDEN_XOS_OUTCOME_SHA256
+
+
+# every outcome a threshold truthfulness sweep computes, the truthful run and
+# each deviation, in call order: the pool of ``test_deviation_sequences_are_pinned``
+# plus four n = 10..12 instances per threshold mechanism, whose removal loops
+# run long
+GOLDEN_THRESHOLD_OUTCOME_SHA256 = "0de8d15ac00ea33de44a3f01757d56f4dd0e2444b00713310777b9dbfad6bf24"
+
+
+def test_threshold_deviation_outcomes_are_pinned():
+    digest = hashlib.sha256()
+
+    def rational(x):
+        return "-" if x is None else format_rational(x)
+
+    def record(outcome):
+        fields = [
+            outcome.branch,
+            ",".join(sorted(outcome.allocation)),
+            ",".join(f"{e}={rational(p)}" for e, p in sorted(outcome.payments.items())),
+            rational(outcome.final_rate),
+        ]
+        fields.extend(f"{s.iteration}:{rational(s.rate)}:{s.removed or '-'}:"
+                      f"{','.join(s.chosen)}:{rational(s.value)}" for s in outcome.trace)
+        digest.update("|".join(fields).encode() + b"\n")
+        return outcome
+
+    def sweep(mechanism, inst, index):
+        runner = make_runner(mechanism, inst)
+        check_truthfulness(lambda i: record(runner(i)), inst, 12, seed=index,
+                           mechanism=mechanism)
+
+    small = GeneratorConfig(count=6, seed=5, n_range=(3, 7))
+    large = GeneratorConfig(count=4, seed=5, n_range=(10, 12))
+    for mechanism in verify.MECHANISM_NAMES:
+        gen = gen_matroid_instance if mechanism in ("matroid", "broken-first-price") \
+            else gen_bipartite_instance
+        for index in range(6):
+            sweep(mechanism, gen(small, index), index)
+        if mechanism != "broken-first-price":
+            for index in range(4):
+                sweep(mechanism, gen(large, index), index)
+    assert digest.hexdigest() == GOLDEN_THRESHOLD_OUTCOME_SHA256

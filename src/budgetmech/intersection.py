@@ -104,19 +104,23 @@ def _perturb_for_lex(weights, ids):
     return [(w << (m + 1)) + (1 << (m - j)) for j, w in enumerate(scaled)]
 
 
-def _check_dual_certificate(entry, owner, y_row, y_col):
+def _check_dual_certificate(entry, edges, owner, y_row, y_col):
     """Raise unless the potentials prove that giving each column ``j`` of
-    ``entry`` to row ``owner[j]`` (every row once) is a maximum assignment.
+    ``entry`` to row ``owner[j]`` (every row once) is a maximum assignment,
+    and every edge ``(i, j, w)`` of ``edges`` weighs at most ``entry[i][j]``.
 
     LP duality: ``y_row[i] + y_col[j] >= entry[i][j]``, tight on assigned
     entries; column potentials >= 0, and 0 on unassigned columns.  As
     entries are >= 0 and rows no more than columns, any matching extends to
     a row-covering assignment of no smaller weight, which weighs at most the
-    sum of the potentials: the weight of this assignment.
+    sum of the potentials: the weight of this assignment.  The edge bound
+    carries this to the graph: a matching of the edges weighs at most the
+    assignment of their entries.
     """
     assigned = [(i, j) for j, i in enumerate(owner) if i is not None]
     ok = (
         sorted(i for i, _ in assigned) == list(range(len(entry)))
+        and all(w <= entry[i][j] for i, j, w in edges)
         and all(y >= 0 and (i is not None or y == 0) for i, y in zip(owner, y_col))
         and all(y_row[i] + y >= e for i, row in enumerate(entry) for y, e in zip(y_col, row))
         and all(y_row[i] + y_col[j] == entry[i][j] for i, j in assigned)
@@ -146,8 +150,9 @@ def exact_bipartite_matching(spec, weights, excluded=frozenset()):
     c = len(col_at)
     entry = [[0] * c for _ in row_at]
     edge_of = dict(zip(_perturb_for_lex(weights, ids), ids))
-    for w, e in sorted(edge_of.items()):  # of parallel edges, the heaviest is written last
-        entry[row_at[left_of[e]]][col_at[right_of[e]]] = w
+    edges = [(row_at[left_of[e]], col_at[right_of[e]], w) for w, e in sorted(edge_of.items())]
+    for i, j, w in edges:  # of parallel edges, the heaviest is written last
+        entry[i][j] = w
 
     y_row, y_col = [0] * len(row_at), [0] * (c + 1)
     owner = [None] * (c + 1)  # row assigned to each column; column c roots a phase
@@ -177,7 +182,7 @@ def exact_bipartite_matching(spec, weights, excluded=frozenset()):
             j0 = way[j0]
 
     del owner[c], y_col[c]
-    _check_dual_certificate(entry, owner, y_row, y_col)
+    _check_dual_certificate(entry, edges, owner, y_row, y_col)
     result = frozenset(edge_of[entry[i][j]] for j, i in enumerate(owner)
                        if i is not None and entry[i][j])
     assert spec.is_independent(result)

@@ -11,10 +11,13 @@ the truthfulness argument needs.  Bids enter only through the buck-per-bang
 order and the budget test; the candidate sets themselves are computed from
 public weights alone.  So the bid-free part (tau, the weight order, the
 first candidate set, integer weights) is a ``Plan`` built once per structure
-and weight vector, and the loop itself compares integers.
+and weight vector, and the loop itself compares integers.  For the same
+reason a run where one bid moved visits only two chains of candidate sets,
+and ``OneBidRunner`` answers such runs from them.
 """
 
 import copy
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import lcm
 from typing import Optional
@@ -226,100 +229,126 @@ class Plan:
         return sum(self.scaled[e] for e in s)
 
 
-def _run_threshold_mechanism(inst, plan, reselect, chosen=None, value=None):
-    """The shared removal loop, on integers.
-
-    The loop keeps the set ``excluded`` of elements that have left the
-    candidate ground set: tau first, then each removed element in turn.
-    ``chosen`` and ``value`` are the candidate set on what survives (a
-    frozenset) and its scaled weight, or None before any set is known.  When
-    ``x`` leaves, ``reselect(x, chosen, value, excluded)``, with ``x``
-    already in ``excluded``, returns the new set and its scaled weight.
-
-    The loop calls ``reselect`` at tau when it has no set yet, and otherwise
-    only when the element that leaves is in ``chosen``: a set that avoids
-    ``x`` is also the answer once ``x`` has left.  For the matroid
-    mechanism this is trivial: the greedy scan rejected ``x``, so without
-    ``x`` it makes the same choices and keeps its set ``B``.  For the
-    intersection mechanism it is the contract of every ``ApxBlackbox``,
-    proved for each shipped blackbox in ``get_blackbox``.
+class BidKeys:
+    """The bid-dependent part of one run of the removal loop, on integers.
 
     With the bids of the others over their common denominator ``d`` and the
     budget ``B = b_num / b_den``, element ``e``'s buck-per-bang is
-    ``key[e] * value_den / (d * lcm)``, so a candidate of scaled weight ``V``
-    fails the budget test ``value * rate > budget`` at ``e`` iff
-    ``V * key[e] * b_den > b_num * d * lcm``.  Rationals are built only for
-    the final rate and the payments.
+    ``key[e] * value_den / rate_den`` with ``rate_den = d * lcm``.  ``order``
+    is the others by key descending, ties to the smaller id: the removal
+    order.  A candidate of scaled weight ``V`` fails the budget test
+    ``value * rate > budget`` at ``e`` iff ``V * key[e] * b_den > b_num *
+    rate_den``.  Rationals are built only for the final rate and the
+    payments.
     """
-    bids, budget, tau = inst.bids, inst.budget, plan.tau
-    rest, multiplier = plan.rest, plan.multiplier
-    bid_den, bid_ints = scale_to_integers([bids[e] for e in rest])
-    key = {e: p * multiplier[e] for e, p in zip(rest, bid_ints)}
-    others = descending(rest, key)
-    budget_num, budget_den = budget.numerator, budget.denominator
-    limit = budget_num * bid_den * plan.lcm
-    scales = (plan.value_den, bid_den * plan.lcm)
 
-    # each pass first excludes the element that left last (tau on the first
-    # pass), then tests the next one; None stands past the last element
-    excluded, trace, leaving = set(), [], tau
-    for i, e in enumerate([*others, None], 1):
-        excluded.add(leaving)
-        if chosen is None or leaving in chosen:
-            chosen, value = reselect(leaving, chosen, value, excluded)
-        if e is None or value * key[e] * budget_den <= limit:
-            trace.append(TraceStep(i, None, key.get(e), chosen, value, scales))
-            break
-        trace.append(TraceStep(i, e, key[e], chosen, value, scales))
-        leaving = e
+    def __init__(self, bids, budget, plan):
+        rest, multiplier = plan.rest, plan.multiplier
+        bid_den, bid_ints = scale_to_integers([bids[e] for e in rest])
+        self.key = {e: p * multiplier[e] for e, p in zip(rest, bid_ints)}
+        self.order = descending(rest, self.key)
+        self.budget = budget
+        self.scales = (plan.value_den, bid_den * plan.lcm)
 
-    # rate = min(budget / value, bb_prev), or bb_prev when value is 0; bb_prev
-    # is the rate of the last removed element, +inf (None) if none was removed
-    removed = len(trace) - 1
-    prev_key = key[others[removed - 1]] if removed else None
-    value_den, rate_den = scales
-    if value > 0 and (prev_key is None or limit <= prev_key * budget_den * value):
-        rate = mpq(budget_num * value_den, budget_den * value)  # budget / value
+    def steps(self, walk, tested, iteration=1, until=0):
+        """Trace steps of ``walk``'s states, each tested against the next
+        element of ``tested`` (then None, past the last, which passes), up to
+        the first passing test at index ``until`` or later.  Step ``k`` is
+        iteration ``iteration + k``; a failed test removes its element."""
+        key, scales, den = self.key, self.scales, self.budget.denominator
+        limit = self.budget.numerator * scales[1]
+        steps = []
+        for k, ((chosen, value), e) in enumerate(zip(walk, [*tested, None])):
+            passed = e is None or value * key[e] * den <= limit
+            steps.append(TraceStep(iteration + k, None if passed else e, key.get(e),
+                                   chosen, value, scales))
+            if passed and k >= until:
+                return steps
+
+
+def exclusion_walk(reselect, chosen, value, leaving):
+    """The candidate set and its scaled weight after each element of
+    ``leaving`` has left the candidate ground set in turn.
+
+    ``chosen`` and ``value`` are the set on the whole ground set (a
+    frozenset) and its scaled weight, or None when no set is known.  When
+    ``x`` leaves, ``reselect(x, chosen, value, excluded)``, with ``x``
+    already in ``excluded``, returns the new set and its scaled weight.
+
+    The walk calls ``reselect`` when it has no set yet, and otherwise only
+    when the element that leaves is in ``chosen``: a set that avoids ``x``
+    is also the answer once ``x`` has left.  For the matroid mechanism this
+    is trivial: the greedy scan rejected ``x``, so without ``x`` it makes
+    the same choices and keeps its set ``B``.  For the intersection
+    mechanism it is the contract of every ``ApxBlackbox``, proved for each
+    shipped blackbox in ``get_blackbox``.  So each yielded set depends on
+    the set of elements that have left, not on their order.
+
+    The walk is lazy: an element leaves only when the next state is asked
+    for.
+    """
+    excluded = set()
+    for x in leaving:
+        excluded.add(x)
+        if chosen is None or x in chosen:
+            chosen, value = reselect(x, chosen, value, excluded)
+        yield chosen, value
+
+
+def settle(plan, weights, budget, stop, prev):
+    """The fields of an ``Outcome`` other than its trace, for a loop that
+    stopped at trace step ``stop`` after the removal step ``prev`` (None
+    when nothing was removed).
+
+    rate = min(budget / value, bb_prev), or bb_prev when value is 0; bb_prev
+    is the rate of the last removed element, +inf (None) if none was
+    removed.  The set branch buys ``stop``'s set at that rate per weight,
+    when it outweighs tau; the tau branch buys tau at the budget.
+    """
+    chosen, value, tau = stop._members, stop._weight, plan.tau
+    value_den, num, den = plan.value_den, budget.numerator, budget.denominator
+    # budget / value <= bb_prev, with bb_prev = prev._key * value_den / prev._scales[1]
+    if value > 0 and (prev is None or num * prev._scales[1] <= prev._key * den * value):
+        rate = mpq(num * value_den, den * value)  # budget / value
     else:
-        rate = None if prev_key is None else mpq(prev_key * value_den, rate_den)
+        rate = None if prev is None else mpq(prev._key * value_den, prev._scales[1])
 
     if value > plan.scaled[tau]:
         branch, allocation = "set", frozenset(chosen)
-        payments = {e: rate * inst.weights[e] for e in chosen}
+        payments = {e: rate * weights[e] for e in chosen}
     else:
         branch, allocation, payments = "tau", frozenset([tau]), {tau: budget}
-    return Outcome(
-        allocation=allocation,
-        payments=payments,
-        tau=tau,
-        branch=branch,
-        final_rate=rate,
-        trace=tuple(trace),
-        budget=budget,
-    )
+    return {"allocation": allocation, "payments": payments, "tau": tau, "branch": branch,
+            "final_rate": rate, "budget": budget}
 
 
-def run_matroid_mechanism(inst, plan=None):
-    """Budget-feasible mechanism for procuring an independent set of a matroid.
+def _run_threshold_mechanism(inst, plan, reselect, chosen=None, value=None):
+    """The shared removal loop, on integers: walk tau and then the others in
+    ``BidKeys`` order out of the candidate ground set, and stop at the
+    first candidate set that passes the budget test against the next
+    element.  ``reselect``, ``chosen`` and ``value`` start the
+    ``exclusion_walk``."""
+    keys = BidKeys(inst.bids, inst.budget, plan)
+    walk = exclusion_walk(reselect, chosen, value, [plan.tau, *keys.order])
+    trace = keys.steps(walk, keys.order)
+    prev = trace[-2] if len(trace) > 1 else None
+    return Outcome(trace=tuple(trace),
+                   **settle(plan, inst.weights, inst.budget, trace[-1], prev))
 
-    The greedy set ``B`` (weight descending, id ascending) is computed once,
-    in the plan, and repaired as elements of ``B`` leave the ground set:
-    excluding ``x`` gives ``B - x + f``, with ``f`` the first surviving
-    element after ``x`` outside ``B`` that keeps it independent, or ``B - x``
-    if there is none.  Elements before ``x`` need no test: each one outside
-    ``B`` is spanned by the members of ``B`` before it, which do not include
-    ``x``.  The ``f`` outside ``B`` that keep ``B - x + f`` independent form,
-    with ``x``, the fundamental cocircuit of ``x`` with respect to ``B``;
-    ``structure.extender(B - x).fits`` tests membership in it.
 
-    ``plan`` is ``Plan(inst.structure, inst.weights)``, built here when not
-    given.
+def matroid_reselect(structure, plan):
+    """``(reselect, chosen, value)`` of the matroid mechanism: the greedy set
+    ``B`` of the plan, repaired as elements of ``B`` leave the ground set.
+
+    Excluding ``x`` gives ``B - x + f``, with ``f`` the first surviving
+    element after ``x`` outside ``B`` that keeps it independent, or ``B -
+    x`` if there is none.  Elements before ``x`` need no test: each one
+    outside ``B`` is spanned by the members of ``B`` before it, which do not
+    include ``x``.  The ``f`` outside ``B`` that keep ``B - x + f``
+    independent form, with ``x``, the fundamental cocircuit of ``x`` with
+    respect to ``B``; ``structure.extender(B - x).fits`` tests membership in
+    it.
     """
-    if not isinstance(inst.structure, Matroid):
-        raise InputError("run_matroid_mechanism needs a single-matroid instance")
-    structure = inst.structure
-    if plan is None:
-        plan = Plan(structure, inst.weights)
     scaled, order, position = plan.scaled, plan.order, plan.position
 
     def repair(x, chosen, value, excluded):
@@ -335,7 +364,32 @@ def run_matroid_mechanism(inst, plan=None):
                 return chosen | {f}, value + scaled[f]
         return chosen, value
 
-    return _run_threshold_mechanism(inst, plan, repair, plan.basis, plan.basis_weight)
+    return repair, plan.basis, plan.basis_weight
+
+
+def blackbox_reselect(spec, weights, blackbox, plan):
+    """``(reselect, chosen, value)`` of the intersection mechanism: ask
+    ``blackbox`` on ``spec`` and the set excluded so far; no set to start."""
+
+    def reselect(x, chosen, value, excluded):
+        chosen = frozenset(blackbox(spec, weights, excluded))
+        return chosen, plan.weight(chosen)
+
+    return reselect, None, None
+
+
+def run_matroid_mechanism(inst, plan=None):
+    """Budget-feasible mechanism for procuring an independent set of a matroid.
+
+    The greedy set is computed once, in the plan, and repaired as elements
+    leave the ground set (``matroid_reselect``).  ``plan`` is
+    ``Plan(inst.structure, inst.weights)``, built here when not given.
+    """
+    if not isinstance(inst.structure, Matroid):
+        raise InputError("run_matroid_mechanism needs a single-matroid instance")
+    if plan is None:
+        plan = Plan(inst.structure, inst.weights)
+    return _run_threshold_mechanism(inst, plan, *matroid_reselect(inst.structure, plan))
 
 
 def run_intersection_mechanism(inst, blackbox, plan=None):
@@ -347,12 +401,108 @@ def run_intersection_mechanism(inst, blackbox, plan=None):
         raise InputError("run_intersection_mechanism needs an intersection instance")
     if plan is None:
         plan = Plan(inst.structure, inst.weights)
+    return _run_threshold_mechanism(
+        inst, plan, *blackbox_reselect(inst.structure, inst.weights, blackbox, plan))
 
-    def reselect(x, chosen, value, excluded):
-        chosen = frozenset(blackbox(inst.structure, inst.weights, excluded))
-        return chosen, plan.weight(chosen)
 
-    return _run_threshold_mechanism(inst, plan, reselect)
+class OneBidRunner:
+    """Runs a threshold mechanism on bid variants of one instance, answering
+    a call that moves one bid away from the first call's from two removal
+    chains of that element.
+
+    ``run(inst)`` is the full mechanism on ``plan``; ``reselect``, ``chosen``
+    and ``value`` start its ``exclusion_walk``.  The first call runs in full
+    and its bids and budget become the key.  Let ``e`` be the one element
+    whose bid moved, and ``O`` the others (tau and ``e`` aside) in the key's
+    removal order.
+
+    - A new bid for ``e`` scales every other key alike, so the others keep
+      the order ``O``; only ``e``'s position ``p`` in it moves.
+    - Each candidate set depends only on the set that has left
+      (``exclusion_walk``).  So a run visits ``A_k``, the set after tau and
+      ``O[:k]`` have left, for ``k <= p``, then ``B_k``, the set after ``e``
+      has left too, for ``k >= p``.
+    - A budget test compares a set's value with the buck-per-bang of the
+      next element.  Unless that element is ``e``, neither side reads
+      ``e``'s bid, so every test on both chains has one result for every
+      bid of ``e``.
+
+    The loop stops at its first passing test: on ``A`` before ``p``, else
+    ``e``'s own test against ``A_p``, else on ``B`` from ``p`` on.  Only
+    ``e``'s trace step and, when the loop stops at ``B_p``, the final rate
+    read the new bid, so the other fields are kept per stop.  Tau's bid is
+    never read: a call that moves it gets the key's outcome.  Any other call
+    (no bid moved, several, or another budget) runs in full; another budget
+    becomes the new key.
+    """
+
+    def __init__(self, run, plan, reselect, chosen=None, value=None):
+        self._run, self._plan, self._start = run, plan, (reselect, chosen, value)
+        self._base = None  # (instance, outcome) of the key
+        self._keys = None  # the key's BidKeys, built with the first chains
+        self._chains = {}
+
+    def __call__(self, inst):
+        if self._base is None or inst.budget != self._base[0].budget:
+            outcome = self._run(inst)
+            self._base, self._keys, self._chains = (inst, outcome), None, {}
+            return outcome
+        base_bids = self._base[0].bids
+        moved = [e for e, bid in inst.bids.items()
+                 if bid is not base_bids[e] and bid != base_bids[e]]
+        if len(moved) != 1:
+            return self._run(inst)
+        e = moved[0]
+        if e == self._plan.tau:
+            return self._base[1]
+        if e not in self._chains:
+            self._chains[e] = self._build(e)
+        return self._answer(e, inst.bids[e], inst.weights)
+
+    def _build(self, e):
+        """``e``'s two chains as trace steps, ``A`` up to its first passing
+        test and ``B`` up to its first passing test at or after that index,
+        and for each ``k`` the index of ``B``'s first passing test from ``k``
+        on."""
+        if self._keys is None:
+            inst = self._base[0]
+            self._keys = BidKeys(inst.bids, inst.budget, self._plan)
+        keys, tau = self._keys, self._plan.tau
+        others = [o for o in keys.order if o != e]
+        a = keys.steps(exclusion_walk(*self._start, [tau, *others]), others)
+        walk = exclusion_walk(*self._start, [tau, e, *others])
+        next(walk)  # tau alone has left: that is A_0
+        b = keys.steps(walk, others, iteration=2, until=len(a) - 1)
+        next_pass = [len(b) - 1] * len(b)
+        for k in range(len(b) - 2, -1, -1):
+            next_pass[k] = k if b[k].removed is None else next_pass[k + 1]
+        return others, a, b, next_pass, {}
+
+    def _answer(self, e, bid, weights):
+        others, a, b, next_pass, tails = self._chains[e]
+        plan, key, rate_den = self._plan, self._keys.key, self._keys.scales[1]
+        budget = self._base[0].budget
+        # e's key over its own scale: buck-per-bang is key_e * value_den / den_e
+        key_e, den_e = bid.numerator * plan.multiplier[e], bid.denominator * plan.lcm
+        p = bisect_left(others, (-key_e * rate_den, e), key=lambda o: (-key[o] * den_e, o))
+
+        def tail(chain, k):  # the fields of a stop at chain[k], which read no bid of e
+            slot = (chain is a, k)
+            if slot not in tails:
+                tails[slot] = settle(plan, weights, budget, chain[k], chain[k - 1] if k else None)
+            return tails[slot]
+
+        if p >= len(a):  # A passes before e is tested
+            return Outcome(trace=tuple(a), **tail(a, len(a) - 1))
+        at = a[p]  # e's own budget test, as in BidKeys but at e's scale
+        passed = at._weight * key_e * budget.denominator <= budget.numerator * den_e
+        step = TraceStep(p + 1, None if passed else e, key_e, at._members, at._weight,
+                         (plan.value_den, den_e))
+        if passed:
+            return Outcome(trace=(*a[:p], step), **tail(a, p))
+        stop = next_pass[p]
+        fields = settle(plan, weights, budget, b[p], step) if stop == p else tail(b, stop)
+        return Outcome(trace=(*a[:p], step, *b[p:stop + 1]), **fields)
 
 
 def utility(inst, outcome, e):

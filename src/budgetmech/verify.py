@@ -39,8 +39,11 @@ from .matroids import (
 )
 from .mechanisms import (
     Instance,
+    OneBidRunner,
     Plan,
+    blackbox_reselect,
     first_price_greedy,
+    matroid_reselect,
     run_intersection_mechanism,
     run_matroid_mechanism,
 )
@@ -244,14 +247,20 @@ def make_runner(name, inst):
     exclusion set on the instance's spec; both are sound because they read
     the structure and the weights only.  The matroid mechanism needs no memo:
     it repairs its greedy set after each removal instead of recomputing it.
+    A threshold mechanism's closure is a ``OneBidRunner``: its first call
+    runs in full, and a later call that moves one bid away from the first
+    call's is answered from that element's two removal chains, with the
+    outcome a full run gives.
     """
     if name == "matroid":
         plan = Plan(inst.structure, inst.weights)
-        return lambda i: run_matroid_mechanism(i, plan)
+        return OneBidRunner(lambda i: run_matroid_mechanism(i, plan), plan,
+                            *matroid_reselect(inst.structure, plan))
     if name in BLACKBOX_OF:
         blackbox = memoized_blackbox(get_blackbox(BLACKBOX_OF[name], inst.structure))
         plan = Plan(inst.structure, inst.weights)
-        return lambda i: run_intersection_mechanism(i, blackbox, plan)
+        return OneBidRunner(lambda i: run_intersection_mechanism(i, blackbox, plan), plan,
+                            *blackbox_reselect(inst.structure, inst.weights, blackbox, plan))
     if name == "broken-first-price":
         return first_price_greedy
     raise InputError(f"unknown mechanism {name!r}")
@@ -372,9 +381,12 @@ def check_truthfulness(runner, inst, deviations_per_element=50, seed=0,
                        mechanism="matroid"):
     """No unilateral bid deviation may strictly improve an element's utility.
 
-    The instance is evaluated at truthful bids first; every deviation re-runs
-    the full mechanism with one bid changed (``Instance.with_bid``) and
-    compares exact utilities in ``_deviation_sweep``.
+    The instance is evaluated at truthful bids first; every deviation calls
+    ``runner`` with one bid changed (``Instance.with_bid``) and compares
+    exact utilities in ``_deviation_sweep``.  A ``make_runner`` runner
+    answers those calls from each element's two removal chains, with the
+    outcome a full run of the mechanism gives (``OneBidRunner``); any other
+    runner, such as a control mechanism, runs in full every time.
     """
     report = VerificationReport("Truthful", mechanism, instances_checked=1)
     t_inst = inst.truthful()
@@ -758,8 +770,11 @@ def replay_failure(doc):
     inst = loaded.mechanism_instance()
     runner = make_runner(mechanism, inst)
     if prop == "Truthful":
+        # the deviation goes to a runner of its own, whose first call is a
+        # full run: a replay never reads the one-bid chains it would check
         t_inst = inst.truthful()
-        truthful, deviated = runner(t_inst), runner(t_inst.with_bid(e, d))
+        truthful = runner(t_inst)
+        deviated = make_runner(mechanism, inst)(t_inst.with_bid(e, d))
         cost = t_inst.true_costs[e]
         return deviated.utility(e, cost) > truthful.utility(e, cost)
     if prop in ("Independence", "IR", "BudgetFeasible"):

@@ -71,6 +71,20 @@ def xos_pool():
     return [gen_xos_instance(404, i) for i in range(XOS_INSTANCES)]
 
 
+@pytest.fixture(scope="module")
+def xos_runs(xos_pool):
+    """``(opt_value, outcomes)`` for each pool instance: its OPT value and
+    its truthful run at each seed below ``XOS_SEEDS``.  Both XOS suite
+    criteria read them, so each run is made once."""
+    runs = []
+    for valuation, costs, budget in xos_pool:
+        outcomes = [xos_mechanism_main(valuation, costs, costs, budget,
+                                       XosParams(seed=seed, **XOS_PARAMS))
+                    for seed in range(XOS_SEEDS)]
+        runs.append((xos_opt(valuation, costs, budget)[1], outcomes))
+    return runs
+
+
 def test_criterion_mech1_soundness(mech1_runs):
     """1000+ seeded instances: independence, IR, budget, 4-competitiveness."""
     started = time.monotonic()
@@ -219,18 +233,17 @@ def _truthfulness_seeds(n):
     return [max_branch] + continues[:2]
 
 
-def test_criterion_xos_suite_budget_ir_truthfulness_expectation(xos_pool):
+def test_criterion_xos_suite_budget_ir_truthfulness_expectation(xos_pool, xos_runs):
     """Every run budget feasible + IR; fixed-seed deviations find nothing;
     per-instance expected value exceeds OPT/436."""
     invariant_failures = 0
     truthful_failures = 0
     expectation_failures = 0
-    for index, (valuation, costs, budget) in enumerate(xos_pool):
-        opt_value = xos_opt(valuation, costs, budget)[1]
+    for index, ((valuation, costs, budget), (opt_value, outcomes)) in enumerate(
+            zip(xos_pool, xos_runs)):
         total_value = ZERO
-        for seed in range(XOS_SEEDS):
+        for seed, out in enumerate(outcomes):
             params = XosParams(seed=seed, **XOS_PARAMS)
-            out = xos_mechanism_main(valuation, costs, costs, budget, params)
             invariant_failures += len(
                 check_xos_outcome(valuation, costs, costs, budget, out, params)
             )
@@ -262,7 +275,7 @@ def _empty_t2_seeds(n):
     return [s for s in range(XOS_SEEDS) if _xos_coin_tape(s, n) == (0, [1] * n)]
 
 
-def test_criterion_xos_suite_per_run_ratio(xos_pool):
+def test_criterion_xos_suite_per_run_ratio(xos_pool, xos_runs):
     """Per-run check on all 10,000 seeded runs: value >= OPT/436 on every run
     whose coin tape leaves T2 nonempty, and exact emptiness on the rest.
 
@@ -284,13 +297,11 @@ def test_criterion_xos_suite_per_run_ratio(xos_pool):
     """
     failures = []
     corner_runs = []
-    for index, (valuation, costs, budget) in enumerate(xos_pool):
-        opt_value = xos_opt(valuation, costs, budget)[1]
+    for index, ((valuation, costs, budget), (opt_value, outcomes)) in enumerate(
+            zip(xos_pool, xos_runs)):
         ground = frozenset(valuation.ground)
         corner_seeds = _empty_t2_seeds(len(ground))
-        for seed in range(XOS_SEEDS):
-            params = XosParams(seed=seed, **XOS_PARAMS)
-            out = xos_mechanism_main(valuation, costs, costs, budget, params)
+        for seed, out in enumerate(outcomes):
             if seed in corner_seeds:
                 corner_runs.append((index, seed))
                 if not (out.branch == "empty" and not out.t2 and out.t1 == ground

@@ -194,11 +194,21 @@ def test_larger_graph_answers_are_pinned():
 # a 2x3 assignment problem: rows 0 and 1 take columns 1 and 0 (weight 6),
 # column 2 stays unassigned; potentials (3, 2) and (1, 0, 0) prove it maximum
 ENTRY = [[4, 3, 0], [3, 1, 0]]
+EDGES = [(0, 0, 4), (0, 1, 3), (1, 0, 3), (1, 1, 1)]
 OWNER = [1, 0, None]
 
 
 def test_dual_certificate_accepts_the_optimum():
-    _check_dual_certificate(ENTRY, OWNER, [3, 2], [1, 0, 0])
+    _check_dual_certificate(ENTRY, EDGES, OWNER, [3, 2], [1, 0, 0])
+    # a lighter parallel edge under an entry is covered by it
+    _check_dual_certificate(ENTRY, EDGES + [(0, 0, 2)], OWNER, [3, 2], [1, 0, 0])
+
+
+def test_dual_certificate_rejects_a_matrix_that_keeps_the_lighter_parallel_edge():
+    # edges 5 and 4 join row 0 and column 0, and the matrix holds 4: the
+    # assignment is maximum for the matrix, not for the graph
+    with pytest.raises(AssertionError, match="dual certificate failed"):
+        _check_dual_certificate(ENTRY, EDGES + [(0, 0, 5)], OWNER, [3, 2], [1, 0, 0])
 
 
 @pytest.mark.parametrize("owner, y_row, y_col", [
@@ -209,7 +219,7 @@ def test_dual_certificate_accepts_the_optimum():
 ])
 def test_dual_certificate_rejects(owner, y_row, y_col):
     with pytest.raises(AssertionError, match="dual certificate failed"):
-        _check_dual_certificate(ENTRY, owner, y_row, y_col)
+        _check_dual_certificate(ENTRY, EDGES, owner, y_row, y_col)
 
 
 @st.composite

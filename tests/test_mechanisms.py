@@ -1,6 +1,7 @@
 """The two procurement mechanisms: hand traces, invariants, edge cases."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from budgetmech import (
     run_matroid_mechanism,
     set_weight,
     utility,
+    verify,
 )
 from budgetmech.rationals import mpq
 from budgetmech.verify import (
@@ -398,3 +400,61 @@ def test_instance_keeps_rationals_and_checks_signs_on_numerators():
     with pytest.raises(InputError, match="^budget must be positive$"):
         Instance(inst.structure, {"a": 1, "b": 1}, {"a": 1, "b": 1}, {"a": 1, "b": 1},
                  mpq(-3, 4))
+
+
+def deviation_bids(inst, e, fresh):
+    """Bids for ``e`` that probe the one-bid table: every anchor of
+    ``truthful_deviation_bids`` (each other element's buck-per-bang times
+    ``w_e``, so exact ties with lower and higher ids, and their neighbours),
+    and each bid that puts ``e``'s own budget test at equality on a
+    candidate set of the chain it is tested on."""
+    bids = set(truthful_deviation_bids(inst, e, fresh(inst), random.Random(0), 0))
+    w_e, budget = inst.weights[e], inst.budget
+    # bidding near 0 puts e last, so the run walks the sets e can be tested on
+    low = fresh(inst.with_bid(e, mpq(1, 10**9)))
+    bids.update(budget * w_e / step.value for step in low.trace if step.value > 0)
+    bids.add(budget * 3)  # above the budget: e is removed first
+    return sorted(bids - {inst.bids[e]})
+
+
+@pytest.mark.parametrize("mechanism, kind", [("matroid", kind) for kind in MATROID_KINDS]
+                         + [("intersection-exact", None), ("intersection-greedy", None)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_bid_answers_match_fresh_runs(mechanism, kind, data):
+    if mechanism == "matroid":
+        structure = data.draw(matroids(kind))
+        run, fresh = "run_matroid_mechanism", run_matroid_mechanism
+    else:
+        structure = data.draw(bipartite_specs() if mechanism == "intersection-exact"
+                              else st.one_of(bipartite_specs(), mixed_specs()))
+        blackbox = get_blackbox(BLACKBOX_OF[mechanism], structure)
+        run = "run_intersection_mechanism"
+
+        def fresh(i):
+            return run_intersection_mechanism(i, blackbox)
+    inst = data.draw(priced(structure))
+    full_runs = []
+    full = getattr(verify, run)
+
+    def counted(*args):
+        full_runs.append(1)
+        return full(*args)
+
+    with patch.object(verify, run, counted):
+        runner = make_runner(mechanism, inst)
+        for budget in (inst.budget, inst.budget * 2):  # another budget is a new key
+            base = Instance(structure, inst.weights, inst.true_costs, inst.bids, budget)
+            assert runner(base) == fresh(base)
+            assert len(full_runs) == 1
+            for e in sorted(inst.ground):  # tau too: its bid is never read
+                for d in deviation_bids(base, e, fresh):
+                    deviated = base.with_bid(e, d)
+                    assert runner(deviated) == fresh(deviated)
+            assert len(full_runs) == 1  # every one-bid call came from the chains
+            two = base
+            for e in sorted(inst.ground)[:2]:  # moving two bids runs in full
+                two = two.with_bid(e, two.bids[e] + 1)
+            assert runner(two) == fresh(two)
+            assert len(full_runs) == min(2, len(inst.ground))
+            full_runs.clear()

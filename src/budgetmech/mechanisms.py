@@ -16,7 +16,6 @@ reason a run where one bid moved visits only two chains of candidate sets,
 and ``OneBidRunner`` answers such runs from them.
 """
 
-import copy
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import lcm
@@ -77,8 +76,8 @@ class Instance:
         bid = _rational(bid)
         if bid.numerator <= 0:
             raise InputError(f"bids[{e}] must be positive")
-        clone = copy.copy(self)
-        clone.bids = {**self.bids, e: bid}
+        clone = object.__new__(type(self))
+        clone.__dict__ = {**self.__dict__, "bids": {**self.bids, e: bid}}
         return clone
 
     def truthful(self):
@@ -430,10 +429,11 @@ class OneBidRunner:
     The loop stops at its first passing test: on ``A`` before ``p``, else
     ``e``'s own test against ``A_p``, else on ``B`` from ``p`` on.  Only
     ``e``'s trace step and, when the loop stops at ``B_p``, the final rate
-    read the new bid, so the other fields are kept per stop.  Tau's bid is
-    never read: a call that moves it gets the key's outcome.  Any other call
-    (no bid moved, several, or another budget) runs in full; another budget
-    becomes the new key.
+    read the new bid, so the other fields are kept per stop.  The mechanism
+    is deterministic and tau's bid is never read, so a call that moves no
+    bid, or only tau's, gets the key's outcome.  Any other call (several
+    bids moved, or another budget) runs in full; another budget becomes the
+    new key.
     """
 
     def __init__(self, run, plan, reselect, chosen=None, value=None):
@@ -450,11 +450,11 @@ class OneBidRunner:
         base_bids = self._base[0].bids
         moved = [e for e, bid in inst.bids.items()
                  if bid is not base_bids[e] and bid != base_bids[e]]
-        if len(moved) != 1:
+        if len(moved) > 1:
             return self._run(inst)
-        e = moved[0]
-        if e == self._plan.tau:
+        if not moved or moved[0] == self._plan.tau:
             return self._base[1]
+        e = moved[0]
         if e not in self._chains:
             self._chains[e] = self._build(e)
         return self._answer(e, inst.bids[e], inst.weights)

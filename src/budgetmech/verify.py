@@ -248,9 +248,10 @@ def make_runner(name, inst):
     the structure and the weights only.  The matroid mechanism needs no memo:
     it repairs its greedy set after each removal instead of recomputing it.
     A threshold mechanism's closure is a ``OneBidRunner``: its first call
-    runs in full, and a later call that moves one bid away from the first
-    call's is answered from that element's two removal chains, with the
-    outcome a full run gives.
+    runs in full, a later call that moves no bid gets the first call's
+    outcome, and one that moves one bid away from the first call's is
+    answered from that element's two removal chains, with the outcome a full
+    run gives.
     """
     if name == "matroid":
         plan = Plan(inst.structure, inst.weights)

@@ -20,7 +20,7 @@ from budgetmech import (
 )
 from budgetmech.intersection import _check_dual_certificate
 from budgetmech.matroids import weight_order
-from budgetmech.oracle import brute_force_max, brute_force_opt
+from budgetmech.oracle import brute_force_max
 from budgetmech.rationals import mpq
 from budgetmech.verify import GeneratorConfig, gen_bipartite_instance
 from conftest import RATIONALS, bipartite_specs, mixed_specs
@@ -258,7 +258,7 @@ def test_exact_matching_is_the_oracle_set(case):
     spec, w, removed = case
     deleted = spec.delete(removed)
     for sub in (spec, deleted):
-        assert exact_bipartite_matching(sub, w) == brute_force_opt(sub, w, w, None)
+        assert exact_bipartite_matching(sub, w) == brute_force_max(sub, w)
     for blackbox in (exact_bipartite_matching, greedy_common_independent):
         assert blackbox(spec, w, removed) == blackbox(deleted, w)
 

@@ -447,6 +447,9 @@ def test_one_bid_answers_match_fresh_runs(mechanism, kind, data):
             base = Instance(structure, inst.weights, inst.true_costs, inst.bids, budget)
             assert runner(base) == fresh(base)
             assert len(full_runs) == 1
+            again = Instance(structure, inst.weights, inst.true_costs, dict(inst.bids), budget)
+            assert runner(again) == fresh(again)  # no bid moved: the key's outcome
+            assert len(full_runs) == 1
             for e in sorted(inst.ground):  # tau too: its bid is never read
                 for d in deviation_bids(base, e, fresh):
                     deviated = base.with_bid(e, d)

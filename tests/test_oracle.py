@@ -1,5 +1,7 @@
 """Brute-force oracles: exactness, tie-breaks, caps, self-consistency."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,9 @@ from budgetmech import (
     set_weight,
     xos_opt,
 )
+from budgetmech.oracle import enumerate_independent_sets
 from budgetmech.rationals import mpq
+from conftest import MATROID_KINDS, RATIONALS, bipartite_specs, matroids, mixed_specs
 
 
 def test_zero_budget_buys_nothing():
@@ -83,3 +87,37 @@ def test_xos_opt_manual():
     assert best == {"a", "b"} and value == 6  # first clause: 4 + 2
     best, value = xos_opt(val, costs, 3)
     assert best == {"b"} and value == 5
+
+
+def _subsets(ground):
+    """Every subset of ``ground`` as a sorted id tuple, by ``combinations``."""
+    ids = sorted(ground)
+    return [c for r in range(len(ids) + 1) for c in combinations(ids, r)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), structure=st.one_of(
+    *(matroids(kind) for kind in MATROID_KINDS), bipartite_specs(), mixed_specs()))
+def test_oracles_match_a_naive_scan_with_the_written_tie_rule(data, structure):
+    """Second route: a scan of ``combinations`` that applies the tie rule as
+    written (value, then smaller cost for XOS, then the smaller sorted id
+    tuple) on tie-heavy weights, costs and clauses, at budgets 0, exactly one
+    subset's cost and above the total."""
+    ground = structure.ground
+    w = {e: data.draw(RATIONALS) for e in ground}
+    c = {e: data.draw(RATIONALS) for e in ground}
+    independent = [s for s in _subsets(ground) if structure.is_independent(set(s))]
+    assert enumerate_independent_sets(structure) == [frozenset(s) for s in sorted(independent)]
+    spent = sum(c[e] for e in data.draw(st.sets(st.sampled_from(sorted(ground)))))
+    clauses = [{e: data.draw(st.integers(0, 3)) for e in ground}
+               for _ in range(data.draw(st.integers(1, 3)))]
+    valuation = XosValuation(ground, clauses)
+    for budget in (mpq(0), spent, sum(c.values()) + 1):
+        fit = [s for s in independent if sum(c[e] for e in s) <= budget]
+        best = min(fit, key=lambda s: (-sum(w[e] for e in s), s))
+        assert brute_force_opt(structure, w, c, budget) == frozenset(best)
+        fit = [s for s in _subsets(ground) if sum(c[e] for e in s) <= budget]
+        best = min(fit, key=lambda s: (-valuation.value(s), sum(c[e] for e in s), s))
+        assert xos_opt(valuation, c, budget) == (frozenset(best), valuation.value(best))
+    best = min(independent, key=lambda s: (-sum(w[e] for e in s), s))
+    assert brute_force_max(structure, w) == frozenset(best)

@@ -41,6 +41,47 @@ def test_the_guard_sees_a_private_sibling_import(tmp_path):
         (1, "xos", "_value_table"), (2, "budgetmech.verify", "_around")]
 
 
+def _package_imports(path):
+    """``(line, module)`` of each package module that the module at ``path``
+    imports, named within the package (``""`` is the package itself)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules = [node.module] if node.module else [a.name for a in node.names]
+            found.extend((node.lineno, module) for module in modules)
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module]
+        else:
+            continue
+        for name in modules:
+            package, _, module = name.partition(".")
+            if package == "budgetmech":
+                found.append((node.lineno, module))
+    return found
+
+
+def test_the_oracle_imports_only_errors_and_rationals():
+    """The brute-force oracle is the independent route of every ratio check,
+    so it shares no code with the mechanisms and blackboxes it checks."""
+    found = _package_imports(SOURCE / "oracle.py")
+    assert {module for _, module in found} <= {"errors", "rationals"}, found
+
+
+def test_the_guard_sees_a_package_import(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("from .errors import CapExceeded\n"
+                      "from .matroids import Matroid\n"
+                      "from . import verify\n"
+                      "import budgetmech.mechanisms, os\n"
+                      "from budgetmech import Instance\n"
+                      "from fractions import Fraction\n")
+    assert _package_imports(module) == [
+        (1, "errors"), (2, "matroids"), (3, "verify"), (4, "mechanisms"), (5, "")]
+
+
 # modules whose arithmetic must stay exact: integers and rationals only
 EXACT_MODULES = ("matroids", "intersection", "mechanisms", "xos", "oracle", "rationals")
 

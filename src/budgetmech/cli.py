@@ -155,13 +155,15 @@ def _bench_row(cfg, mechanism, index):
 
 def _cmd_bench(args):
     cfg = load_sweep_config(read_json(args.config), BENCH_DEFAULTS, args.threads)
+    # every row first: a sweep that stops early leaves no partial file behind
+    rows = list(run_sweep(_bench_row, cfg, cfg["mechanisms"]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "instance_hash", "n", "matroid_kind", "mechanism", "alpha",
             "ratio", "total_payment_over_budget", "runtime_us",
         ])
-        writer.writerows(run_sweep(_bench_row, cfg, cfg["mechanisms"]))
+        writer.writerows(rows)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -61,11 +61,11 @@ class ApxBlackbox:
 
     Besides determinism, every blackbox must keep its answer when an
     unchosen element leaves: for every exclusion set ``X`` and every ``x``
-    outside ``bb(spec, w, X)``, ``bb(spec, w, X | {x}) == bb(spec, w, X)``,
-    the rule of ``mechanisms._run_threshold_mechanism``.  An arbitrary
-    alpha-approximation need not meet it, so a new procedure needs a proof
-    of it and the property test in ``tests/test_intersection.py`` extended
-    to it.
+    outside ``bb(spec, w, X)``, ``bb(spec, w, X | {x}) == bb(spec, w, X)``:
+    the unchosen-removal rule, which ``mechanisms.Plan.walk`` owns and
+    applies without asking the blackbox.  An arbitrary alpha-approximation
+    need not meet it, so a new procedure needs a proof of it and the
+    property test in ``tests/test_intersection.py`` extended to it.
     """
 
     name: str
@@ -209,11 +209,12 @@ def greedy_common_independent(spec, weights, excluded=frozenset()):
 
 
 def get_blackbox(name, spec):
-    """Blackbox by name (``--apx``, ``verify.BLACKBOX_OF``); the procedures
-    are read as module globals at each call, so a later wrapper is seen.
+    """Blackbox by name (``--apx``, ``verify.BLACKBOX_OF``).  The procedures
+    are read as module globals when ``get_blackbox`` runs, so a wrapper
+    installed before then is seen and one installed later is not.
 
-    Both keep their answer when an unchosen element leaves, as the removal
-    loop ``mechanisms._run_threshold_mechanism`` requires.
+    Both keep their answer when an unchosen element leaves, as
+    ``mechanisms.Plan.walk``, the owner of that rule, requires.
     ``exact-bipartite``: deleting an edge outside the perturbed optimum
     leaves that optimum feasible, and it stays optimal among fewer
     candidates; deleting the edge drops a bonus bit that is 0 in every
@@ -230,20 +231,3 @@ def get_blackbox(name, spec):
         return ApxBlackbox("greedy", mpq(spec.k), greedy_common_independent)
     raise InputError(f"unknown blackbox {name!r} (expected exact-bipartite or greedy)")
 
-
-def memoized_blackbox(blackbox):
-    """Same blackbox with results cached by exclusion set.
-
-    Valid for the queries of one mechanism run and its bid deviations: one
-    base spec and one weight vector, so the exclusion set identifies the
-    query; used by the verification harness to keep deviation sweeps fast.
-    """
-    cache = {}
-
-    def cached(spec, weights, excluded=frozenset()):
-        key = frozenset(excluded)
-        if key not in cache:
-            cache[key] = blackbox.procedure(spec, weights, key)
-        return cache[key]
-
-    return ApxBlackbox(blackbox.name, blackbox.alpha, cached)

@@ -9,9 +9,9 @@ The per-iteration rate refresh (r = bb of the element currently considered)
 is deliberate: it is what makes the removal loop terminate and is the form
 the truthfulness argument needs.  Bids enter only through the buck-per-bang
 order and the budget test; the candidate sets themselves are computed from
-public weights alone.  So the bid-free part (tau, the weight order, the
-first candidate set, integer weights) is a ``Plan`` built once per structure
-and weight vector, and the loop itself compares integers.  For the same
+public weights alone.  So the bid-free part (tau, the weight order, integer
+weights and every candidate set) is a ``Plan`` built once per structure and
+weight vector, and the loop itself compares integers.  For the same
 reason a run where one bid moved visits only two chains of candidate sets,
 and ``OneBidRunner`` answers such runs from them.
 """
@@ -194,7 +194,7 @@ class Outcome(Payments):
 
 
 class Plan:
-    """The bid-free part of the threshold mechanism on one structure and one
+    """The bid-free part of a threshold mechanism on one structure and one
     weight vector, shared by every bid vector on them.
 
     ``scaled[e]`` is ``w_e * value_den``, with ``value_den`` the weights'
@@ -204,13 +204,19 @@ class Plan:
     ``d``, ``P_e * multiplier[e]`` is buck-per-bang times ``d * lcm /
     value_den``, an integer key for the removal order.  ``order`` is the
     ground set by weight descending, ties to the smaller id; its head is tau,
-    the heaviest element, and ``rest`` the others in id order.  On a matroid
-    the plan also holds each element's ``position`` in ``order``, the greedy
-    set ``basis`` and its scaled weight ``basis_weight``.
+    the heaviest element, and ``rest`` the others in id order.
+
+    The plan also owns the candidate sets, which ``walk`` yields.  On a
+    matroid ``start`` is the greedy set and its scaled weight, and a set is
+    repaired as its elements leave (``_repair``).  On an intersection
+    ``start`` is no set, and ``blackbox`` is asked on the structure and the
+    set excluded so far; its answer and scaled weight are kept per
+    exclusion set, so every bid vector on the plan asks once per set.
     """
 
-    def __init__(self, structure, weights):
+    def __init__(self, structure, weights, blackbox=None):
         ground = structure.ground
+        self.structure, self.weights, self.blackbox = structure, weights, blackbox
         self.value_den, scaled = scale_to_integers([weights[e] for e in ground])
         self.scaled = dict(zip(ground, scaled))
         self.order = descending(ground, self.scaled)
@@ -220,12 +226,71 @@ class Plan:
         self.multiplier = {e: self.lcm // self.scaled[e] for e in self.rest}
         if isinstance(structure, Matroid):
             self.position = {e: k for k, e in enumerate(self.order)}
-            self.basis = max_weight_independent_set(structure, weights, self.order)
-            self.basis_weight = self.weight(self.basis)
+            basis = max_weight_independent_set(structure, weights, self.order)
+            self.start = basis, self.weight(basis)
+        else:
+            self.start, self._answers = (None, None), {}
 
     def weight(self, s):
         """Scaled weight of the element set ``s``."""
         return sum(self.scaled[e] for e in s)
+
+    def walk(self, leaving):
+        """The candidate set (a frozenset) and its scaled weight after each
+        element of ``leaving`` has left the candidate ground set in turn.
+
+        A new set is computed when there is none yet, and otherwise only
+        when the element that leaves is in the current set: a set that
+        avoids ``x`` is also the answer once ``x`` has left.  On a matroid
+        the greedy scan rejected ``x``, so without ``x`` it makes the same
+        choices.  On an intersection it is the contract of every
+        ``ApxBlackbox``, proved for each shipped blackbox in
+        ``get_blackbox``.  So each yielded set depends on the set of
+        elements that have left, not on their order.
+
+        The walk is lazy: an element leaves only when the next state is
+        asked for.
+        """
+        reselect = self._repair if isinstance(self.structure, Matroid) else self._ask
+        chosen, value = self.start
+        excluded = set()
+        for x in leaving:
+            excluded.add(x)
+            if chosen is None or x in chosen:
+                chosen, value = reselect(x, chosen, value, excluded)
+            yield chosen, value
+
+    def _repair(self, x, chosen, value, excluded):
+        """``B - x + f``, with ``B`` the matroid set ``chosen`` and ``f`` the
+        first surviving element after ``x`` outside ``B`` that keeps it
+        independent, or ``B - x`` if there is none, with its scaled weight.
+
+        Elements before ``x`` need no test: each one outside ``B`` is
+        spanned by the members of ``B`` before it, which do not include
+        ``x``.  The ``f`` outside ``B`` that keep ``B - x + f`` independent
+        form, with ``x``, the fundamental cocircuit of ``x`` with respect to
+        ``B``; ``structure.extender(B - x).fits`` tests membership in it.
+        """
+        chosen = chosen - {x}
+        value -= self.scaled[x]
+        cocircuit = None  # built at the first candidate; often none is left
+        for f in self.order[self.position[x] + 1:]:
+            if f in chosen or f in excluded:
+                continue
+            if cocircuit is None:
+                cocircuit = self.structure.extender(chosen)
+            if cocircuit.fits(f):
+                return chosen | {f}, value + self.scaled[f]
+        return chosen, value
+
+    def _ask(self, x, chosen, value, excluded):
+        """The blackbox's answer with ``excluded`` left out, and its scaled
+        weight, asked once per exclusion set."""
+        key = frozenset(excluded)
+        if key not in self._answers:
+            answer = frozenset(self.blackbox(self.structure, self.weights, key))
+            self._answers[key] = answer, self.weight(answer)
+        return self._answers[key]
 
 
 class BidKeys:
@@ -265,36 +330,7 @@ class BidKeys:
                 return steps
 
 
-def exclusion_walk(reselect, chosen, value, leaving):
-    """The candidate set and its scaled weight after each element of
-    ``leaving`` has left the candidate ground set in turn.
-
-    ``chosen`` and ``value`` are the set on the whole ground set (a
-    frozenset) and its scaled weight, or None when no set is known.  When
-    ``x`` leaves, ``reselect(x, chosen, value, excluded)``, with ``x``
-    already in ``excluded``, returns the new set and its scaled weight.
-
-    The walk calls ``reselect`` when it has no set yet, and otherwise only
-    when the element that leaves is in ``chosen``: a set that avoids ``x``
-    is also the answer once ``x`` has left.  For the matroid mechanism this
-    is trivial: the greedy scan rejected ``x``, so without ``x`` it makes
-    the same choices and keeps its set ``B``.  For the intersection
-    mechanism it is the contract of every ``ApxBlackbox``, proved for each
-    shipped blackbox in ``get_blackbox``.  So each yielded set depends on
-    the set of elements that have left, not on their order.
-
-    The walk is lazy: an element leaves only when the next state is asked
-    for.
-    """
-    excluded = set()
-    for x in leaving:
-        excluded.add(x)
-        if chosen is None or x in chosen:
-            chosen, value = reselect(x, chosen, value, excluded)
-        yield chosen, value
-
-
-def settle(plan, weights, budget, stop, prev):
+def settle(plan, budget, stop, prev):
     """The fields of an ``Outcome`` other than its trace, for a loop that
     stopped at trace step ``stop`` after the removal step ``prev`` (None
     when nothing was removed).
@@ -314,94 +350,49 @@ def settle(plan, weights, budget, stop, prev):
 
     if value > plan.scaled[tau]:
         branch, allocation = "set", frozenset(chosen)
-        payments = {e: rate * weights[e] for e in chosen}
+        payments = {e: rate * plan.weights[e] for e in chosen}
     else:
         branch, allocation, payments = "tau", frozenset([tau]), {tau: budget}
     return {"allocation": allocation, "payments": payments, "tau": tau, "branch": branch,
             "final_rate": rate, "budget": budget}
 
 
-def _run_threshold_mechanism(inst, plan, reselect, chosen=None, value=None):
+def _run_threshold_mechanism(inst, plan):
     """The shared removal loop, on integers: walk tau and then the others in
-    ``BidKeys`` order out of the candidate ground set, and stop at the
-    first candidate set that passes the budget test against the next
-    element.  ``reselect``, ``chosen`` and ``value`` start the
-    ``exclusion_walk``."""
+    ``BidKeys`` order out of the candidate ground set (``Plan.walk``), and
+    stop at the first candidate set that passes the budget test against the
+    next element."""
     keys = BidKeys(inst.bids, inst.budget, plan)
-    walk = exclusion_walk(reselect, chosen, value, [plan.tau, *keys.order])
-    trace = keys.steps(walk, keys.order)
+    trace = keys.steps(plan.walk([plan.tau, *keys.order]), keys.order)
     prev = trace[-2] if len(trace) > 1 else None
-    return Outcome(trace=tuple(trace),
-                   **settle(plan, inst.weights, inst.budget, trace[-1], prev))
-
-
-def matroid_reselect(structure, plan):
-    """``(reselect, chosen, value)`` of the matroid mechanism: the greedy set
-    ``B`` of the plan, repaired as elements of ``B`` leave the ground set.
-
-    Excluding ``x`` gives ``B - x + f``, with ``f`` the first surviving
-    element after ``x`` outside ``B`` that keeps it independent, or ``B -
-    x`` if there is none.  Elements before ``x`` need no test: each one
-    outside ``B`` is spanned by the members of ``B`` before it, which do not
-    include ``x``.  The ``f`` outside ``B`` that keep ``B - x + f``
-    independent form, with ``x``, the fundamental cocircuit of ``x`` with
-    respect to ``B``; ``structure.extender(B - x).fits`` tests membership in
-    it.
-    """
-    scaled, order, position = plan.scaled, plan.order, plan.position
-
-    def repair(x, chosen, value, excluded):
-        chosen = chosen - {x}
-        value -= scaled[x]
-        cocircuit = None  # built at the first candidate; often none is left
-        for f in order[position[x] + 1:]:
-            if f in chosen or f in excluded:
-                continue
-            if cocircuit is None:
-                cocircuit = structure.extender(chosen)
-            if cocircuit.fits(f):
-                return chosen | {f}, value + scaled[f]
-        return chosen, value
-
-    return repair, plan.basis, plan.basis_weight
-
-
-def blackbox_reselect(spec, weights, blackbox, plan):
-    """``(reselect, chosen, value)`` of the intersection mechanism: ask
-    ``blackbox`` on ``spec`` and the set excluded so far; no set to start."""
-
-    def reselect(x, chosen, value, excluded):
-        chosen = frozenset(blackbox(spec, weights, excluded))
-        return chosen, plan.weight(chosen)
-
-    return reselect, None, None
+    return Outcome(trace=tuple(trace), **settle(plan, inst.budget, trace[-1], prev))
 
 
 def run_matroid_mechanism(inst, plan=None):
     """Budget-feasible mechanism for procuring an independent set of a matroid.
 
     The greedy set is computed once, in the plan, and repaired as elements
-    leave the ground set (``matroid_reselect``).  ``plan`` is
+    leave the ground set (``Plan.walk``).  ``plan`` is
     ``Plan(inst.structure, inst.weights)``, built here when not given.
     """
     if not isinstance(inst.structure, Matroid):
         raise InputError("run_matroid_mechanism needs a single-matroid instance")
     if plan is None:
         plan = Plan(inst.structure, inst.weights)
-    return _run_threshold_mechanism(inst, plan, *matroid_reselect(inst.structure, plan))
+    return _run_threshold_mechanism(inst, plan)
 
 
 def run_intersection_mechanism(inst, blackbox, plan=None):
     """Same mechanism with the exact greedy step replaced by an APX blackbox,
     asked on the instance's own spec and the set excluded so far.  ``plan``
-    is as in ``run_matroid_mechanism``.
+    is ``Plan(inst.structure, inst.weights, blackbox)``, built here when not
+    given; a given plan asks its own blackbox.
     """
     if not isinstance(inst.structure, IntersectionSpec):
         raise InputError("run_intersection_mechanism needs an intersection instance")
     if plan is None:
-        plan = Plan(inst.structure, inst.weights)
-    return _run_threshold_mechanism(
-        inst, plan, *blackbox_reselect(inst.structure, inst.weights, blackbox, plan))
+        plan = Plan(inst.structure, inst.weights, blackbox)
+    return _run_threshold_mechanism(inst, plan)
 
 
 class OneBidRunner:
@@ -409,16 +400,15 @@ class OneBidRunner:
     a call that moves one bid away from the first call's from two removal
     chains of that element.
 
-    ``run(inst)`` is the full mechanism on ``plan``; ``reselect``, ``chosen``
-    and ``value`` start its ``exclusion_walk``.  The first call runs in full
-    and its bids and budget become the key.  Let ``e`` be the one element
-    whose bid moved, and ``O`` the others (tau and ``e`` aside) in the key's
-    removal order.
+    ``run(inst)`` is the full mechanism on ``plan``, whose ``walk`` gives
+    the chains too.  The first call runs in full and its bids and budget
+    become the key.  Let ``e`` be the one element whose bid moved, and ``O``
+    the others (tau and ``e`` aside) in the key's removal order.
 
     - A new bid for ``e`` scales every other key alike, so the others keep
       the order ``O``; only ``e``'s position ``p`` in it moves.
     - Each candidate set depends only on the set that has left
-      (``exclusion_walk``).  So a run visits ``A_k``, the set after tau and
+      (``Plan.walk``).  So a run visits ``A_k``, the set after tau and
       ``O[:k]`` have left, for ``k <= p``, then ``B_k``, the set after ``e``
       has left too, for ``k >= p``.
     - A budget test compares a set's value with the buck-per-bang of the
@@ -436,8 +426,8 @@ class OneBidRunner:
     new key.
     """
 
-    def __init__(self, run, plan, reselect, chosen=None, value=None):
-        self._run, self._plan, self._start = run, plan, (reselect, chosen, value)
+    def __init__(self, run, plan):
+        self._run, self._plan = run, plan
         self._base = None  # (instance, outcome) of the key
         self._keys = None  # the key's BidKeys, built with the first chains
         self._chains = {}
@@ -457,7 +447,7 @@ class OneBidRunner:
         e = moved[0]
         if e not in self._chains:
             self._chains[e] = self._build(e)
-        return self._answer(e, inst.bids[e], inst.weights)
+        return self._answer(e, inst.bids[e])
 
     def _build(self, e):
         """``e``'s two chains as trace steps, ``A`` up to its first passing
@@ -467,10 +457,10 @@ class OneBidRunner:
         if self._keys is None:
             inst = self._base[0]
             self._keys = BidKeys(inst.bids, inst.budget, self._plan)
-        keys, tau = self._keys, self._plan.tau
+        keys, plan = self._keys, self._plan
         others = [o for o in keys.order if o != e]
-        a = keys.steps(exclusion_walk(*self._start, [tau, *others]), others)
-        walk = exclusion_walk(*self._start, [tau, e, *others])
+        a = keys.steps(plan.walk([plan.tau, *others]), others)
+        walk = plan.walk([plan.tau, e, *others])
         next(walk)  # tau alone has left: that is A_0
         b = keys.steps(walk, others, iteration=2, until=len(a) - 1)
         next_pass = [len(b) - 1] * len(b)
@@ -478,7 +468,7 @@ class OneBidRunner:
             next_pass[k] = k if b[k].removed is None else next_pass[k + 1]
         return others, a, b, next_pass, {}
 
-    def _answer(self, e, bid, weights):
+    def _answer(self, e, bid):
         others, a, b, next_pass, tails = self._chains[e]
         plan, key, rate_den = self._plan, self._keys.key, self._keys.scales[1]
         budget = self._base[0].budget
@@ -489,7 +479,7 @@ class OneBidRunner:
         def tail(chain, k):  # the fields of a stop at chain[k], which read no bid of e
             slot = (chain is a, k)
             if slot not in tails:
-                tails[slot] = settle(plan, weights, budget, chain[k], chain[k - 1] if k else None)
+                tails[slot] = settle(plan, budget, chain[k], chain[k - 1] if k else None)
             return tails[slot]
 
         if p >= len(a):  # A passes before e is tested
@@ -501,7 +491,7 @@ class OneBidRunner:
         if passed:
             return Outcome(trace=(*a[:p], step), **tail(a, p))
         stop = next_pass[p]
-        fields = settle(plan, weights, budget, b[p], step) if stop == p else tail(b, stop)
+        fields = settle(plan, budget, b[p], step) if stop == p else tail(b, stop)
         return Outcome(trace=(*a[:p], step, *b[p:stop + 1]), **fields)
 
 

@@ -23,12 +23,7 @@ from .instance_io import (
     parse_rational_field,
     xos_instance_to_json,
 )
-from .intersection import (
-    IntersectionSpec,
-    PartitionMatroid,
-    get_blackbox,
-    memoized_blackbox,
-)
+from .intersection import IntersectionSpec, PartitionMatroid, get_blackbox
 from .matroids import (
     DeadlineMatroid,
     FreeMatroid,
@@ -41,9 +36,7 @@ from .mechanisms import (
     Instance,
     OneBidRunner,
     Plan,
-    blackbox_reselect,
     first_price_greedy,
-    matroid_reselect,
     run_intersection_mechanism,
     run_matroid_mechanism,
 )
@@ -243,25 +236,23 @@ def make_runner(name, inst):
     """Closure running mechanism ``name`` on variations of ``inst``.
 
     The closure may be called with bid-deviated copies of the same instance.
-    It builds the bid-free ``Plan`` once, and memoizes blackbox results per
-    exclusion set on the instance's spec; both are sound because they read
-    the structure and the weights only.  The matroid mechanism needs no memo:
-    it repairs its greedy set after each removal instead of recomputing it.
-    A threshold mechanism's closure is a ``OneBidRunner``: its first call
-    runs in full, a later call that moves no bid gets the first call's
-    outcome, and one that moves one bid away from the first call's is
-    answered from that element's two removal chains, with the outcome a full
-    run gives.
+    A threshold mechanism's closure builds one bid-free ``Plan`` and hands
+    it to both its full runs and its ``OneBidRunner``.  ``Plan.walk`` owns
+    the unchosen-removal rule, and an intersection plan keeps each blackbox
+    answer per exclusion set, so the runner asks its blackbox once per set;
+    both are sound because they read the structure and the weights only.
+    The runner's first call runs in full, a later call that moves no bid
+    gets the first call's outcome, and one that moves one bid away from the
+    first call's is answered from that element's two removal chains, with
+    the outcome a full run gives.
     """
     if name == "matroid":
         plan = Plan(inst.structure, inst.weights)
-        return OneBidRunner(lambda i: run_matroid_mechanism(i, plan), plan,
-                            *matroid_reselect(inst.structure, plan))
+        return OneBidRunner(lambda i: run_matroid_mechanism(i, plan), plan)
     if name in BLACKBOX_OF:
-        blackbox = memoized_blackbox(get_blackbox(BLACKBOX_OF[name], inst.structure))
-        plan = Plan(inst.structure, inst.weights)
-        return OneBidRunner(lambda i: run_intersection_mechanism(i, blackbox, plan), plan,
-                            *blackbox_reselect(inst.structure, inst.weights, blackbox, plan))
+        blackbox = get_blackbox(BLACKBOX_OF[name], inst.structure)
+        plan = Plan(inst.structure, inst.weights, blackbox)
+        return OneBidRunner(lambda i: run_intersection_mechanism(i, blackbox, plan), plan)
     if name == "broken-first-price":
         return first_price_greedy
     raise InputError(f"unknown mechanism {name!r}")
@@ -444,9 +435,10 @@ def check_bid_independence(inst, outcome, mechanism="matroid"):
     """Each trace step's candidate set must be recomputable from weights and
     the removal set alone (no bid can leak into the selection).
 
-    Every step's set is recomputed from scratch on ``spec.delete(...)``, so
-    for an intersection mechanism this is also a second route to the sets
-    the mechanism kept without asking its blackbox.  Only the threshold
+    Every step's set is recomputed from scratch on ``spec.delete(...)``, by
+    a fresh blackbox that shares no answer with a ``Plan``, so for an
+    intersection mechanism this is also a second route to the sets the
+    mechanism kept without asking its blackbox.  Only the threshold
     mechanisms have such a trace; any other mechanism is an ``InputError``.
     """
     if mechanism == "matroid":

@@ -366,6 +366,31 @@ def test_bench_empty_sweep_header_only(tmp_path):
     assert len(lines) == 1
 
 
+# n = 23 is past the brute-force oracle's cap: the bench ratio column and the
+# ratio check stop the sweep at its first instance
+CAPPED = "error: brute-force oracle capped at 22 elements, got 23\n"
+
+
+def test_bench_past_the_oracle_cap_exits_3_and_writes_no_file(tmp_path, capsys):
+    config = write(tmp_path, "bench.json", {"count": 3, "n_range": [23, 23]})
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["bench", config, str(out_csv)]) == 3
+    assert capsys.readouterr().err == CAPPED
+    assert not out_csv.exists()
+
+
+def test_verify_past_the_oracle_cap_exits_3_and_writes_no_report(tmp_path, capsys):
+    config = write(tmp_path, "verify.json", {
+        "count": 3, "n_range": [23, 23], "mechanisms": ["matroid"],
+        "deviations_per_element": 1,
+    })
+    out_dir = tmp_path / "reports"
+    assert main(["verify", config, "--out", str(out_dir)]) == 3
+    assert capsys.readouterr().err == CAPPED
+    assert not (out_dir / "report.json").exists()
+    assert not (out_dir / "summary.csv").exists()
+
+
 def test_xos_constant_command(capsys):
     assert main(["xos-constant", "--gamma", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -426,6 +451,8 @@ def test_broken_worker_pool_exits_4(tmp_path, capsys, monkeypatch, command):
     assert main([*argv, "--threads", "2"]) == 4
     assert capsys.readouterr().err == \
         "error: worker pool: a worker process terminated abruptly\n"
+    assert not (tmp_path / "sweep.csv").exists()
+    assert not (tmp_path / "reports" / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------

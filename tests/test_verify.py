@@ -12,6 +12,7 @@ from budgetmech import (
     UniformMatroid,
     XosParams,
     first_price_greedy,
+    intersection,
     utility,
     verify,
 )
@@ -78,6 +79,32 @@ def test_bid_independence_recomputes_every_intersection_step():
             out = make_runner(mechanism, inst)(inst)
             assert any(step.removed not in step.chosen for step in out.trace[:-1])
             assert check_bid_independence(inst, out, mechanism).passed
+
+
+def test_a_runner_asks_its_blackbox_once_per_exclusion_set(monkeypatch):
+    # get_blackbox reads the procedures when it runs, so the runners built
+    # below ask these wrappers; check_bid_independence asks a fresh blackbox
+    # on purpose, as a second route, and is not run here
+    asked = []
+    for name in ("exact_bipartite_matching", "greedy_common_independent"):
+        procedure = getattr(intersection, name)
+
+        def recording(spec, weights, excluded=frozenset(), procedure=procedure):
+            asked.append((spec, frozenset(excluded)))
+            return procedure(spec, weights, excluded)
+
+        monkeypatch.setattr(intersection, name, recording)
+    cfg = GeneratorConfig(count=3, seed=4, n_range=(4, 9))
+    for mechanism in ("intersection-exact", "intersection-greedy"):
+        for index in range(3):
+            inst = gen_bipartite_instance(cfg, index)
+            runner = make_runner(mechanism, inst)
+            asked.clear()
+            check_truthfulness(runner, inst, 12, seed=index, mechanism=mechanism)
+            check_ratio(runner, inst, ratio_denominator(mechanism, inst), mechanism)
+            assert asked and all(spec is inst.structure for spec, _ in asked)
+            excluded = [x for _, x in asked]
+            assert len(excluded) == len(set(excluded))
 
 
 def test_generator_determinism():

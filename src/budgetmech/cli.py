@@ -88,9 +88,9 @@ def _cmd_run(args):
 
 def _cmd_verify(args):
     cfg = load_sweep_config(read_json(args.config), DEFAULT_VERIFY_CONFIG, args.threads)
-    os.makedirs(args.out, exist_ok=True)
     reports, total_failures = run_verification(cfg)
 
+    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w") as fh:
         json.dump({"reports": [r.to_json() for r in reports]}, fh, indent=2,

@@ -24,12 +24,7 @@ from typing import Optional
 from .errors import InputError
 from .intersection import IntersectionSpec
 from .matroids import Matroid, descending, max_weight_independent_set
-from .rationals import ZERO, mpq, scale_to_integers
-
-
-def _rational(value):
-    """``value`` as a rational; a rational is kept as it is."""
-    return value if type(value) is mpq else mpq(value)
+from .rationals import ZERO, as_rational, mpq, scale_to_integers
 
 
 class Instance:
@@ -42,12 +37,12 @@ class Instance:
         if not ground:
             raise InputError("instance needs a nonempty ground set")
         self.structure = structure
-        self.budget = _rational(budget)
+        self.budget = as_rational(budget)
         if self.budget.numerator <= 0:
             raise InputError("budget must be positive")
-        self.weights = {e: _rational(v) for e, v in weights.items()}
-        self.true_costs = {e: _rational(v) for e, v in true_costs.items()}
-        self.bids = {e: _rational(v) for e, v in bids.items()}
+        self.weights = {e: as_rational(v) for e, v in weights.items()}
+        self.true_costs = {e: as_rational(v) for e, v in true_costs.items()}
+        self.bids = {e: as_rational(v) for e, v in bids.items()}
         for name, vec in (
             ("weights", self.weights),
             ("true_costs", self.true_costs),
@@ -73,7 +68,7 @@ class Instance:
         """
         if e not in self.bids:
             raise InputError("bids must cover exactly the ground set")
-        bid = _rational(bid)
+        bid = as_rational(bid)
         if bid.numerator <= 0:
             raise InputError(f"bids[{e}] must be positive")
         clone = object.__new__(type(self))

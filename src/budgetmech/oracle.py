@@ -9,7 +9,7 @@ ties go to the lexicographically smallest id set.
 """
 
 from .errors import CapExceeded
-from .rationals import ZERO, mpq
+from .rationals import ZERO, mpq, scale_to_integers
 
 ENUMERATION_CAP = 22
 
@@ -59,18 +59,29 @@ def brute_force_max(structure, weights):
 def xos_opt(valuation, costs, budget):
     """Optimal budgeted subset for an XOS valuation, by subset enumeration.
 
-    Returns ``(subset, value)``: the first maximum of (value, -cost).
+    Returns ``(subset, value)``: the first maximum of (value, -cost).  The
+    walk carries one running sum per clause: the clause values, as integers
+    over their common denominator, sit in disjoint bit fields of one
+    integer weight, each field wide enough for its clause's total, so a
+    visit reads v(S) off its weight in O(clauses).
     """
-    best = [ZERO, ZERO, frozenset()]
+    ground, clauses = valuation.ground, valuation.functions
+    den, scaled = scale_to_integers([f[e] for f in clauses for e in ground])
+    rows = [scaled[k * len(ground):(k + 1) * len(ground)] for k in range(len(clauses))]
+    width = max(sum(row) for row in rows).bit_length()
+    mask, shifts = (1 << width) - 1, [k * width for k in range(len(clauses))]
+    packed = {e: sum(row[j] << shift for row, shift in zip(rows, shifts))
+              for j, e in enumerate(ground)}
+    best = [0, ZERO, frozenset()]
 
-    def keep(s, weight, cost):
-        value = valuation.value(s)
+    def keep(s, sums, cost):
+        value = max(sums >> shift & mask for shift in shifts)
         if value > best[0] or (value == best[0] and cost < best[1]):
             best[:] = value, cost, s
 
-    _walk(valuation.ground, lambda s: True, dict.fromkeys(valuation.ground, 0),
-          {e: mpq(costs[e]) for e in valuation.ground}, mpq(budget), keep)
-    return best[2], best[0]
+    _walk(ground, lambda s: True, packed, {e: mpq(costs[e]) for e in ground}, mpq(budget),
+          keep)
+    return best[2], mpq(best[0], den)
 
 
 def enumerate_independent_sets(structure):

@@ -20,6 +20,11 @@ except ImportError:  # pragma: no cover
 ZERO = mpq(0)
 
 
+def as_rational(value):
+    """``value`` as a rational; a rational is kept as it is."""
+    return value if type(value) is mpq else mpq(value)
+
+
 def parse_rational(value, field="value"):
     """Parse an int, or a string like ``"7"`` or ``"50/9"``, into a rational.
 

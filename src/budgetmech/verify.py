@@ -493,13 +493,16 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     so the sweep is ``_deviation_sweep``'s.  Every run shares one
     ``XosPlan``: the branch coin, the T1/T2 split, the max-element winner and
     v(S) on each half read the tape and the valuation only, never a bid.
-    The plan reuses the last T1 optimum while the budget and the T1 bids
-    are unchanged, and the last argmax while the threshold and the T2 bids
-    are; a T2 deviation keeps the threshold, so its argmax is read off the
-    per-element table that ``XosPlan.t2_breakpoints`` builds once per check
-    at the truthful bids.  Each reuse gives exactly what a full replay
-    would.  Probes include each element's argmax-membership breakpoint
-    (from the same table), the inner proportional rate, and randoms.
+    Once per check, at the truthful bids, the plan builds two per-element
+    tables: ``XosPlan.t1_table`` answers the T1 optimum of a T1 deviation,
+    and ``XosPlan.t2_breakpoints`` the argmax of a T2 deviation, which keeps
+    the threshold.  Per chosen set, the plan keeps the best clause and one
+    inner runner (``XosPlan.chosen``): a deviation that moves no bid of the
+    set gets the outcome of the set's first run, and one that moves one bid
+    of it an answer from that bid's removal chains.  Each reuse gives
+    exactly what a full replay would.  Probes include each element's
+    argmax-membership breakpoint (from the T2 table), the inner
+    proportional rate, and randoms.
     """
     report = VerificationReport("Truthful", "xos", instances_checked=1)
     doc = _xos_failure_doc(valuation, costs, costs, budget, params)
@@ -510,6 +513,7 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     rng = random.Random(f"xosdev:{seed}:{params.seed}")
     breakpoints = {}
     if not plan.take_max_element:
+        plan.t1_table(costs, budget)
         breakpoints = plan.t2_breakpoints(costs, truthful.threshold)
 
     def probes(e):

@@ -12,13 +12,22 @@ size is capped accordingly.
 """
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .errors import CapExceeded, InputError
 from .matroids import FreeMatroid
-from .mechanisms import Instance, Outcome, Payments, run_matroid_mechanism
-from .rationals import ZERO, mpq, rational_isqrt, scale_to_integers
+from .mechanisms import (
+    Instance,
+    OneBidRunner,
+    Outcome,
+    Payments,
+    Plan,
+    run_matroid_mechanism,
+)
+from .rationals import ZERO, as_rational, mpq, rational_isqrt, scale_to_integers
 
 XOS_ENUMERATION_CAP = 16
 
@@ -180,6 +189,25 @@ def _opt_value_under_budget(cost, value, budget):
     return max(v for c, v in zip(cost, value) if c <= budget)
 
 
+def _one_bid_optima(ids, cost, value, budget):
+    """For each element j of ``ids``, ``(without, costs, best)``: the max
+    v(S) over the subsets without j with bid total at most ``budget``; the
+    bid totals of the subsets with j, ascending; and ``best[k]``, the max
+    v(S) over the first k + 1 of them.  Changing j's bid alone by D moves
+    every total with j by D and no other, so the optimum under ``budget`` is
+    the larger of ``without`` and ``best[k - 1]``, k = bisect_right(costs,
+    budget - D) (``without`` alone when k is 0).  O(k 2^k) for k ids."""
+    table = []
+    for j in range(len(ids)):
+        bit = 1 << j
+        without = max(v for m, (c, v) in enumerate(zip(cost, value))
+                      if not m & bit and c <= budget)
+        pairs = sorted((c, v) for m, (c, v) in enumerate(zip(cost, value)) if m & bit)
+        best = list(accumulate((v for _, v in pairs), max))
+        table.append((without, [c for c, _ in pairs], best))
+    return table
+
+
 def _argmax_surplus(ids, cost, value, threshold):
     """argmax over subsets of ``ids`` of v(S) - threshold * bids(S).
 
@@ -218,6 +246,56 @@ def _class_winners(ids, cost, value, threshold):
             for j in range(len(ids))]
 
 
+def _one_moved(bids, base):
+    """The position of the one bid of ``bids`` that differs from ``base``,
+    or None when several do; bids are compared by identity, then by value.
+    With no bid moved it is 0: a one-bid table answers through any entry,
+    with shift 0."""
+    moved = [j for j, (b, b0) in enumerate(zip(bids, base)) if b is not b0 and b != b0]
+    if len(moved) > 1:
+        return None
+    return moved[0] if moved else 0
+
+
+class _ChosenSet:
+    """The bid-free part of the sub-mechanism on one chosen T2 set: the
+    clause achieving its value (``clause_index``, ties to the lowest index;
+    None for the empty set), the members that clause values above zero
+    (``positive``, sorted), and the free matroid and weights over them.
+
+    ``run`` runs the matroid mechanism on them through one
+    ``OneBidRunner`` over one ``Plan``, so a run that moves no bid of
+    ``positive`` away from the first run's gets that run's outcome, and one
+    that moves one such bid is answered from the runner's chains.  Its full
+    runs call ``run_matroid_mechanism`` as a module global, at call time.
+    """
+
+    def __init__(self, valuation, s_star):
+        self.clause_index = valuation.best_clause(s_star) if s_star else None
+        clause = valuation.functions[self.clause_index] if s_star else {}
+        # elements the chosen clause values at zero can never receive an
+        # individually rational proportional payment; they are left out
+        self.positive = sorted(e for e in s_star if clause[e] > 0)
+        if self.positive:
+            self.matroid = FreeMatroid(self.positive)
+            self.weights = {e: clause[e] for e in self.positive}
+            plan = Plan(self.matroid, self.weights)
+            self._runner = OneBidRunner(lambda inst: run_matroid_mechanism(inst, plan), plan)
+
+    def run(self, true_costs, bids, budget):
+        """The inner ``Outcome`` at ``bids``, or None when ``positive`` is
+        empty."""
+        if not self.positive:
+            return None
+        return self._runner(Instance(
+            self.matroid,
+            self.weights,
+            {e: true_costs[e] for e in self.positive},
+            {e: bids[e] for e in self.positive},
+            budget,
+        ))
+
+
 class XosPlan:
     """The bid-free part of one seeded run of ``xos_mechanism_main``, and
     the only reader of its subset tables.
@@ -233,10 +311,16 @@ class XosPlan:
 
     Each half reads only its own bids, so the plan also keeps the last T1
     optimum, keyed on the budget and the T1 bids, and the last surplus
-    argmax, keyed on the threshold and the T2 bids.  ``t2_breakpoints``
-    keeps the ``_class_winners`` table under its threshold and T2 bids; an
-    argmax there with at most one T2 bid moved is read off it.  The keys
-    are exact, so a run through a plan gives the outcome of a run without one.
+    argmax, keyed on the threshold and the T2 bids.  Two one-bid tables,
+    built only when asked for, answer a call with at most one bid of their
+    half moved from theirs: ``t1_table`` keeps ``_one_bid_optima`` under
+    its budget and T1 bids, and ``t2_breakpoints`` keeps the
+    ``_class_winners`` table under its threshold and T2 bids.  The keys are
+    exact, so a run through a plan gives the outcome of a run without one.
+
+    ``chosen(s_star)`` keeps one ``_ChosenSet`` per chosen T2 set for the
+    plan's life: the best clause, the inner free matroid and weights, and
+    the inner runner are built at the first run that chooses the set.
     """
 
     def __init__(self, valuation, params):
@@ -258,17 +342,42 @@ class XosPlan:
         else:
             self.t1_value = _value_table(valuation, self.t1_ids)
             self.t2_value = _value_table(valuation, self.t2_ids)
-        self._t1_key = self._t1_optimum = None
+        self._valuation = valuation
+        self._t1_key = self._t1_optimum = self._optima = None
         self._t2_key = self._t2_argmax = self._winners = None
+        self._chosen = {}
 
     def t1_optimum(self, bids, budget):
         """max v(S) over S within T1 with bid total at most ``budget``."""
         key = (budget, [bids[e] for e in self.t1_ids])
         if key != self._t1_key:
             self._t1_key = key
-            self._t1_optimum = _opt_value_under_budget(
-                _additive_subset_sums(key[1]), self.t1_value, budget)
+            self._t1_optimum = self._t1_from_optima(*key)
+            if self._t1_optimum is None:
+                self._t1_optimum = _opt_value_under_budget(
+                    _additive_subset_sums(key[1]), self.t1_value, budget)
         return self._t1_optimum
+
+    def _t1_from_optima(self, budget, t1_bids):
+        """The T1 optimum read off the ``_one_bid_optima`` table, or None
+        unless the budget is the table's and at most one T1 bid moved."""
+        if self._optima is None or self._optima[0][0] != budget or not self.t1_ids:
+            return None
+        (_, base), optima = self._optima
+        j = _one_moved(t1_bids, base)
+        if j is None:
+            return None
+        without, costs, best = optima[j]
+        k = bisect_right(costs, budget - (t1_bids[j] - base[j]))
+        return max(without, best[k - 1]) if k else without
+
+    def t1_table(self, bids, budget):
+        """Keep the ``_one_bid_optima`` table of T1 at ``bids`` and
+        ``budget``; ``t1_optimum`` then reads a call at that budget with at
+        most one T1 bid moved off it."""
+        key = (budget, [bids[e] for e in self.t1_ids])
+        self._optima = key, _one_bid_optima(
+            self.t1_ids, _additive_subset_sums(key[1]), self.t1_value, budget)
 
     def t2_argmax(self, bids, threshold):
         """``_argmax_surplus`` over T2."""
@@ -287,12 +396,11 @@ class XosPlan:
         if self._winners is None or self._winners[0][0] != threshold or not self.t2_ids:
             return None
         (_, base), winners = self._winners
-        # with no bid moved, any element's pair gives the argmax (shift 0)
-        moved = [j for j, (b, b0) in enumerate(zip(t2_bids, base)) if b != b0] or [0]
-        if len(moved) > 1:
+        j = _one_moved(t2_bids, base)
+        if j is None:
             return None
-        shift = t2_bids[moved[0]] - base[moved[0]]
-        (deficit, cost, ids), out = winners[moved[0]]
+        shift = t2_bids[j] - base[j]
+        (deficit, cost, ids), out = winners[j]
         return frozenset(min((deficit + threshold * shift, cost + shift, ids), out)[2])
 
     def t2_breakpoints(self, bids, threshold):
@@ -306,6 +414,12 @@ class XosPlan:
             return {}
         return {e: (out[0] - inn[0]) / threshold + bids[e]
                 for e, (inn, out) in zip(self.t2_ids, self._winners[1])}
+
+    def chosen(self, s_star):
+        """The ``_ChosenSet`` of the chosen T2 set ``s_star``."""
+        if s_star not in self._chosen:
+            self._chosen[s_star] = _ChosenSet(self._valuation, s_star)
+        return self._chosen[s_star]
 
 
 def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
@@ -321,13 +435,18 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
 
     ``plan`` is ``XosPlan(valuation, params)``, built here when not given;
     pass one to share it across runs that differ only in bids and budget.
+    A shared plan answers from what it keeps: the T1 optimum and T2 argmax
+    (``XosPlan.t1_optimum``, ``XosPlan.t2_argmax``) and, per chosen set,
+    the best clause and the inner runner (``XosPlan.chosen``).  Bids that
+    are rationals already are kept as they are, so the plan compares them
+    by identity first.
     """
     if plan is None:
         plan = XosPlan(valuation, params)
     ground = valuation.ground
-    budget = mpq(budget)
-    bids = {e: mpq(bids[e]) for e in ground}
-    true_costs = {e: mpq(true_costs[e]) for e in ground}
+    budget = as_rational(budget)
+    bids = {e: as_rational(bids[e]) for e in ground}
+    true_costs = {e: as_rational(true_costs[e]) for e in ground}
     for e in ground:
         if bids[e] > budget or bids[e] <= 0:
             raise InputError(f"bid of {e!r} must lie in (0, budget]")
@@ -344,30 +463,18 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
 
     threshold = plan.t1_optimum(bids, budget) / (params.beta * budget)
     s_star = plan.t2_argmax(bids, threshold)
-    clause_index = valuation.best_clause(s_star) if s_star else None
-    clause = valuation.functions[clause_index] if s_star else {}
-    # elements the chosen clause values at zero can never receive an
-    # individually rational proportional payment; they are left out
-    positive = sorted(e for e in s_star if clause[e] > 0)
-    inner = None
-    if positive:
-        inner = run_matroid_mechanism(Instance(
-            FreeMatroid(positive),
-            {e: clause[e] for e in positive},
-            {e: true_costs[e] for e in positive},
-            {e: bids[e] for e in positive},
-            budget,
-        ))
+    chosen = plan.chosen(s_star)
+    inner = chosen.run(true_costs, bids, budget)
     return XosOutcome(
-        branch="sub-mechanism" if positive else "empty",
-        allocation=inner.allocation if positive else frozenset(),
-        payments=dict(inner.payments) if positive else {},
+        branch="empty" if inner is None else "sub-mechanism",
+        allocation=frozenset() if inner is None else inner.allocation,
+        payments={} if inner is None else dict(inner.payments),
         budget=budget,
         t1=plan.t1,
         t2=plan.t2,
         threshold=threshold,
         s_star=s_star,
-        clause_index=clause_index,
+        clause_index=chosen.clause_index,
         inner=inner,
     )
 

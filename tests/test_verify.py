@@ -15,6 +15,7 @@ from budgetmech import (
     intersection,
     utility,
     verify,
+    xos,
 )
 from budgetmech.instance_io import instance_to_json, load_instance
 from budgetmech.rationals import format_rational, mpq
@@ -105,6 +106,38 @@ def test_a_runner_asks_its_blackbox_once_per_exclusion_set(monkeypatch):
             assert asked and all(spec is inst.structure for spec, _ in asked)
             excluded = [x for _, x in asked]
             assert len(excluded) == len(set(excluded))
+
+
+def test_an_xos_check_runs_the_inner_mechanism_once_per_chosen_set(monkeypatch):
+    # each chosen set keeps one inner runner for the check's plan, so a later
+    # run that moves at most one of its bids is answered without a full run
+    full, inner_runs = [], []
+    run = xos.run_matroid_mechanism
+    sweep_run = verify.xos_mechanism_main
+
+    def recording(inst, plan=None):
+        full.append(tuple(inst.structure.ground))
+        return run(inst, plan)
+
+    def recording_sweep_run(*args):
+        outcome = sweep_run(*args)
+        inner_runs.append(outcome.inner is not None)
+        return outcome
+
+    monkeypatch.setattr(xos, "run_matroid_mechanism", recording)
+    monkeypatch.setattr(verify, "xos_mechanism_main", recording_sweep_run)
+    answered = 0
+    for n in (6, 10):
+        for index in range(3):
+            valuation, costs, budget = gen_xos_instance(21, index, n=n)
+            for tape in (1, 4, 7):  # the sub-mechanism tapes of the pinned pool
+                full.clear()
+                inner_runs.clear()
+                params = XosParams(seed=tape, alpha=218, beta=mpq(9, 2), gamma=4)
+                check_xos_truthfulness(valuation, costs, budget, params, seed=index)
+                assert len(full) == len(set(full))
+                answered += sum(inner_runs) - len(full)
+    assert answered > 0
 
 
 def test_generator_determinism():

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,9 +17,11 @@ from budgetmech import (
     optimize_constant,
     partition_halves,
     random_split,
+    xos,
     xos_mechanism_main,
     xos_objective,
 )
+from budgetmech.mechanisms import OneBidRunner
 from budgetmech.oracle import xos_opt
 from budgetmech.rationals import ZERO, mpq
 from budgetmech.verify import check_xos_outcome, check_xos_truthfulness, gen_xos_instance
@@ -385,6 +388,41 @@ def test_one_bid_argmax_matches_a_fresh_argmax(case, tape, drawn):
             assert plan.t2_argmax(moved, threshold) == fresh
 
 
+# one element in T1 on tape 1, whose bid 3 moved to 4 puts budget - D on 3,
+# the bid total of {e0}; tape 1 puts all four ``ID_TIE`` elements, whose bid
+# totals tie often, in T1
+ONE_IN_T1 = (XosValuation(["e0"], [{"e0": mpq(2)}]), [], {"e0": mpq(3)}, ZERO, mpq(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xos_subset_cases(), st.integers(0, 255), st.lists(st.integers(1, 8), max_size=3))
+@example(ONE_IN_T1, 1, [2])
+@example(ID_TIE, 1, [])
+def test_one_bid_t1_optimum_matches_a_fresh_scan(case, tape, drawn):
+    """After ``t1_table`` at some bids and budget, the plan answers each
+    one-bid T1 change at that budget from the table, without a scan; each
+    answer equals a fresh scan over the re-summed bids.  The new bids put
+    budget - D exactly on the bid total of every set with the element, and
+    the last one is the base bid again, as a new object."""
+    valuation, _, bids, _, budget = case
+    plan = XosPlan(valuation, XosParams(seed=tape, **PARAMS))
+    assume(not plan.take_max_element and plan.t1_ids)
+    ids = plan.t1_ids
+    plan.t1_table(bids, budget)
+    value = _value_table(valuation, ids)
+    cost = _additive_subset_sums([bids[e] for e in ids])
+    for j, e in enumerate(ids):
+        exact = [bids[e] + budget - c for m, c in enumerate(cost) if m >> j & 1]
+        new_bids = [*exact, *(mpq(k, 2) for k in drawn), mpq(bids[e].numerator, bids[e].denominator)]
+        for bid in (b for b in new_bids if b > 0):
+            moved = {**bids, e: bid}
+            fresh = _opt_value_under_budget(
+                _additive_subset_sums([moved[o] for o in ids]), value, budget)
+            with mock.patch.object(xos, "_opt_value_under_budget",
+                                   side_effect=AssertionError("T1 scanned")):
+                assert plan.t1_optimum(moved, budget) == fresh
+
+
 # ---------------------------------------------------------------------------
 # one plan shared by a sequence of runs against fresh runs
 
@@ -417,39 +455,39 @@ def xos_bid_sequences(draw):
     return valuation, costs, params, [a, b, c, d, a, b, a]
 
 
-def _compared(outcome):
-    inner_rate = outcome.inner.final_rate if outcome.inner is not None else None
-    return (outcome.branch, outcome.allocation, outcome.payments, outcome.t1,
-            outcome.t2, outcome.threshold, outcome.s_star, outcome.clause_index,
-            inner_rate)
-
-
 def test_shared_plan_matches_fresh_runs():
+    """Each run through one shared plan equals a fresh run in every field,
+    the inner trace and payments included, while the one-bid tables of both
+    halves and the chains of the inner runners answer some of the runs."""
     branches = set()
-    table_answers = []
+    answers = {"t1": [], "t2": []}
 
     @settings(max_examples=300, deadline=None)
     @given(xos_bid_sequences())
     def check(case):
         valuation, costs, params, sequence = case
         plan = XosPlan(valuation, params)
-        from_winners = plan._t2_from_winners
+        for half, name in (("t1", "_t1_from_optima"), ("t2", "_t2_from_winners")):
+            def counted(*key, read=getattr(plan, name), half=half):
+                answer = read(*key)
+                answers[half].append(answer is not None)
+                return answer
 
-        def counted(*key):
-            answer = from_winners(*key)
-            table_answers.append(answer is not None)
-            return answer
-
-        plan._t2_from_winners = counted
+            setattr(plan, name, counted)
         for k, (bids, budget) in enumerate(sequence):
             shared = xos_mechanism_main(valuation, costs, bids, budget, params, plan)
             fresh = xos_mechanism_main(valuation, costs, bids, budget, params)
-            assert _compared(shared) == _compared(fresh)
+            assert shared == fresh
             branches.add(fresh.branch)
             if k == 0 and not plan.take_max_element:
-                # the table at A's bids and threshold answers C, a T2-only change
+                # the tables at A's bids answer B, a T1-only change, and the
+                # T2 half of C
+                plan.t1_table(bids, budget)
                 plan.t2_breakpoints(bids, shared.threshold)
 
-    check()
+    with mock.patch.object(OneBidRunner, "_answer", autospec=True,
+                           side_effect=OneBidRunner._answer) as chain_answers:
+        check()
     assert branches == {"max-element", "empty", "sub-mechanism"}
-    assert sum(table_answers) > 0
+    assert sum(answers["t1"]) > 0 and sum(answers["t2"]) > 0
+    assert chain_answers.call_count > 0

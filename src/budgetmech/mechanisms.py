@@ -418,7 +418,8 @@ class OneBidRunner:
     is deterministic and tau's bid is never read, so a call that moves no
     bid, or only tau's, gets the key's outcome.  Any other call (several
     bids moved, or another budget) runs in full; another budget becomes the
-    new key.
+    new key.  Bids and the budget are compared by identity first, then by
+    value.
     """
 
     def __init__(self, run, plan):
@@ -428,7 +429,8 @@ class OneBidRunner:
         self._chains = {}
 
     def __call__(self, inst):
-        if self._base is None or inst.budget != self._base[0].budget:
+        if self._base is None or (inst.budget is not self._base[0].budget
+                                  and inst.budget != self._base[0].budget):
             outcome = self._run(inst)
             self._base, self._keys, self._chains = (inst, outcome), None, {}
             return outcome

@@ -9,7 +9,7 @@ ties go to the lexicographically smallest id set.
 """
 
 from .errors import CapExceeded
-from .rationals import ZERO, mpq, scale_to_integers
+from .rationals import as_rational, mpq, scale_to_integers
 
 ENUMERATION_CAP = 22
 
@@ -36,18 +36,32 @@ def _walk(ground, fits, weights, costs, budget, visit):
     extend(0, frozenset(), 0, 0)
 
 
+def _integer_costs(ground, costs, budget):
+    """The costs of ``ground`` as integers over their common denominator,
+    and the budget on that scale, rounded down: an integer total fits the
+    budget exactly when it fits the rounded one."""
+    den, scaled = scale_to_integers([as_rational(costs[e]) for e in ground])
+    budget = as_rational(budget)
+    return dict(zip(ground, scaled)), budget.numerator * den // budget.denominator
+
+
 def brute_force_opt(structure, weights, costs, budget):
     """Maximum-weight independent set of a Matroid or an IntersectionSpec
-    whose total cost is at most ``budget``: the first of maximum weight."""
+    whose total cost is at most ``budget``: the first of maximum weight.
+
+    The walk sums integers: the weights over their common denominator, and
+    the costs over theirs with the budget on the cost scale
+    (``rationals.scale_to_integers``), which keeps every comparison."""
     ground = structure.ground
-    best = [ZERO, frozenset()]
+    _, scaled = scale_to_integers([as_rational(weights[e]) for e in ground])
+    best = [0, frozenset()]
 
     def keep(s, weight, cost):
         if weight > best[0]:
             best[:] = weight, s
 
-    _walk(ground, structure.is_independent, {e: mpq(weights[e]) for e in ground},
-          {e: mpq(costs[e]) for e in ground}, budget, keep)
+    _walk(ground, structure.is_independent, dict(zip(ground, scaled)),
+          *_integer_costs(ground, costs, budget), keep)
     return best[1]
 
 
@@ -72,15 +86,14 @@ def xos_opt(valuation, costs, budget):
     mask, shifts = (1 << width) - 1, [k * width for k in range(len(clauses))]
     packed = {e: sum(row[j] << shift for row, shift in zip(rows, shifts))
               for j, e in enumerate(ground)}
-    best = [0, ZERO, frozenset()]
+    best = [0, 0, frozenset()]
 
     def keep(s, sums, cost):
         value = max(sums >> shift & mask for shift in shifts)
         if value > best[0] or (value == best[0] and cost < best[1]):
             best[:] = value, cost, s
 
-    _walk(ground, lambda s: True, packed, {e: mpq(costs[e]) for e in ground}, mpq(budget),
-          keep)
+    _walk(ground, lambda s: True, packed, *_integer_costs(ground, costs, budget), keep)
     return best[2], mpq(best[0], den)
 
 

@@ -41,7 +41,7 @@ from .mechanisms import (
     run_matroid_mechanism,
 )
 from .oracle import brute_force_opt
-from .rationals import ZERO, format_rational, mpq, scale_to_integers
+from .rationals import ZERO, format_rational, mpq
 from .xos import XosParams, XosPlan, XosValuation, xos_mechanism_main
 
 EPSILON = mpq(1, 10**9)
@@ -315,17 +315,38 @@ def _around(x):
     return (x - EPSILON, x, x + EPSILON)
 
 
-def _probe_bids(anchors, budget, rng, min_count):
-    """The anchors inside (0, budget], topped up with uniform draws
-    ``budget * k / 10**6`` until there are ``min_count``, sorted (on the
-    integers over their common denominator, which keep the order exactly)."""
-    probes = {d for d in anchors if 0 < d <= budget}
-    num, den = budget.numerator, budget.denominator * 10**6
+# the top-up draws lie on the grid budget * k / PROBE_GRID, k = 1..PROBE_GRID
+PROBE_GRID = 10**6
+
+
+def _probe_integers(anchors, den, budget, rng, min_count):
+    """The probe core, on integers over ``den``, a multiple of the budget's
+    denominator times ``PROBE_GRID``: the ``anchors`` inside (0, ``budget``],
+    deduplicated, topped up with uniform grid draws ``k * budget /
+    PROBE_GRID`` until there are ``min_count``, and sorted.  Only the probes
+    returned become rationals.  Raises InputError, before any draw, when
+    fewer than ``min_count`` distinct values are reachable."""
+    probes = {a for a in anchors if 0 < a <= budget}
+    step = budget // PROBE_GRID
+    # the grid alone holds PROBE_GRID values, so only a larger ask can run out
+    if min_count > PROBE_GRID:
+        reachable = len(probes) + PROBE_GRID - sum(1 for a in probes if a % step == 0)
+        if min_count > reachable:
+            raise InputError(f"cannot draw {min_count} distinct deviation bids: "
+                             f"only {reachable} are reachable in (0, budget]")
     while len(probes) < min_count:
-        probes.add(mpq(num * rng.randint(1, 10**6), den))
-    probes = list(probes)
-    _, scaled = scale_to_integers(probes)  # distinct, so no probe is compared
-    return [d for _, d in sorted(zip(scaled, probes))]
+        probes.add(step * rng.randint(1, PROBE_GRID))
+    return [mpq(a, den) for a in sorted(probes)]
+
+
+def _probe_bids(anchors, budget, rng, min_count):
+    """The rational ``anchors`` inside (0, budget], topped up with uniform
+    draws ``budget * k / PROBE_GRID`` until there are ``min_count``, sorted:
+    ``_probe_integers`` on the anchors and the budget over one
+    denominator."""
+    den = math.lcm(budget.denominator * PROBE_GRID, *(d.denominator for d in anchors))
+    return _probe_integers([d.numerator * (den // d.denominator) for d in anchors], den,
+                           budget.numerator * (den // budget.denominator), rng, min_count)
 
 
 def _deviation_sweep(report, doc, ground, costs, truthful, run, probes):
@@ -359,14 +380,28 @@ def truthful_deviation_bids(inst, e, truthful_outcome, rng, min_count):
     Boundary probes sit just above/below every other element's buck-per-bang
     breakpoint (scaled to e's weight) and at the truthful run's final rate
     times e's weight; threshold mechanisms hide violations exactly there.
+    They are built on integers: each rate ``bid / weight`` is the fraction
+    ``bid.num * weight.den / (bid.den * weight.num)``, over one common
+    denominator with the final rate, and every anchor, EPSILON and the
+    budget lie on one denominator per element (``_probe_integers``).
     """
-    w_e = inst.weights[e]
-    anchors = [d for o in inst.structure.ground if o != e
-               for d in _around(inst.buck_per_bang(o) * w_e)]
+    w_e, budget = inst.weights[e], inst.budget
+    rates = [(inst.bids[o].numerator * inst.weights[o].denominator,
+              inst.bids[o].denominator * inst.weights[o].numerator)
+             for o in inst.structure.ground if o != e]
     if truthful_outcome is not None and truthful_outcome.final_rate is not None:
-        anchors.extend(_around(truthful_outcome.final_rate * w_e))
-    anchors.append(inst.budget)
-    return _probe_bids(anchors, inst.budget, rng, min_count)
+        rate = truthful_outcome.final_rate
+        rates.append((rate.numerator, rate.denominator))
+    rate_den = math.lcm(*(q for _, q in rates))
+    den = math.lcm(rate_den * w_e.denominator, budget.denominator * PROBE_GRID,
+                   EPSILON.denominator)
+    scale = den // (rate_den * w_e.denominator) * w_e.numerator  # rate * w_e over den
+    eps = EPSILON.numerator * (den // EPSILON.denominator)
+    anchors = [budget.numerator * (den // budget.denominator)]
+    for p, q in rates:
+        x = p * (rate_den // q) * scale
+        anchors += (x - eps, x, x + eps)
+    return _probe_integers(anchors, den, anchors[0], rng, min_count)
 
 
 def check_truthfulness(runner, inst, deviations_per_element=50, seed=0,
@@ -562,6 +597,10 @@ def _nonempty_list_of(allowed):
     return lambda v: isinstance(v, (list, tuple)) and bool(v) and all(x in allowed for x in v)
 
 
+# the most worker processes a sweep may start (``run_sweep`` submits every
+# chunk at once, so each worker is a live interpreter)
+MAX_THREADS = 64
+
 # the one rule, and its message, for each key a sweep config may set
 _SWEEP_RULES = {
     "seed": (_is_int, "must be an integer"),
@@ -578,9 +617,11 @@ _SWEEP_RULES = {
                       "must be tight, loose or mixed"),
     "mechanisms": (_nonempty_list_of(SWEEP_MECHANISMS),
                    "must be a nonempty list drawn from " + ", ".join(SWEEP_MECHANISMS)),
-    "deviations_per_element": (lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
+    "deviations_per_element": (lambda v: _is_int(v) and 1 <= v <= PROBE_GRID,
+                               f"must be an integer from 1 to {PROBE_GRID}"),
     "include_broken": (lambda v: isinstance(v, bool), "must be a boolean"),
-    "threads": (lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
+    "threads": (lambda v: _is_int(v) and 1 <= v <= MAX_THREADS,
+                f"must be an integer from 1 to {MAX_THREADS}"),
 }
 
 

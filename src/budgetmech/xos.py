@@ -266,7 +266,10 @@ class _ChosenSet:
     ``run`` runs the matroid mechanism on them through one
     ``OneBidRunner`` over one ``Plan``, so a run that moves no bid of
     ``positive`` away from the first run's gets that run's outcome, and one
-    that moves one such bid is answered from the runner's chains.  Its full
+    that moves one such bid is answered from the runner's chains.  It keeps
+    one validated inner ``Instance``: a run at its budget and true costs
+    derives its instance by ``Instance.with_bid`` for each member whose bid
+    object differs, and any other run builds and keeps a new one.  Its full
     runs call ``run_matroid_mechanism`` as a module global, at call time.
     """
 
@@ -281,19 +284,29 @@ class _ChosenSet:
             self.weights = {e: clause[e] for e in self.positive}
             plan = Plan(self.matroid, self.weights)
             self._runner = OneBidRunner(lambda inst: run_matroid_mechanism(inst, plan), plan)
+            self._inst = None
 
     def run(self, true_costs, bids, budget):
         """The inner ``Outcome`` at ``bids``, or None when ``positive`` is
         empty."""
         if not self.positive:
             return None
-        return self._runner(Instance(
-            self.matroid,
-            self.weights,
-            {e: true_costs[e] for e in self.positive},
-            {e: bids[e] for e in self.positive},
-            budget,
-        ))
+        inst = self._inst
+        if inst is not None and (inst.budget is budget or inst.budget == budget) and all(
+                true_costs[e] is inst.true_costs[e] or true_costs[e] == inst.true_costs[e]
+                for e in self.positive):
+            for e in self.positive:
+                if bids[e] is not inst.bids[e]:
+                    inst = inst.with_bid(e, bids[e])
+        else:
+            inst = self._inst = Instance(
+                self.matroid,
+                self.weights,
+                {e: true_costs[e] for e in self.positive},
+                {e: bids[e] for e in self.positive},
+                budget,
+            )
+        return self._runner(inst)
 
 
 class XosPlan:
@@ -310,8 +323,9 @@ class XosPlan:
     pure function of the tables (``cost`` and ``value`` by subset bitmask).
 
     Each half reads only its own bids, so the plan also keeps the last T1
-    optimum, keyed on the budget and the T1 bids, and the last surplus
-    argmax, keyed on the threshold and the T2 bids.  Two one-bid tables,
+    optimum, keyed on the budget and the T1 bids, the last threshold, keyed
+    on the T1 optimum, budget and beta objects (``threshold``), and the
+    last surplus argmax, keyed on the threshold and the T2 bids.  Two one-bid tables,
     built only when asked for, answer a call with at most one bid of their
     half moved from theirs: ``t1_table`` keeps ``_one_bid_optima`` under
     its budget and T1 bids, and ``t2_breakpoints`` keeps the
@@ -321,6 +335,10 @@ class XosPlan:
     ``chosen(s_star)`` keeps one ``_ChosenSet`` per chosen T2 set for the
     plan's life: the best clause, the inner free matroid and weights, and
     the inner runner are built at the first run that chooses the set.
+
+    ``check`` validates a run's bids and true costs once per plan: it
+    remembers the objects it has passed at one budget, so a run through a
+    shared plan checks only the bids and costs that are new objects.
     """
 
     def __init__(self, valuation, params):
@@ -343,9 +361,31 @@ class XosPlan:
             self.t1_value = _value_table(valuation, self.t1_ids)
             self.t2_value = _value_table(valuation, self.t2_ids)
         self._valuation = valuation
+        self._checked_budget, self._checked_bids, self._checked_costs = None, {}, {}
         self._t1_key = self._t1_optimum = self._optima = None
+        self._threshold_key, self._threshold = (None, None, None), None
         self._t2_key = self._t2_argmax = self._winners = None
         self._chosen = {}
+
+    def check(self, true_costs, bids, budget):
+        """Raise InputError unless every bid lies in (0, ``budget``] and
+        every true cost is positive, in ground order, each bid before its
+        element's true cost.  The plan remembers the bid and true-cost
+        objects it has passed at ``budget`` and checks only the others;
+        another budget forgets them."""
+        if budget is not self._checked_budget and budget != self._checked_budget:
+            self._checked_budget, self._checked_bids, self._checked_costs = budget, {}, {}
+        checked_bids, checked_costs = self._checked_bids, self._checked_costs
+        for e in self._valuation.ground:
+            bid, cost = bids[e], true_costs[e]
+            if bid is not checked_bids.get(e):
+                if bid > budget or bid <= 0:
+                    raise InputError(f"bid of {e!r} must lie in (0, budget]")
+                checked_bids[e] = bid
+            if cost is not checked_costs.get(e):
+                if cost.numerator <= 0:
+                    raise InputError(f"true_costs[{e}] must be positive")
+                checked_costs[e] = cost
 
     def t1_optimum(self, bids, budget):
         """max v(S) over S within T1 with bid total at most ``budget``."""
@@ -361,7 +401,9 @@ class XosPlan:
     def _t1_from_optima(self, budget, t1_bids):
         """The T1 optimum read off the ``_one_bid_optima`` table, or None
         unless the budget is the table's and at most one T1 bid moved."""
-        if self._optima is None or self._optima[0][0] != budget or not self.t1_ids:
+        if self._optima is None or not self.t1_ids:
+            return None
+        if self._optima[0][0] is not budget and self._optima[0][0] != budget:
             return None
         (_, base), optima = self._optima
         j = _one_moved(t1_bids, base)
@@ -379,6 +421,15 @@ class XosPlan:
         self._optima = key, _one_bid_optima(
             self.t1_ids, _additive_subset_sums(key[1]), self.t1_value, budget)
 
+    def threshold(self, t1_optimum, budget, beta):
+        """``t1_optimum / (beta * budget)``, kept under the three objects it
+        was computed from, so a run that repeats them gets the same object
+        and ``t2_argmax``'s key matches it by identity."""
+        key = (t1_optimum, budget, beta)
+        if any(a is not b for a, b in zip(key, self._threshold_key)):
+            self._threshold_key, self._threshold = key, t1_optimum / (beta * budget)
+        return self._threshold
+
     def t2_argmax(self, bids, threshold):
         """``_argmax_surplus`` over T2."""
         key = (threshold, [bids[e] for e in self.t2_ids])
@@ -393,7 +444,9 @@ class XosPlan:
     def _t2_from_winners(self, threshold, t2_bids):
         """The surplus argmax read off the ``_class_winners`` table, or None
         unless the threshold is the table's and at most one T2 bid moved."""
-        if self._winners is None or self._winners[0][0] != threshold or not self.t2_ids:
+        if self._winners is None or not self.t2_ids:
+            return None
+        if self._winners[0][0] is not threshold and self._winners[0][0] != threshold:
             return None
         (_, base), winners = self._winners
         j = _one_moved(t2_bids, base)
@@ -435,11 +488,12 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
 
     ``plan`` is ``XosPlan(valuation, params)``, built here when not given;
     pass one to share it across runs that differ only in bids and budget.
-    A shared plan answers from what it keeps: the T1 optimum and T2 argmax
-    (``XosPlan.t1_optimum``, ``XosPlan.t2_argmax``) and, per chosen set,
-    the best clause and the inner runner (``XosPlan.chosen``).  Bids that
-    are rationals already are kept as they are, so the plan compares them
-    by identity first.
+    A shared plan answers from what it keeps: the bid and cost objects it
+    has checked (``XosPlan.check``), the T1 optimum, threshold and T2 argmax
+    (``XosPlan.t1_optimum``, ``XosPlan.threshold``, ``XosPlan.t2_argmax``)
+    and, per chosen set, the best clause, the inner instance and the inner
+    runner (``XosPlan.chosen``).  Bids that are rationals already are kept
+    as they are, so the plan compares them by identity first.
     """
     if plan is None:
         plan = XosPlan(valuation, params)
@@ -447,11 +501,7 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
     budget = as_rational(budget)
     bids = {e: as_rational(bids[e]) for e in ground}
     true_costs = {e: as_rational(true_costs[e]) for e in ground}
-    for e in ground:
-        if bids[e] > budget or bids[e] <= 0:
-            raise InputError(f"bid of {e!r} must lie in (0, budget]")
-        if true_costs[e].numerator <= 0:
-            raise InputError(f"true_costs[{e}] must be positive")
+    plan.check(true_costs, bids, budget)
 
     if plan.take_max_element:
         return XosOutcome(
@@ -461,7 +511,7 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
             budget=budget,
         )
 
-    threshold = plan.t1_optimum(bids, budget) / (params.beta * budget)
+    threshold = plan.threshold(plan.t1_optimum(bids, budget), budget, params.beta)
     s_star = plan.t2_argmax(bids, threshold)
     chosen = plan.chosen(s_star)
     inner = chosen.run(true_costs, bids, budget)

@@ -432,7 +432,26 @@ def test_zero_threads_rejected(tmp_path, capsys, command):
     out = str(tmp_path / ("reports" if command == "verify" else "sweep.csv"))
     argv = [command, config, "--out", out] if command == "verify" else [command, config, out]
     assert main([*argv, "--threads", "0"]) == 2
-    assert capsys.readouterr().err == "error: threads: must be a positive integer\n"
+    assert capsys.readouterr().err == "error: threads: must be an integer from 1 to 64\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_threads_past_the_cap_rejected(tmp_path, capsys, command):
+    # the config is validated before any worker starts, so this starts none
+    config = write(tmp_path, "cfg.json", {"count": 1000, "mechanisms": ["matroid"]})
+    out = str(tmp_path / ("reports" if command == "verify" else "sweep.csv"))
+    argv = [command, config, "--out", out] if command == "verify" else [command, config, out]
+    assert main([*argv, "--threads", "65"]) == 2
+    assert capsys.readouterr().err == "error: threads: must be an integer from 1 to 64\n"
+    assert not (tmp_path / "reports").exists() and not (tmp_path / "sweep.csv").exists()
+
+
+def test_deviations_past_the_probe_grid_rejected(tmp_path, capsys):
+    config = write(tmp_path, "cfg.json", {"count": 1, "mechanisms": ["matroid"],
+                                          "deviations_per_element": 1000001})
+    assert main(["verify", config, "--out", str(tmp_path / "reports")]) == 2
+    assert capsys.readouterr().err == \
+        "error: deviations_per_element: must be an integer from 1 to 1000000\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "bench"])

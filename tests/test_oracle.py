@@ -102,9 +102,13 @@ def test_oracles_match_a_naive_scan_with_the_written_tie_rule(data, structure):
     """Second route: a scan of ``combinations`` that applies the tie rule as
     written (value, then smaller cost for XOS, then the smaller sorted id
     tuple) on tie-heavy weights, costs and clauses, at budgets 0, exactly one
-    subset's cost and above the total."""
+    subset's cost, 1/35 either side of it and above the total.  In the
+    mixed-denominator case the weights lie on denominators 5 and 7, which no
+    cost has, and those budgets on 35."""
     ground = structure.ground
-    w = {e: data.draw(RATIONALS) for e in ground}
+    weights = data.draw(st.sampled_from(
+        (RATIONALS, st.builds(mpq, st.integers(1, 20), st.sampled_from((5, 7))))))
+    w = {e: data.draw(weights) for e in ground}
     c = {e: data.draw(RATIONALS) for e in ground}
     independent = [s for s in _subsets(ground) if structure.is_independent(set(s))]
     assert enumerate_independent_sets(structure) == [frozenset(s) for s in sorted(independent)]
@@ -112,7 +116,10 @@ def test_oracles_match_a_naive_scan_with_the_written_tie_rule(data, structure):
     clauses = [{e: data.draw(st.integers(0, 3)) for e in ground}
                for _ in range(data.draw(st.integers(1, 3)))]
     valuation = XosValuation(ground, clauses)
-    for budget in (mpq(0), spent, sum(c.values()) + 1):
+    budgets = [mpq(0), spent, spent + mpq(1, 35), sum(c.values()) + 1]
+    if spent:
+        budgets.append(spent - mpq(1, 35))
+    for budget in budgets:
         fit = [s for s in independent if sum(c[e] for e in s) <= budget]
         best = min(fit, key=lambda s: (-sum(w[e] for e in s), s))
         assert brute_force_opt(structure, w, c, budget) == frozenset(best)

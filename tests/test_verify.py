@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budgetmech import (
+    FreeMatroid,
     InputError,
     Instance,
     SchemaError,
@@ -39,6 +44,7 @@ from budgetmech.verify import (
     run_verification,
     truthful_deviation_bids,
 )
+from conftest import RATIONALS
 
 
 def test_epsilon_is_exact():
@@ -183,6 +189,83 @@ def test_probe_count_meets_minimum():
     )
     assert len(probes) >= 50
     assert all(0 < d <= inst.budget for d in probes)
+
+
+def _plain_anchors(inst, e, final_rate):
+    """The threshold probe anchors as rationals, built as first written."""
+    def around(x):
+        return (x - EPSILON, x, x + EPSILON)
+
+    w_e = inst.weights[e]
+    anchors = [d for o in inst.ground if o != e
+               for d in around(inst.bids[o] / inst.weights[o] * w_e)]
+    if final_rate is not None:
+        anchors.extend(around(final_rate * w_e))
+    anchors.append(inst.budget)
+    return anchors
+
+
+def _plain_probe_bids(anchors, budget, rng, min_count):
+    """Second route to the probe set: a set of rationals filtered to
+    (0, budget], topped up with draws ``budget * k / 10**6``, sorted."""
+    probes = {d for d in anchors if 0 < d <= budget}
+    while len(probes) < min_count:
+        probes.add(budget * mpq(rng.randint(1, 10**6), 10**6))
+    return sorted(probes)
+
+
+@st.composite
+def probe_cases(draw):
+    """An instance, an element ``e`` and a final rate whose anchors tie
+    often: equal buck-per-bang values, anchors on grid points, and anchors
+    or their EPSILON neighbours at 0 and at the budget."""
+    ids = [f"x{j}" for j in range(draw(st.integers(1, 5)))]
+    weights = {x: draw(RATIONALS) for x in ids}
+    budget = draw(RATIONALS)
+    e = draw(st.sampled_from(ids))
+    grid = st.builds(lambda k: budget * mpq(k, 10**6), st.integers(1, 10**6))
+    # the level each rate reaches at e's weight
+    levels = st.one_of(RATIONALS, st.just(budget), st.just(budget - EPSILON),
+                       st.just(EPSILON), grid, grid.map(lambda g: g + EPSILON))
+    bids = {x: draw(levels) * weights[x] / weights[e] for x in ids}
+    final_rate = draw(st.one_of(st.none(), levels.map(lambda a: a / weights[e])))
+    return Instance(FreeMatroid(ids), weights, bids, bids, budget), e, final_rate
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=probe_cases(), seed=st.integers(0, 2**16), min_count=st.integers(1, 40))
+def test_probes_match_a_plain_rational_route(case, seed, min_count):
+    """The probes built on integers over one denominator are the rational
+    route's probes, in its order, and use the same draws of the rng."""
+    inst, e, final_rate = case
+    anchors = _plain_anchors(inst, e, final_rate)
+    outcomes = [SimpleNamespace(final_rate=final_rate)]
+    if final_rate is None:
+        outcomes.append(None)
+    for outcome in outcomes:
+        rng, plain_rng = random.Random(seed), random.Random(seed)
+        probes = truthful_deviation_bids(inst, e, outcome, rng, min_count)
+        assert probes == _plain_probe_bids(anchors, inst.budget, plain_rng, min_count)
+        assert rng.getstate() == plain_rng.getstate()
+    rng, plain_rng = random.Random(seed), random.Random(seed)
+    probes = verify._probe_bids(anchors, inst.budget, rng, min_count)
+    assert probes == _plain_probe_bids(anchors, inst.budget, plain_rng, min_count)
+    assert rng.getstate() == plain_rng.getstate()
+
+
+def test_a_probe_count_past_the_reachable_values_raises_before_drawing():
+    inst = gen_matroid_instance(GeneratorConfig(count=1, seed=0), 0)
+    with pytest.raises(InputError, match="cannot draw 1000050 distinct deviation bids"):
+        check_truthfulness(make_runner("matroid", inst), inst,
+                           deviations_per_element=10**6 + 50)
+    # an anchor on a grid point adds no reachable value; one off the grid does
+    budget, rng = mpq(7, 3), random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InputError, match="only 1000000 are reachable"):
+        verify._probe_bids([budget, budget / 2], budget, rng, 10**6 + 1)
+    with pytest.raises(InputError, match="only 1000001 are reachable"):
+        verify._probe_bids([budget, budget / 3], budget, rng, 10**6 + 2)
+    assert rng.getstate() == state
 
 
 def test_broken_mechanism_caught_and_replayable():

@@ -170,6 +170,37 @@ def test_non_positive_true_cost_rejected_on_every_coin_tape(cost):
                 xos_mechanism_main(val, {**costs, e: cost}, costs, budget, params)
 
 
+def _input_error(*args):
+    with pytest.raises(InputError) as err:
+        xos_mechanism_main(*args)
+    return str(err.value)
+
+
+def test_a_shared_plan_rejects_what_a_fresh_plan_rejects():
+    """The plan remembers the bid and cost objects it has checked at one
+    budget.  After valid runs, a new bid object above the budget, a smaller
+    budget below a checked bid object and a non-positive true cost each
+    raise through the shared plan what they raise through a fresh one."""
+    val, costs, budget = gen_xos_instance(0, 1, n=8)
+    e = max(val.ground, key=lambda x: (costs[x], x))
+    first = val.ground[0]
+    for seed in range(4):
+        params = XosParams(seed=seed, **PARAMS)
+        plan = XosPlan(val, params)
+        xos_mechanism_main(val, costs, costs, budget, params, plan)
+        xos_mechanism_main(val, costs, {**costs, first: costs[first] / 2}, budget, params, plan)
+        for true_costs, bids, at in (
+            (costs, {**costs, e: budget + mpq(1, 3)}, budget),
+            (costs, costs, costs[e] - mpq(1, 2)),
+            ({**costs, e: ZERO}, costs, budget),
+            ({**costs, e: mpq(-3)}, {**costs, first: costs[first] / 2}, budget),
+        ):
+            fresh = _input_error(val, true_costs, bids, at, params)
+            assert _input_error(val, true_costs, bids, at, params, plan) == fresh
+        assert xos_mechanism_main(val, costs, costs, budget, params, plan) == \
+            xos_mechanism_main(val, costs, costs, budget, params)
+
+
 def test_params_validation():
     with pytest.raises(InputError):
         XosParams(alpha=2, beta=1, gamma=3, seed=0)  # alpha*beta - beta - 4alpha < 0

@@ -246,6 +246,11 @@ def _class_winners(ids, cost, value, threshold):
             for j in range(len(ids))]
 
 
+def _same(a, b):
+    """Whether two rationals are equal, compared by identity first."""
+    return a is b or a == b
+
+
 def _one_moved(bids, base):
     """The position of the one bid of ``bids`` that differs from ``base``,
     or None when several do; bids are compared by identity, then by value.
@@ -292,9 +297,8 @@ class _ChosenSet:
         if not self.positive:
             return None
         inst = self._inst
-        if inst is not None and (inst.budget is budget or inst.budget == budget) and all(
-                true_costs[e] is inst.true_costs[e] or true_costs[e] == inst.true_costs[e]
-                for e in self.positive):
+        if inst is not None and _same(inst.budget, budget) and all(
+                _same(true_costs[e], inst.true_costs[e]) for e in self.positive):
             for e in self.positive:
                 if bids[e] is not inst.bids[e]:
                     inst = inst.with_bid(e, bids[e])
@@ -325,12 +329,13 @@ class XosPlan:
     Each half reads only its own bids, so the plan also keeps the last T1
     optimum, keyed on the budget and the T1 bids, the last threshold, keyed
     on the T1 optimum, budget and beta objects (``threshold``), and the
-    last surplus argmax, keyed on the threshold and the T2 bids.  Two one-bid tables,
-    built only when asked for, answer a call with at most one bid of their
-    half moved from theirs: ``t1_table`` keeps ``_one_bid_optima`` under
-    its budget and T1 bids, and ``t2_breakpoints`` keeps the
-    ``_class_winners`` table under its threshold and T2 bids.  The keys are
-    exact, so a run through a plan gives the outcome of a run without one.
+    last surplus argmax, keyed on the threshold and the T2 bids.  Two
+    one-bid tables, built only when asked for, answer a call with at most
+    one bid of their half moved from theirs: ``t1_table`` keeps
+    ``_one_bid_optima`` under its budget and T1 bids, and
+    ``t2_breakpoints`` keeps the ``_class_winners`` table under its
+    threshold and T2 bids.  The keys are exact, so a run through a plan
+    gives the outcome of a run without one.
 
     ``chosen(s_star)`` keeps one ``_ChosenSet`` per chosen T2 set for the
     plan's life: the best clause, the inner free matroid and weights, and
@@ -373,7 +378,7 @@ class XosPlan:
         element's true cost.  The plan remembers the bid and true-cost
         objects it has passed at ``budget`` and checks only the others;
         another budget forgets them."""
-        if budget is not self._checked_budget and budget != self._checked_budget:
+        if not _same(budget, self._checked_budget):
             self._checked_budget, self._checked_bids, self._checked_costs = budget, {}, {}
         checked_bids, checked_costs = self._checked_bids, self._checked_costs
         for e in self._valuation.ground:
@@ -401,9 +406,8 @@ class XosPlan:
     def _t1_from_optima(self, budget, t1_bids):
         """The T1 optimum read off the ``_one_bid_optima`` table, or None
         unless the budget is the table's and at most one T1 bid moved."""
-        if self._optima is None or not self.t1_ids:
-            return None
-        if self._optima[0][0] is not budget and self._optima[0][0] != budget:
+        if (self._optima is None or not self.t1_ids
+                or not _same(self._optima[0][0], budget)):
             return None
         (_, base), optima = self._optima
         j = _one_moved(t1_bids, base)
@@ -444,9 +448,8 @@ class XosPlan:
     def _t2_from_winners(self, threshold, t2_bids):
         """The surplus argmax read off the ``_class_winners`` table, or None
         unless the threshold is the table's and at most one T2 bid moved."""
-        if self._winners is None or not self.t2_ids:
-            return None
-        if self._winners[0][0] is not threshold and self._winners[0][0] != threshold:
+        if (self._winners is None or not self.t2_ids
+                or not _same(self._winners[0][0], threshold)):
             return None
         (_, base), winners = self._winners
         j = _one_moved(t2_bids, base)

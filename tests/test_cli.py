@@ -437,8 +437,9 @@ def test_zero_threads_rejected(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_threads_past_the_cap_rejected(tmp_path, capsys, command):
-    # the config is validated before any worker starts, so this starts none
-    config = write(tmp_path, "cfg.json", {"count": 1000, "mechanisms": ["matroid"]})
+    # the config is validated before any worker starts; with count 1 a sweep
+    # would run in this process anyway, so even a broken cap starts no worker
+    config = write(tmp_path, "cfg.json", {"count": 1, "mechanisms": ["matroid"]})
     out = str(tmp_path / ("reports" if command == "verify" else "sweep.csv"))
     argv = [command, config, "--out", out] if command == "verify" else [command, config, out]
     assert main([*argv, "--threads", "65"]) == 2

@@ -24,7 +24,7 @@ from typing import Optional
 from .errors import InputError
 from .intersection import IntersectionSpec
 from .matroids import Matroid, descending, max_weight_independent_set
-from .rationals import ZERO, as_rational, mpq, scale_to_integers
+from .rationals import ZERO, as_rational, moved, mpq, same, scale_to_integers
 
 
 class Instance:
@@ -418,8 +418,8 @@ class OneBidRunner:
     is deterministic and tau's bid is never read, so a call that moves no
     bid, or only tau's, gets the key's outcome.  Any other call (several
     bids moved, or another budget) runs in full; another budget becomes the
-    new key.  Bids and the budget are compared by identity first, then by
-    value.
+    new key.  Bids and the budget are compared by ``rationals.moved`` and
+    ``same``: by identity first, then by value.
     """
 
     def __init__(self, run, plan):
@@ -429,19 +429,16 @@ class OneBidRunner:
         self._chains = {}
 
     def __call__(self, inst):
-        if self._base is None or (inst.budget is not self._base[0].budget
-                                  and inst.budget != self._base[0].budget):
+        if self._base is None or not same(inst.budget, self._base[0].budget):
             outcome = self._run(inst)
             self._base, self._keys, self._chains = (inst, outcome), None, {}
             return outcome
-        base_bids = self._base[0].bids
-        moved = [e for e, bid in inst.bids.items()
-                 if bid is not base_bids[e] and bid != base_bids[e]]
-        if len(moved) > 1:
+        changed = moved(inst.bids, self._base[0].bids, inst.bids)
+        if len(changed) > 1:
             return self._run(inst)
-        if not moved or moved[0] == self._plan.tau:
+        if not changed or changed[0] == self._plan.tau:
             return self._base[1]
-        e = moved[0]
+        e = changed[0]
         if e not in self._chains:
             self._chains[e] = self._build(e)
         return self._answer(e, inst.bids[e])

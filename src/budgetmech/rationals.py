@@ -25,6 +25,17 @@ def as_rational(value):
     return value if type(value) is mpq else mpq(value)
 
 
+def same(a, b):
+    """Whether two rationals are equal, compared by identity first."""
+    return a is b or a == b
+
+
+def moved(bids, base, ids):
+    """The ids, in ``ids`` order, whose bid in ``bids`` differs from the one
+    in ``base``; bids are compared by identity first, then by value."""
+    return [e for e in ids if (b := bids[e]) is not (b0 := base[e]) and b != b0]
+
+
 def parse_rational(value, field="value"):
     """Parse an int, or a string like ``"7"`` or ``"50/9"``, into a rational.
 

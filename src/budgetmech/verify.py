@@ -528,16 +528,17 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     so the sweep is ``_deviation_sweep``'s.  Every run shares one
     ``XosPlan``: the branch coin, the T1/T2 split, the max-element winner and
     v(S) on each half read the tape and the valuation only, never a bid.
-    Once per check, at the truthful bids, the plan builds two per-element
-    tables: ``XosPlan.t1_table`` answers the T1 optimum of a T1 deviation,
-    and ``XosPlan.t2_breakpoints`` the argmax of a T2 deviation, which keeps
-    the threshold.  Per chosen set, the plan keeps the best clause and one
-    inner runner (``XosPlan.chosen``): a deviation that moves no bid of the
-    set gets the outcome of the set's first run, and one that moves one bid
-    of it an answer from that bid's removal chains.  Each reuse gives
-    exactly what a full replay would.  Probes include each element's
-    argmax-membership breakpoint (from the T2 table), the inner
-    proportional rate, and randoms.
+    The truthful run is the base of both halves of the plan, so a T1
+    deviation's T1 optimum and a T2 deviation's argmax, which keeps the
+    threshold, are read off one-bid tables the plan builds at most once per
+    check (``XosPlan.t1_optimum``, ``XosPlan.t2_argmax``).  Per chosen set,
+    the plan keeps the best clause and one inner runner
+    (``XosPlan.chosen``): a deviation that moves no bid of the set gets the
+    outcome of the set's first run, and one that moves one bid of it an
+    answer from that bid's removal chains.  Each reuse gives exactly what a
+    full replay would.  Probes include each element's argmax-membership
+    breakpoint (``XosPlan.t2_breakpoints``), the inner proportional rate,
+    and randoms.
     """
     report = VerificationReport("Truthful", "xos", instances_checked=1)
     doc = _xos_failure_doc(valuation, costs, costs, budget, params)
@@ -546,10 +547,7 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     # reads ``*args`` (a tracer, a recording test) still sees each whole call
     truthful = xos_mechanism_main(valuation, costs, costs, budget, params, plan)
     rng = random.Random(f"xosdev:{seed}:{params.seed}")
-    breakpoints = {}
-    if not plan.take_max_element:
-        plan.t1_table(costs, budget)
-        breakpoints = plan.t2_breakpoints(costs, truthful.threshold)
+    breakpoints = plan.t2_breakpoints()
 
     def probes(e):
         anchors = [budget, costs[e] - EPSILON, costs[e] + EPSILON]

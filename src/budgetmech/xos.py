@@ -27,7 +27,7 @@ from .mechanisms import (
     Plan,
     run_matroid_mechanism,
 )
-from .rationals import ZERO, as_rational, mpq, rational_isqrt, scale_to_integers
+from .rationals import ZERO, as_rational, moved, mpq, rational_isqrt, same, scale_to_integers
 
 XOS_ENUMERATION_CAP = 16
 
@@ -208,6 +208,14 @@ def _one_bid_optima(ids, cost, value, budget):
     return table
 
 
+def _optimum_at_shift(entry, budget, shift):
+    """The optimum under ``budget`` once j's bid moves by ``shift``, read off
+    j's ``_one_bid_optima`` entry."""
+    without, costs, best = entry
+    k = bisect_right(costs, budget - shift)
+    return max(without, best[k - 1]) if k else without
+
+
 def _argmax_surplus(ids, cost, value, threshold):
     """argmax over subsets of ``ids`` of v(S) - threshold * bids(S).
 
@@ -246,20 +254,54 @@ def _class_winners(ids, cost, value, threshold):
             for j in range(len(ids))]
 
 
-def _same(a, b):
-    """Whether two rationals are equal, compared by identity first."""
-    return a is b or a == b
+def _argmax_at_shift(entry, threshold, shift):
+    """The surplus argmax at ``threshold`` once e's bid moves by ``shift``,
+    read off e's ``_class_winners`` entry."""
+    (deficit, cost, ids), out = entry
+    return frozenset(min((deficit + threshold * shift, cost + shift, ids), out)[2])
 
 
-def _one_moved(bids, base):
-    """The position of the one bid of ``bids`` that differs from ``base``,
-    or None when several do; bids are compared by identity, then by value.
-    With no bid moved it is 0: a one-bid table answers through any entry,
-    with shift 0."""
-    moved = [j for j, (b, b0) in enumerate(zip(bids, base)) if b is not b0 and b != b0]
-    if len(moved) > 1:
-        return None
-    return moved[0] if moved else 0
+class _Half:
+    """One half of the split: ``full(cost, level)`` answers a call from the
+    half's bid totals by subset bitmask, at the budget (T1) or threshold (T2).
+
+    The first call is the base.  A later call at the base's level that moves
+    no bid of the half gets the base's answer, and one that moves one bid is
+    ``read(entry, level, shift)`` off that element's entry of the one-bid
+    table, which ``table(cost, level)`` builds at the base when first needed.
+    Any other call runs ``full``; the last such answer is kept under its
+    exact key (the level and the half's bids).
+    """
+
+    def __init__(self, ids, full, table, read):
+        self.ids, self._full, self._table, self._read = ids, full, table, read
+        self.base = self._entries = None  # base: (level, bids, cost, answer)
+        self._last = (None, None), None
+
+    def __call__(self, bids, level):
+        if self.base is None:
+            base_bids = {e: bids[e] for e in self.ids}
+            cost = _additive_subset_sums(list(base_bids.values()))
+            self.base = level, base_bids, cost, self._full(cost, level)
+        base_level, base_bids, _, answer = self.base
+        if same(level, base_level):
+            changed = moved(bids, base_bids, self.ids)
+            if not changed:
+                return answer
+            if len(changed) == 1:
+                e = changed[0]
+                return self._read(self.table()[e], level, bids[e] - base_bids[e])
+        key = level, [bids[e] for e in self.ids]
+        if key != self._last[0]:
+            self._last = key, self._full(_additive_subset_sums(key[1]), level)
+        return self._last[1]
+
+    def table(self):
+        """The one-bid table at the base, by element."""
+        if self._entries is None:
+            level, _, cost, _ = self.base
+            self._entries = dict(zip(self.ids, self._table(cost, level)))
+        return self._entries
 
 
 class _ChosenSet:
@@ -274,8 +316,8 @@ class _ChosenSet:
     that moves one such bid is answered from the runner's chains.  It keeps
     one validated inner ``Instance``: a run at its budget and true costs
     derives its instance by ``Instance.with_bid`` for each member whose bid
-    object differs, and any other run builds and keeps a new one.  Its full
-    runs call ``run_matroid_mechanism`` as a module global, at call time.
+    moved, and any other run builds and keeps a new one.  Its full runs
+    call ``run_matroid_mechanism`` as a module global, at call time.
     """
 
     def __init__(self, valuation, s_star):
@@ -297,11 +339,10 @@ class _ChosenSet:
         if not self.positive:
             return None
         inst = self._inst
-        if inst is not None and _same(inst.budget, budget) and all(
-                _same(true_costs[e], inst.true_costs[e]) for e in self.positive):
-            for e in self.positive:
-                if bids[e] is not inst.bids[e]:
-                    inst = inst.with_bid(e, bids[e])
+        if inst is not None and same(inst.budget, budget) and not moved(
+                true_costs, inst.true_costs, self.positive):
+            for e in moved(bids, inst.bids, self.positive):
+                inst = inst.with_bid(e, bids[e])
         else:
             inst = self._inst = Instance(
                 self.matroid,
@@ -322,20 +363,16 @@ class XosPlan:
     ``t1_ids``/``t2_ids``), the max-element winner ``star`` and the v(S)
     tables of both halves (``t1_value``, ``t2_value``; ``_value_table``)
     read no bid.  The tables are built only on the sampling branch, where a
-    run reads them; on the max-element branch they are None.  Each method
-    builds the bid totals of its half and hands both tables to a kernel, a
-    pure function of the tables (``cost`` and ``value`` by subset bitmask).
+    run reads them; on the max-element branch they are None.  The kernels
+    are pure functions of the tables (``cost`` and ``value`` by subset
+    bitmask), read as module globals at call time.
 
-    Each half reads only its own bids, so the plan also keeps the last T1
-    optimum, keyed on the budget and the T1 bids, the last threshold, keyed
-    on the T1 optimum, budget and beta objects (``threshold``), and the
-    last surplus argmax, keyed on the threshold and the T2 bids.  Two
-    one-bid tables, built only when asked for, answer a call with at most
-    one bid of their half moved from theirs: ``t1_table`` keeps
-    ``_one_bid_optima`` under its budget and T1 bids, and
-    ``t2_breakpoints`` keeps the ``_class_winners`` table under its
-    threshold and T2 bids.  The keys are exact, so a run through a plan
-    gives the outcome of a run without one.
+    Each half reads only its own bids, so each is a ``_Half`` whose base is
+    the first run through the plan: T1's optimum under the budget, with the
+    ``_one_bid_optima`` table, and T2's surplus argmax, with the
+    ``_class_winners`` table.  The plan also keeps the last threshold under
+    the T1 optimum, budget and beta objects (``threshold``).  The keys are
+    exact, so a run through a plan gives the outcome of a run without one.
 
     ``chosen(s_star)`` keeps one ``_ChosenSet`` per chosen T2 set for the
     plan's life: the best clause, the inner free matroid and weights, and
@@ -358,18 +395,21 @@ class XosPlan:
         rng = random.Random(params.seed)
         self.take_max_element = bool(rng.getrandbits(1))
         self.t1, self.t2 = _split_with_rng(rng, ground)
-        self.t1_ids, self.t2_ids = sorted(self.t1), sorted(self.t2)
+        self.t1_ids, self.t2_ids = t1_ids, t2_ids = sorted(self.t1), sorted(self.t2)
         self.star = self.t1_value = self.t2_value = None
         if self.take_max_element:
             self.star = min(ground, key=lambda e: (-valuation.value(frozenset([e])), e))
         else:
-            self.t1_value = _value_table(valuation, self.t1_ids)
-            self.t2_value = _value_table(valuation, self.t2_ids)
-        self._valuation = valuation
+            self.t1_value = _value_table(valuation, t1_ids)
+            self.t2_value = _value_table(valuation, t2_ids)
+        t1_value, t2_value = self.t1_value, self.t2_value
+        self._t1 = _Half(t1_ids, lambda c, b: _opt_value_under_budget(c, t1_value, b),
+                         lambda c, b: _one_bid_optima(t1_ids, c, t1_value, b), _optimum_at_shift)
+        self._t2 = _Half(t2_ids, lambda c, t: _argmax_surplus(t2_ids, c, t2_value, t),
+                         lambda c, t: _class_winners(t2_ids, c, t2_value, t), _argmax_at_shift)
+        self._valuation, self._ground = valuation, frozenset(ground)
         self._checked_budget, self._checked_bids, self._checked_costs = None, {}, {}
-        self._t1_key = self._t1_optimum = self._optima = None
         self._threshold_key, self._threshold = (None, None, None), None
-        self._t2_key = self._t2_argmax = self._winners = None
         self._chosen = {}
 
     def check(self, true_costs, bids, budget):
@@ -378,7 +418,7 @@ class XosPlan:
         element's true cost.  The plan remembers the bid and true-cost
         objects it has passed at ``budget`` and checks only the others;
         another budget forgets them."""
-        if not _same(budget, self._checked_budget):
+        if not same(budget, self._checked_budget):
             self._checked_budget, self._checked_bids, self._checked_costs = budget, {}, {}
         checked_bids, checked_costs = self._checked_bids, self._checked_costs
         for e in self._valuation.ground:
@@ -394,41 +434,12 @@ class XosPlan:
 
     def t1_optimum(self, bids, budget):
         """max v(S) over S within T1 with bid total at most ``budget``."""
-        key = (budget, [bids[e] for e in self.t1_ids])
-        if key != self._t1_key:
-            self._t1_key = key
-            self._t1_optimum = self._t1_from_optima(*key)
-            if self._t1_optimum is None:
-                self._t1_optimum = _opt_value_under_budget(
-                    _additive_subset_sums(key[1]), self.t1_value, budget)
-        return self._t1_optimum
-
-    def _t1_from_optima(self, budget, t1_bids):
-        """The T1 optimum read off the ``_one_bid_optima`` table, or None
-        unless the budget is the table's and at most one T1 bid moved."""
-        if (self._optima is None or not self.t1_ids
-                or not _same(self._optima[0][0], budget)):
-            return None
-        (_, base), optima = self._optima
-        j = _one_moved(t1_bids, base)
-        if j is None:
-            return None
-        without, costs, best = optima[j]
-        k = bisect_right(costs, budget - (t1_bids[j] - base[j]))
-        return max(without, best[k - 1]) if k else without
-
-    def t1_table(self, bids, budget):
-        """Keep the ``_one_bid_optima`` table of T1 at ``bids`` and
-        ``budget``; ``t1_optimum`` then reads a call at that budget with at
-        most one T1 bid moved off it."""
-        key = (budget, [bids[e] for e in self.t1_ids])
-        self._optima = key, _one_bid_optima(
-            self.t1_ids, _additive_subset_sums(key[1]), self.t1_value, budget)
+        return self._t1(bids, budget)
 
     def threshold(self, t1_optimum, budget, beta):
         """``t1_optimum / (beta * budget)``, kept under the three objects it
         was computed from, so a run that repeats them gets the same object
-        and ``t2_argmax``'s key matches it by identity."""
+        and the T2 half's level test matches it by identity."""
         key = (t1_optimum, budget, beta)
         if any(a is not b for a, b in zip(key, self._threshold_key)):
             self._threshold_key, self._threshold = key, t1_optimum / (beta * budget)
@@ -436,40 +447,18 @@ class XosPlan:
 
     def t2_argmax(self, bids, threshold):
         """``_argmax_surplus`` over T2."""
-        key = (threshold, [bids[e] for e in self.t2_ids])
-        if key != self._t2_key:
-            self._t2_key = key
-            self._t2_argmax = self._t2_from_winners(*key)
-            if self._t2_argmax is None:
-                self._t2_argmax = _argmax_surplus(
-                    self.t2_ids, _additive_subset_sums(key[1]), self.t2_value, threshold)
-        return self._t2_argmax
+        return self._t2(bids, threshold)
 
-    def _t2_from_winners(self, threshold, t2_bids):
-        """The surplus argmax read off the ``_class_winners`` table, or None
-        unless the threshold is the table's and at most one T2 bid moved."""
-        if (self._winners is None or not self.t2_ids
-                or not _same(self._winners[0][0], threshold)):
-            return None
-        (_, base), winners = self._winners
-        j = _one_moved(t2_bids, base)
-        if j is None:
-            return None
-        shift = t2_bids[j] - base[j]
-        (deficit, cost, ids), out = winners[j]
-        return frozenset(min((deficit + threshold * shift, cost + shift, ids), out)[2])
-
-    def t2_breakpoints(self, bids, threshold):
-        """Bid level of each T2 element above which the surplus argmax at
-        ``bids`` leaves it out and below which it keeps it (empty unless the
-        threshold is positive), read off the ``_class_winners`` table kept."""
-        key = (threshold, [bids[e] for e in self.t2_ids])
-        self._winners = key, _class_winners(
-            self.t2_ids, _additive_subset_sums(key[1]), self.t2_value, threshold)
-        if threshold <= 0:
+    def t2_breakpoints(self):
+        """Bid level of each T2 element above which the surplus argmax at the
+        first run's T2 bids and threshold leaves it out and below which it
+        keeps it, read off the ``_class_winners`` table there; empty before
+        a run has reached T2 and unless that threshold is positive."""
+        if self._t2.base is None or self._t2.base[0] <= 0:
             return {}
+        threshold, bids, _, _ = self._t2.base
         return {e: (out[0] - inn[0]) / threshold + bids[e]
-                for e, (inn, out) in zip(self.t2_ids, self._winners[1])}
+                for e, (inn, out) in self._t2.table().items()}
 
     def chosen(self, s_star):
         """The ``_ChosenSet`` of the chosen T2 set ``s_star``."""
@@ -487,7 +476,8 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
     used to calibrate the surplus threshold; the buyer then takes the best
     thresholded subset of T2 and hands it to the additive sub-mechanism
     (the matroid mechanism on a free matroid) under the clause achieving its
-    value.  The mechanism reads declared bids, never true costs.
+    value.  The mechanism reads declared bids, never true costs; both maps
+    must cover exactly the ground set.
 
     ``plan`` is ``XosPlan(valuation, params)``, built here when not given;
     pass one to share it across runs that differ only in bids and budget.
@@ -500,6 +490,9 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
     """
     if plan is None:
         plan = XosPlan(valuation, params)
+    for name, values in (("bids", bids), ("true_costs", true_costs)):
+        if values.keys() != plan._ground:
+            raise InputError(f"{name} must cover exactly the ground set")
     ground = valuation.ground
     budget = as_rational(budget)
     bids = {e: as_rational(bids[e]) for e in ground}

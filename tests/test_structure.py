@@ -114,3 +114,46 @@ def test_the_guard_sees_a_float(tmp_path):
                       "half = 0.5\n"
                       "exact = Fraction('1.5'), 3 // 2\n")
     assert _floats(module) == [(1, "float('inf')"), (2, "0.5")]
+
+
+def _identity_then_value(path):
+    """``(line, source)`` of each boolean expression in the module at
+    ``path`` that compares one pair of operands by identity and by value, as
+    in ``a is b or a == b`` (an assignment expression counts as its
+    target)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.BoolOp):
+            continue
+        tests = {}
+        for value in node.values:
+            if not (isinstance(value, ast.Compare) and len(value.ops) == 1):
+                continue
+            sides = frozenset(ast.unparse(getattr(side, "target", side))
+                              for side in (value.left, value.comparators[0]))
+            tests.setdefault(sides, set()).add(type(value.ops[0]))
+        if any(kinds & {ast.Is, ast.IsNot} and kinds & {ast.Eq, ast.NotEq}
+               for kinds in tests.values()):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_only_rationals_compares_by_identity_then_value():
+    """Which bid moved is one rule, ``rationals.same`` and ``moved``."""
+    offenders = {
+        path.name: found
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "rationals.py" and (found := _identity_then_value(path))
+    }
+    assert not offenders, offenders
+    assert len(_identity_then_value(SOURCE / "rationals.py")) == 2
+
+
+def test_the_guard_sees_an_identity_then_value_test(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("same = a is b or a == b\n"
+                      "moved = [e for e in ids if (x := new[e]) is not (y := old[e]) and x != y]\n"
+                      "flipped = budget != base and base is not budget\n"
+                      "other = a is None or a == b\n"
+                      "identity = a is b or c is d\n")
+    assert [line for line, _ in _identity_then_value(module)] == [1, 2, 3]

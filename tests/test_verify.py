@@ -472,6 +472,35 @@ def test_deviated_xos_outcomes_are_pinned(monkeypatch):
     assert digest.hexdigest() == GOLDEN_XOS_OUTCOME_SHA256
 
 
+# the full surplus argmaxes over the pool above when this ceiling was set;
+# the count may fall, never rise
+POOL_FULL_ARGMAXES = 87
+
+
+def test_xos_sweep_builds_each_one_bid_table_at_most_once(monkeypatch):
+    """Over the pool of ``test_deviated_xos_outcomes_are_pinned``, each
+    check builds the T1 and the T2 one-bid table at most once, and the full
+    surplus argmaxes stay within the pinned count."""
+    calls = {"_one_bid_optima": 0, "_class_winners": 0, "_argmax_surplus": 0}
+    for name in calls:
+        def counted(*tables, kernel=getattr(xos, name), name=name):
+            calls[name] += 1
+            return kernel(*tables)
+
+        monkeypatch.setattr(xos, name, counted)
+    argmaxes = 0
+    for n in (6, 10):
+        for index in range(3):
+            valuation, costs, budget = gen_xos_instance(21, index, n=n)
+            for tape in (0, 1, 4, 7):
+                params = XosParams(seed=tape, alpha=218, beta=mpq(9, 2), gamma=4)
+                check_xos_truthfulness(valuation, costs, budget, params, seed=index)
+                assert calls["_one_bid_optima"] <= 1 and calls["_class_winners"] <= 1
+                argmaxes += calls["_argmax_surplus"]
+                calls.update(dict.fromkeys(calls, 0))
+    assert argmaxes <= POOL_FULL_ARGMAXES
+
+
 # every outcome a threshold truthfulness sweep computes, the truthful run and
 # each deviation, in call order: the pool of ``test_deviation_sequences_are_pinned``
 # plus four n = 10..12 instances per threshold mechanism, whose removal loops

@@ -201,6 +201,29 @@ def test_a_shared_plan_rejects_what_a_fresh_plan_rejects():
             xos_mechanism_main(val, costs, costs, budget, params)
 
 
+@pytest.mark.parametrize("name", ["bids", "true_costs"])
+@pytest.mark.parametrize("change", ["missing", "extra"])
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+def test_a_map_that_is_not_the_ground_set_is_rejected(name, change, shared):
+    """A bid or true-cost map that misses a ground element or names another
+    id raises the ``Instance`` message, on both branches, with and without
+    a plan that has already run."""
+    val, costs, budget = gen_xos_instance(0, 1, n=6)
+    if change == "missing":
+        wrong = {e: costs[e] for e in val.ground[1:]}
+    else:
+        wrong = {**costs, "stray": costs[val.ground[0]]}
+    for seed in range(4):  # both branches come up
+        params = XosParams(seed=seed, **PARAMS)
+        plan = None
+        if shared:
+            plan = XosPlan(val, params)
+            xos_mechanism_main(val, costs, costs, budget, params, plan)
+        maps = {"true_costs": costs, "bids": costs, name: wrong}
+        with pytest.raises(InputError, match=f"^{name} must cover exactly the ground set$"):
+            xos_mechanism_main(val, maps["true_costs"], maps["bids"], budget, params, plan)
+
+
 def test_params_validation():
     with pytest.raises(InputError):
         XosParams(alpha=2, beta=1, gamma=3, seed=0)  # alpha*beta - beta - 4alpha < 0
@@ -389,16 +412,16 @@ def test_subset_helpers_match_second_routes(case):
 @given(xos_subset_cases(), st.integers(0, 255), st.lists(st.integers(1, 8), max_size=3))
 @example(ID_TIE, 16, [])
 def test_one_bid_argmax_matches_a_fresh_argmax(case, tape, drawn):
-    """After ``t2_breakpoints`` at some bids and threshold, the plan answers
-    each one-bid T2 change at that threshold from its class winners; each
-    answer equals a fresh ``_argmax_surplus`` over the re-summed bids.  The
+    """After a first ``t2_argmax`` at some bids and threshold, the plan
+    answers each one-bid T2 change at that threshold from its class winners;
+    each answer equals a fresh ``_argmax_surplus`` over the re-summed bids.  The
     new bids include those that tie the two class winners on objective, on
     cost, or on both (threshold 0 ties every objective shift)."""
     valuation, _, bids, threshold, _ = case
     plan = XosPlan(valuation, XosParams(seed=tape, **PARAMS))
     assume(not plan.take_max_element)
     ids = plan.t2_ids
-    plan.t2_breakpoints(bids, threshold)
+    plan.t2_argmax(bids, threshold)
     value = _value_table(valuation, ids)
     candidates = [c for r in range(len(ids) + 1) for c in itertools.combinations(ids, r)]
 
@@ -430,16 +453,16 @@ ONE_IN_T1 = (XosValuation(["e0"], [{"e0": mpq(2)}]), [], {"e0": mpq(3)}, ZERO, m
 @example(ONE_IN_T1, 1, [2])
 @example(ID_TIE, 1, [])
 def test_one_bid_t1_optimum_matches_a_fresh_scan(case, tape, drawn):
-    """After ``t1_table`` at some bids and budget, the plan answers each
-    one-bid T1 change at that budget from the table, without a scan; each
-    answer equals a fresh scan over the re-summed bids.  The new bids put
+    """After a first ``t1_optimum`` at some bids and budget, the plan answers
+    each one-bid T1 change at that budget from its table, without a scan;
+    each answer equals a fresh scan over the re-summed bids.  The new bids put
     budget - D exactly on the bid total of every set with the element, and
     the last one is the base bid again, as a new object."""
     valuation, _, bids, _, budget = case
     plan = XosPlan(valuation, XosParams(seed=tape, **PARAMS))
     assume(not plan.take_max_element and plan.t1_ids)
     ids = plan.t1_ids
-    plan.t1_table(bids, budget)
+    plan.t1_optimum(bids, budget)
     value = _value_table(valuation, ids)
     cost = _additive_subset_sums([bids[e] for e in ids])
     for j, e in enumerate(ids):
@@ -498,23 +521,19 @@ def test_shared_plan_matches_fresh_runs():
     def check(case):
         valuation, costs, params, sequence = case
         plan = XosPlan(valuation, params)
-        for half, name in (("t1", "_t1_from_optima"), ("t2", "_t2_from_winners")):
-            def counted(*key, read=getattr(plan, name), half=half):
-                answer = read(*key)
-                answers[half].append(answer is not None)
-                return answer
+        # A's run is the base of both halves: their tables answer B, a
+        # T1-only change, and the T2 half of C
+        for half, name in (("t1", "_t1"), ("t2", "_t2")):
+            def counted(*entry, read=getattr(plan, name)._read, half=half):
+                answers[half].append(True)
+                return read(*entry)
 
-            setattr(plan, name, counted)
-        for k, (bids, budget) in enumerate(sequence):
+            getattr(plan, name)._read = counted
+        for bids, budget in sequence:
             shared = xos_mechanism_main(valuation, costs, bids, budget, params, plan)
             fresh = xos_mechanism_main(valuation, costs, bids, budget, params)
             assert shared == fresh
             branches.add(fresh.branch)
-            if k == 0 and not plan.take_max_element:
-                # the tables at A's bids answer B, a T1-only change, and the
-                # T2 half of C
-                plan.t1_table(bids, budget)
-                plan.t2_breakpoints(bids, shared.threshold)
 
     with mock.patch.object(OneBidRunner, "_answer", autospec=True,
                            side_effect=OneBidRunner._answer) as chain_answers:

@@ -13,7 +13,8 @@ public weights alone.  So the bid-free part (tau, the weight order, integer
 weights and every candidate set) is a ``Plan`` built once per structure and
 weight vector, and the loop itself compares integers.  For the same
 reason a run where one bid moved visits only two chains of candidate sets,
-and ``OneBidRunner`` answers such runs from them.
+and ``OneBidRunner`` answers such runs from them through ``OneBid``, the
+one-bid protocol that the XOS plan shares.
 """
 
 from bisect import bisect_left
@@ -390,15 +391,61 @@ def run_intersection_mechanism(inst, blackbox, plan=None):
     return _run_threshold_mechanism(inst, plan)
 
 
+class OneBid:
+    """The one-bid protocol: answers for bid variants of one base call.
+
+    ``one(bids, level, full)`` gives what the thunk ``full`` computes, which
+    must be a deterministic function of ``level`` (a budget or a threshold)
+    and the bids of ``ids``.  The first call runs ``full`` and is the base
+    for the object's life.  A later call at the base's level that moves no
+    bid of ``ids`` gets the base answer, and one that moves one bid ``e`` is
+    ``read(entry(e), level, bid, base_bid)``; ``entry(e)`` is built by
+    ``table(e, level, base_bids)`` when first needed.  Any other call runs
+    ``full``, and the last such answer is kept under its exact key, the
+    level and the bids of ``ids``.  Bids and levels are compared by
+    ``rationals.moved`` and ``same``: by identity first, then by value.
+    """
+
+    def __init__(self, ids, table, read):
+        self.ids, self._table, self._read = ids, table, read
+        self.base = None  # (level, bids of ids, answer) of the first call
+        self._entries = {}
+        self._last = (None, None), None
+
+    def __call__(self, bids, level, full):
+        if self.base is None:
+            self.base = level, {e: bids[e] for e in self.ids}, full()
+        base_level, base_bids, answer = self.base
+        if same(level, base_level):
+            changed = moved(bids, base_bids, self.ids)
+            if not changed:
+                return answer
+            if len(changed) == 1:
+                e = changed[0]
+                return self._read(self.entry(e), level, bids[e], base_bids[e])
+        key = level, [bids[e] for e in self.ids]
+        if key != self._last[0]:
+            self._last = key, full()
+        return self._last[1]
+
+    def entry(self, e):
+        """``e``'s entry at the base, built when first asked for."""
+        if e not in self._entries:
+            level, bids, _ = self.base
+            self._entries[e] = self._table(e, level, bids)
+        return self._entries[e]
+
+
 class OneBidRunner:
-    """Runs a threshold mechanism on bid variants of one instance, answering
-    a call that moves one bid away from the first call's from two removal
-    chains of that element.
+    """Runs a threshold mechanism on bid variants of one instance through
+    ``one``, a ``OneBid`` over ``plan.rest`` at the budget (tau's bid is
+    never read) whose entries are each element's two removal chains.
 
     ``run(inst)`` is the full mechanism on ``plan``, whose ``walk`` gives
-    the chains too.  The first call runs in full and its bids and budget
-    become the key.  Let ``e`` be the one element whose bid moved, and ``O``
-    the others (tau and ``e`` aside) in the key's removal order.
+    the chains too; a caller that holds bids and a budget rather than an
+    instance calls ``one`` with a thunk of its own.  Let ``e`` be the one
+    element whose bid moved, and ``O`` the others (tau and ``e`` aside) in
+    the base's removal order.
 
     - A new bid for ``e`` scales every other key alike, so the others keep
       the order ``O``; only ``e``'s position ``p`` in it moves.
@@ -414,43 +461,24 @@ class OneBidRunner:
     The loop stops at its first passing test: on ``A`` before ``p``, else
     ``e``'s own test against ``A_p``, else on ``B`` from ``p`` on.  Only
     ``e``'s trace step and, when the loop stops at ``B_p``, the final rate
-    read the new bid, so the other fields are kept per stop.  The mechanism
-    is deterministic and tau's bid is never read, so a call that moves no
-    bid, or only tau's, gets the key's outcome.  Any other call (several
-    bids moved, or another budget) runs in full; another budget becomes the
-    new key.  Bids and the budget are compared by ``rationals.moved`` and
-    ``same``: by identity first, then by value.
+    read the new bid, so the other fields are kept per stop.
     """
 
-    def __init__(self, run, plan):
+    def __init__(self, plan, run=None):
         self._run, self._plan = run, plan
-        self._base = None  # (instance, outcome) of the key
-        self._keys = None  # the key's BidKeys, built with the first chains
-        self._chains = {}
+        self._keys = None  # the base's BidKeys, built with the first chains
+        self.one = OneBid(plan.rest, self._build, self._answer)
 
     def __call__(self, inst):
-        if self._base is None or not same(inst.budget, self._base[0].budget):
-            outcome = self._run(inst)
-            self._base, self._keys, self._chains = (inst, outcome), None, {}
-            return outcome
-        changed = moved(inst.bids, self._base[0].bids, inst.bids)
-        if len(changed) > 1:
-            return self._run(inst)
-        if not changed or changed[0] == self._plan.tau:
-            return self._base[1]
-        e = changed[0]
-        if e not in self._chains:
-            self._chains[e] = self._build(e)
-        return self._answer(e, inst.bids[e])
+        return self.one(inst.bids, inst.budget, lambda: self._run(inst))
 
-    def _build(self, e):
+    def _build(self, e, budget, bids):
         """``e``'s two chains as trace steps, ``A`` up to its first passing
         test and ``B`` up to its first passing test at or after that index,
         and for each ``k`` the index of ``B``'s first passing test from ``k``
         on."""
         if self._keys is None:
-            inst = self._base[0]
-            self._keys = BidKeys(inst.bids, inst.budget, self._plan)
+            self._keys = BidKeys(bids, budget, self._plan)
         keys, plan = self._keys, self._plan
         others = [o for o in keys.order if o != e]
         a = keys.steps(plan.walk([plan.tau, *others]), others)
@@ -460,12 +488,11 @@ class OneBidRunner:
         next_pass = [len(b) - 1] * len(b)
         for k in range(len(b) - 2, -1, -1):
             next_pass[k] = k if b[k].removed is None else next_pass[k + 1]
-        return others, a, b, next_pass, {}
+        return e, others, a, b, next_pass, {}
 
-    def _answer(self, e, bid):
-        others, a, b, next_pass, tails = self._chains[e]
+    def _answer(self, chains, budget, bid, _base_bid):
+        e, others, a, b, next_pass, tails = chains
         plan, key, rate_den = self._plan, self._keys.key, self._keys.scales[1]
-        budget = self._base[0].budget
         # e's key over its own scale: buck-per-bang is key_e * value_den / den_e
         key_e, den_e = bid.numerator * plan.multiplier[e], bid.denominator * plan.lcm
         p = bisect_left(others, (-key_e * rate_den, e), key=lambda o: (-key[o] * den_e, o))

@@ -241,18 +241,20 @@ def make_runner(name, inst):
     the unchosen-removal rule, and an intersection plan keeps each blackbox
     answer per exclusion set, so the runner asks its blackbox once per set;
     both are sound because they read the structure and the weights only.
-    The runner's first call runs in full, a later call that moves no bid
-    gets the first call's outcome, and one that moves one bid away from the
-    first call's is answered from that element's two removal chains, with
-    the outcome a full run gives.
+    The runner's first call runs in full and is its base for life
+    (``mechanisms.OneBid``): a later call at that budget that moves no bid
+    other than tau's gets the base outcome, and one that moves one such
+    bid is answered from that element's two removal chains, with the
+    outcome a full run gives.  Any other call runs in full, so a caller
+    holds one budget per runner.
     """
     if name == "matroid":
         plan = Plan(inst.structure, inst.weights)
-        return OneBidRunner(lambda i: run_matroid_mechanism(i, plan), plan)
+        return OneBidRunner(plan, lambda i: run_matroid_mechanism(i, plan))
     if name in BLACKBOX_OF:
         blackbox = get_blackbox(BLACKBOX_OF[name], inst.structure)
         plan = Plan(inst.structure, inst.weights, blackbox)
-        return OneBidRunner(lambda i: run_intersection_mechanism(i, blackbox, plan), plan)
+        return OneBidRunner(plan, lambda i: run_intersection_mechanism(i, blackbox, plan))
     if name == "broken-first-price":
         return first_price_greedy
     raise InputError(f"unknown mechanism {name!r}")
@@ -528,15 +530,15 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     so the sweep is ``_deviation_sweep``'s.  Every run shares one
     ``XosPlan``: the branch coin, the T1/T2 split, the max-element winner and
     v(S) on each half read the tape and the valuation only, never a bid.
-    The truthful run is the base of both halves of the plan, so a T1
-    deviation's T1 optimum and a T2 deviation's argmax, which keeps the
-    threshold, are read off one-bid tables the plan builds at most once per
-    check (``XosPlan.t1_optimum``, ``XosPlan.t2_argmax``).  Per chosen set,
-    the plan keeps the best clause and one inner runner
-    (``XosPlan.chosen``): a deviation that moves no bid of the set gets the
-    outcome of the set's first run, and one that moves one bid of it an
-    answer from that bid's removal chains.  Each reuse gives exactly what a
-    full replay would.  Probes include each element's argmax-membership
+    The truthful run is the base of the ``mechanisms.OneBid`` of each half
+    of the plan, so a T1 deviation's T1 optimum and a T2 deviation's argmax,
+    which keeps the threshold, are read off one-bid tables the plan builds
+    at most once per check (``XosPlan.t1_optimum``, ``XosPlan.t2_argmax``).
+    Per chosen set, the plan keeps the best clause and one inner runner's
+    ``OneBid`` (``XosPlan.chosen``): a deviation that moves no bid of the
+    set gets the outcome of the set's first run, and one that moves one bid
+    of it an answer from that bid's removal chains.  Each reuse gives
+    exactly what a full replay would.  Probes include each element's argmax-membership
     breakpoint (``XosPlan.t2_breakpoints``), the inner proportional rate,
     and randoms.
     """

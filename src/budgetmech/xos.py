@@ -21,13 +21,14 @@ from .errors import CapExceeded, InputError
 from .matroids import FreeMatroid
 from .mechanisms import (
     Instance,
+    OneBid,
     OneBidRunner,
     Outcome,
     Payments,
     Plan,
     run_matroid_mechanism,
 )
-from .rationals import ZERO, as_rational, moved, mpq, rational_isqrt, same, scale_to_integers
+from .rationals import ZERO, as_rational, mpq, rational_isqrt, same, scale_to_integers
 
 XOS_ENUMERATION_CAP = 16
 
@@ -38,6 +39,8 @@ class XosValuation:
     def __init__(self, ground, functions):
         self.ground = tuple(ground)
         ground_set = set(self.ground)
+        if len(ground_set) != len(self.ground):
+            raise InputError("duplicate element ids in ground set")
         if not functions:
             raise InputError("an XOS valuation needs at least one additive clause")
         self.functions = []
@@ -208,11 +211,11 @@ def _one_bid_optima(ids, cost, value, budget):
     return table
 
 
-def _optimum_at_shift(entry, budget, shift):
-    """The optimum under ``budget`` once j's bid moves by ``shift``, read off
-    j's ``_one_bid_optima`` entry."""
+def _optimum_at_shift(entry, budget, bid, base_bid):
+    """The optimum under ``budget`` once j's bid moves from ``base_bid`` to
+    ``bid``, read off j's ``_one_bid_optima`` entry."""
     without, costs, best = entry
-    k = bisect_right(costs, budget - shift)
+    k = bisect_right(costs, budget - (bid - base_bid))
     return max(without, best[k - 1]) if k else without
 
 
@@ -254,54 +257,26 @@ def _class_winners(ids, cost, value, threshold):
             for j in range(len(ids))]
 
 
-def _argmax_at_shift(entry, threshold, shift):
-    """The surplus argmax at ``threshold`` once e's bid moves by ``shift``,
-    read off e's ``_class_winners`` entry."""
+def _argmax_at_shift(entry, threshold, bid, base_bid):
+    """The surplus argmax at ``threshold`` once e's bid moves from
+    ``base_bid`` to ``bid``, read off e's ``_class_winners`` entry."""
     (deficit, cost, ids), out = entry
+    shift = bid - base_bid
     return frozenset(min((deficit + threshold * shift, cost + shift, ids), out)[2])
 
 
-class _Half:
-    """One half of the split: ``full(cost, level)`` answers a call from the
-    half's bid totals by subset bitmask, at the budget (T1) or threshold (T2).
+def _half(ids, rows, read):
+    """A ``OneBid`` over ``ids`` whose entries are the rows of ``rows(cost,
+    level)``, the half's one-bid table at the base's bid totals by subset
+    bitmask, built whole when the first entry is asked for."""
+    built = {}
 
-    The first call is the base.  A later call at the base's level that moves
-    no bid of the half gets the base's answer, and one that moves one bid is
-    ``read(entry, level, shift)`` off that element's entry of the one-bid
-    table, which ``table(cost, level)`` builds at the base when first needed.
-    Any other call runs ``full``; the last such answer is kept under its
-    exact key (the level and the half's bids).
-    """
+    def table(e, level, bids):
+        if not built:
+            built.update(zip(ids, rows(_additive_subset_sums([bids[o] for o in ids]), level)))
+        return built[e]
 
-    def __init__(self, ids, full, table, read):
-        self.ids, self._full, self._table, self._read = ids, full, table, read
-        self.base = self._entries = None  # base: (level, bids, cost, answer)
-        self._last = (None, None), None
-
-    def __call__(self, bids, level):
-        if self.base is None:
-            base_bids = {e: bids[e] for e in self.ids}
-            cost = _additive_subset_sums(list(base_bids.values()))
-            self.base = level, base_bids, cost, self._full(cost, level)
-        base_level, base_bids, _, answer = self.base
-        if same(level, base_level):
-            changed = moved(bids, base_bids, self.ids)
-            if not changed:
-                return answer
-            if len(changed) == 1:
-                e = changed[0]
-                return self._read(self.table()[e], level, bids[e] - base_bids[e])
-        key = level, [bids[e] for e in self.ids]
-        if key != self._last[0]:
-            self._last = key, self._full(_additive_subset_sums(key[1]), level)
-        return self._last[1]
-
-    def table(self):
-        """The one-bid table at the base, by element."""
-        if self._entries is None:
-            level, _, cost, _ = self.base
-            self._entries = dict(zip(self.ids, self._table(cost, level)))
-        return self._entries
+    return OneBid(ids, table, read)
 
 
 class _ChosenSet:
@@ -310,14 +285,12 @@ class _ChosenSet:
     None for the empty set), the members that clause values above zero
     (``positive``, sorted), and the free matroid and weights over them.
 
-    ``run`` runs the matroid mechanism on them through one
+    ``run`` hands its bids and budget to the ``OneBid`` of one
     ``OneBidRunner`` over one ``Plan``, so a run that moves no bid of
-    ``positive`` away from the first run's gets that run's outcome, and one
-    that moves one such bid is answered from the runner's chains.  It keeps
-    one validated inner ``Instance``: a run at its budget and true costs
-    derives its instance by ``Instance.with_bid`` for each member whose bid
-    moved, and any other run builds and keeps a new one.  Its full runs
-    call ``run_matroid_mechanism`` as a module global, at call time.
+    ``positive`` (tau aside) away from the first run's gets that run's
+    outcome, and one that moves one such bid is answered from the runner's
+    chains.  Only a full run builds an inner ``Instance``, and it calls
+    ``run_matroid_mechanism`` as a module global, at call time.
     """
 
     def __init__(self, valuation, s_star):
@@ -329,29 +302,17 @@ class _ChosenSet:
         if self.positive:
             self.matroid = FreeMatroid(self.positive)
             self.weights = {e: clause[e] for e in self.positive}
-            plan = Plan(self.matroid, self.weights)
-            self._runner = OneBidRunner(lambda inst: run_matroid_mechanism(inst, plan), plan)
-            self._inst = None
+            self._plan = Plan(self.matroid, self.weights)
+            self._one = OneBidRunner(self._plan).one
 
     def run(self, true_costs, bids, budget):
         """The inner ``Outcome`` at ``bids``, or None when ``positive`` is
         empty."""
         if not self.positive:
             return None
-        inst = self._inst
-        if inst is not None and same(inst.budget, budget) and not moved(
-                true_costs, inst.true_costs, self.positive):
-            for e in moved(bids, inst.bids, self.positive):
-                inst = inst.with_bid(e, bids[e])
-        else:
-            inst = self._inst = Instance(
-                self.matroid,
-                self.weights,
-                {e: true_costs[e] for e in self.positive},
-                {e: bids[e] for e in self.positive},
-                budget,
-            )
-        return self._runner(inst)
+        return self._one(bids, budget, lambda: run_matroid_mechanism(Instance(
+            self.matroid, self.weights, {e: true_costs[e] for e in self.positive},
+            {e: bids[e] for e in self.positive}, budget), self._plan))
 
 
 class XosPlan:
@@ -367,16 +328,18 @@ class XosPlan:
     are pure functions of the tables (``cost`` and ``value`` by subset
     bitmask), read as module globals at call time.
 
-    Each half reads only its own bids, so each is a ``_Half`` whose base is
-    the first run through the plan: T1's optimum under the budget, with the
-    ``_one_bid_optima`` table, and T2's surplus argmax, with the
-    ``_class_winners`` table.  The plan also keeps the last threshold under
+    Each half reads only its own bids, so each is a ``mechanisms.OneBid``
+    whose base is the first run through the plan: T1's optimum under the
+    budget, with ``_one_bid_optima`` rows read by ``_optimum_at_shift``, and
+    T2's surplus argmax at the threshold, with ``_class_winners`` rows read
+    by ``_argmax_at_shift``.  The plan also keeps the last threshold under
     the T1 optimum, budget and beta objects (``threshold``).  The keys are
     exact, so a run through a plan gives the outcome of a run without one.
 
     ``chosen(s_star)`` keeps one ``_ChosenSet`` per chosen T2 set for the
     plan's life: the best clause, the inner free matroid and weights, and
-    the inner runner are built at the first run that chooses the set.
+    the inner runner's ``OneBid`` are built at the first run that chooses
+    the set.
 
     ``check`` validates a run's bids and true costs once per plan: it
     remembers the objects it has passed at one budget, so a run through a
@@ -403,10 +366,10 @@ class XosPlan:
             self.t1_value = _value_table(valuation, t1_ids)
             self.t2_value = _value_table(valuation, t2_ids)
         t1_value, t2_value = self.t1_value, self.t2_value
-        self._t1 = _Half(t1_ids, lambda c, b: _opt_value_under_budget(c, t1_value, b),
-                         lambda c, b: _one_bid_optima(t1_ids, c, t1_value, b), _optimum_at_shift)
-        self._t2 = _Half(t2_ids, lambda c, t: _argmax_surplus(t2_ids, c, t2_value, t),
-                         lambda c, t: _class_winners(t2_ids, c, t2_value, t), _argmax_at_shift)
+        self._t1 = _half(t1_ids, lambda c, b: _one_bid_optima(t1_ids, c, t1_value, b),
+                         _optimum_at_shift)
+        self._t2 = _half(t2_ids, lambda c, t: _class_winners(t2_ids, c, t2_value, t),
+                         _argmax_at_shift)
         self._valuation, self._ground = valuation, frozenset(ground)
         self._checked_budget, self._checked_bids, self._checked_costs = None, {}, {}
         self._threshold_key, self._threshold = (None, None, None), None
@@ -434,7 +397,8 @@ class XosPlan:
 
     def t1_optimum(self, bids, budget):
         """max v(S) over S within T1 with bid total at most ``budget``."""
-        return self._t1(bids, budget)
+        return self._t1(bids, budget, lambda: _opt_value_under_budget(
+            _additive_subset_sums([bids[e] for e in self.t1_ids]), self.t1_value, budget))
 
     def threshold(self, t1_optimum, budget, beta):
         """``t1_optimum / (beta * budget)``, kept under the three objects it
@@ -447,7 +411,9 @@ class XosPlan:
 
     def t2_argmax(self, bids, threshold):
         """``_argmax_surplus`` over T2."""
-        return self._t2(bids, threshold)
+        return self._t2(bids, threshold, lambda: _argmax_surplus(
+            self.t2_ids, _additive_subset_sums([bids[e] for e in self.t2_ids]),
+            self.t2_value, threshold))
 
     def t2_breakpoints(self):
         """Bid level of each T2 element above which the surplus argmax at the
@@ -456,9 +422,9 @@ class XosPlan:
         a run has reached T2 and unless that threshold is positive."""
         if self._t2.base is None or self._t2.base[0] <= 0:
             return {}
-        threshold, bids, _, _ = self._t2.base
+        threshold, bids, _ = self._t2.base
         return {e: (out[0] - inn[0]) / threshold + bids[e]
-                for e, (inn, out) in self._t2.table().items()}
+                for e, (inn, out) in zip(self.t2_ids, map(self._t2.entry, self.t2_ids))}
 
     def chosen(self, s_star):
         """The ``_ChosenSet`` of the chosen T2 set ``s_star``."""
@@ -484,8 +450,8 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
     A shared plan answers from what it keeps: the bid and cost objects it
     has checked (``XosPlan.check``), the T1 optimum, threshold and T2 argmax
     (``XosPlan.t1_optimum``, ``XosPlan.threshold``, ``XosPlan.t2_argmax``)
-    and, per chosen set, the best clause, the inner instance and the inner
-    runner (``XosPlan.chosen``).  Bids that are rationals already are kept
+    and, per chosen set, the best clause and the inner runner
+    (``XosPlan.chosen``).  Bids that are rationals already are kept
     as they are, so the plan compares them by identity first.
     """
     if plan is None:

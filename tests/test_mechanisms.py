@@ -26,6 +26,7 @@ from budgetmech import (
     utility,
     verify,
 )
+from budgetmech.mechanisms import OneBid
 from budgetmech.rationals import mpq
 from budgetmech.verify import (
     BLACKBOX_OF,
@@ -442,13 +443,13 @@ def test_one_bid_answers_match_fresh_runs(mechanism, kind, data):
         return full(*args)
 
     with patch.object(verify, run, counted):
-        runner = make_runner(mechanism, inst)
-        for budget in (inst.budget, inst.budget * 2):  # another budget is a new key
+        for budget in (inst.budget, inst.budget * 2):  # a base lasts the runner's life
+            runner = make_runner(mechanism, inst)
             base = Instance(structure, inst.weights, inst.true_costs, inst.bids, budget)
             assert runner(base) == fresh(base)
             assert len(full_runs) == 1
             again = Instance(structure, inst.weights, inst.true_costs, dict(inst.bids), budget)
-            assert runner(again) == fresh(again)  # no bid moved: the key's outcome
+            assert runner(again) == fresh(again)  # no bid moved: the base's outcome
             assert len(full_runs) == 1
             for e in sorted(inst.ground):  # tau too: its bid is never read
                 for d in deviation_bids(base, e, fresh):
@@ -456,8 +457,55 @@ def test_one_bid_answers_match_fresh_runs(mechanism, kind, data):
                     assert runner(deviated) == fresh(deviated)
             assert len(full_runs) == 1  # every one-bid call came from the chains
             two = base
-            for e in sorted(inst.ground)[:2]:  # moving two bids runs in full
+            tau = fresh(base).tau
+            others = [e for e in sorted(inst.ground) if e != tau][:2]
+            for e in others:  # moving two bids other than tau's runs in full
                 two = two.with_bid(e, two.bids[e] + 1)
             assert runner(two) == fresh(two)
-            assert len(full_runs) == min(2, len(inst.ground))
+            assert len(full_runs) == max(1, len(others))
             full_runs.clear()
+
+
+def test_one_bid_reads_one_moved_bid_off_its_first_call():
+    """``OneBid`` with counting hooks: its first call is the base for life,
+    a call that moves one bid of its ids is a read off that element's entry,
+    built once, and any other call runs in full, keeping its last answer."""
+    built, reads, fulls = [], [], []
+
+    def table(e, level, bids):
+        built.append(e)
+        return e, level, bids
+
+    def read(entry, level, bid, base_bid):
+        reads.append((entry[0], level, bid, base_bid))
+        return "read", entry[0], bid
+
+    def full(answer):
+        def run():
+            fulls.append(answer)
+            return answer
+        return run
+
+    one = OneBid(["a", "b", "c"], table, read)
+    level = mpq(10)
+    base = {"a": mpq(1), "b": mpq(2), "c": mpq(3), "x": mpq(9)}
+    assert one(base, level, full("base")) == "base"
+    assert fulls == ["base"]
+    # x is not one of the ids, and an equal bid or level in a new object has not moved
+    assert one({**base, "a": mpq(2, 2), "x": mpq(1)}, mpq(10), full("unused")) == "base"
+    assert fulls == ["base"] and built == []
+    for e, bid in (("b", mpq(5)), ("b", mpq(7)), ("c", mpq(1))):
+        assert one({**base, e: bid}, level, full("unused")) == ("read", e, bid)
+    assert built == ["b", "c"] and fulls == ["base"]
+    assert reads == [("b", level, mpq(5), mpq(2)), ("b", level, mpq(7), mpq(2)),
+                     ("c", level, mpq(1), mpq(3))]
+    assert one.entry("b") == ("b", level, {"a": 1, "b": 2, "c": 3})
+    assert one({**base, "a": mpq(4), "b": mpq(5)}, level, full("two")) == "two"
+    assert fulls == ["base", "two"]
+    # another level runs in full, and an identical repeat gets the last answer
+    assert one(base, mpq(20), full("other")) == "other"
+    assert one(dict(base), mpq(20), full("unused")) == "other"
+    assert fulls == ["base", "two", "other"]
+    # the base has not moved: a one-bid call at its level is still a read
+    assert one({**base, "a": mpq(3)}, level, full("unused")) == ("read", "a", mpq(3))
+    assert fulls == ["base", "two", "other"] and built == ["b", "c", "a"]

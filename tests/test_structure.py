@@ -157,3 +157,42 @@ def test_the_guard_sees_an_identity_then_value_test(tmp_path):
                       "other = a is None or a == b\n"
                       "identity = a is b or c is d\n")
     assert [line for line, _ in _identity_then_value(module)] == [1, 2, 3]
+
+
+def _moved_calls(path):
+    """``(line, class)`` of each call of ``moved`` (or ``rationals.moved``)
+    in the module at ``path``, with the name of the innermost class around
+    it (None outside every class)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in (
+                    "moved", "rationals.moved"):
+                found.append((child.lineno, owner))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return sorted(found)
+
+
+def test_only_one_bid_asks_which_bid_moved():
+    """Which calls a one-bid entry answers is one protocol,
+    ``mechanisms.OneBid``."""
+    calls = {path.name: found for path in sorted(SOURCE.glob("*.py"))
+             if (found := _moved_calls(path))}
+    assert list(calls) == ["mechanisms.py"], calls
+    assert [owner for _, owner in calls["mechanisms.py"]] == ["OneBid"]
+
+
+def test_the_guard_sees_a_moved_call(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("changed = moved(bids, base, ids)\n"
+                      "class OneBid:\n"
+                      "    def __call__(self, bids):\n"
+                      "        return rationals.moved(bids, self.base, self.ids)\n"
+                      "class Runner:\n"
+                      "    def run(self):\n"
+                      "        return [moved(b, c, d) for b, c, d in self.calls]\n"
+                      "moved_ids = not_moved(bids, base, ids)\n")
+    assert _moved_calls(module) == [(1, None), (4, "OneBid"), (7, "Runner")]

@@ -224,6 +224,12 @@ def test_a_map_that_is_not_the_ground_set_is_rejected(name, change, shared):
             xos_mechanism_main(val, maps["true_costs"], maps["bids"], budget, params, plan)
 
 
+def test_a_valuation_rejects_a_repeated_element_id():
+    # a repeated id would draw a second split bit on the coin tape
+    with pytest.raises(InputError, match="^duplicate element ids in ground set$"):
+        XosValuation(["a", "a", "b"], [{"a": 1, "b": 2}])
+
+
 def test_params_validation():
     with pytest.raises(InputError):
         XosParams(alpha=2, beta=1, gamma=3, seed=0)  # alpha*beta - beta - 4alpha < 0

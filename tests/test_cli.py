@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from budgetmech import Instance, UniformMatroid, cli, first_price_greedy, verify
 from budgetmech.cli import main
-from budgetmech.instance_io import instance_to_json
+from budgetmech.errors import SchemaError
+from budgetmech.instance_io import instance_to_json, load_instance
 from budgetmech.rationals import format_rational, mpq, parse_rational
 from budgetmech.verify import (
     Failure,
@@ -92,9 +93,10 @@ def test_run_outputs_are_byte_identical(tmp_path, capsys):
     assert first == second
 
 
-def _golden_run_stdout(tmp_path, case):
-    """``run --trace`` stdout on the generated instance named by ``case``,
-    ``<kind>-<n>-<budget regime>`` plus ``-<apx>`` for bipartite."""
+def _golden_run_stdout(tmp_path, case, trace=True):
+    """``run --trace`` stdout (plain ``run`` stdout when not ``trace``) on the
+    generated instance named by ``case``, ``<kind>-<n>-<budget regime>`` plus
+    ``-<apx>`` for bipartite."""
     kind, n, regime, *apx = case.split("-", 3)
     config = GeneratorConfig(1, 0, (int(n), int(n)), (kind,), budget_regime=regime)
     if kind == "bipartite":
@@ -104,7 +106,7 @@ def _golden_run_stdout(tmp_path, case):
     path = write(tmp_path, "golden.json", instance_to_json(inst))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["run", path, "--trace", *flags]) == 0
+        assert main(["run", path, *(["--trace"] if trace else []), *flags]) == 0
     return out.getvalue()
 
 
@@ -168,6 +170,75 @@ def test_run_trace_output_is_pinned(tmp_path, case):
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_RUN_SHA256[case]
 
 
+# sha256 of plain `run` stdout at the sizes the run-large benchmark measures,
+# pinned before the loader and renderer ran on integers: it covers the
+# `payments_decimal` and `total_payment` rendering of many payments
+PLAIN_RUN_SHA256 = {
+    "bipartite-100-loose-exact-bipartite":
+        "c5976ff5b2d59a20d3d174aaf689cfd03de18a893c5c349ed12f8c4103763314",
+    "bipartite-100-loose-greedy":
+        "4add91db2131be807137d1972b408448321e5e909e2b8ff11adb5f0fe2b6eb39",
+    "bipartite-100-tight-exact-bipartite":
+        "f2c33851d3049040d9e9fa7f92d95571c1371c5f419007aba07f15dc83069198",
+    "bipartite-100-tight-greedy":
+        "8742841b08939a7d25dffcdff9f9595d0e365b1cc10f71a315f9da374e0f0f79",
+    "bipartite-200-loose-exact-bipartite":
+        "007e7f17062361a2b349c2ca33f00032b4057d1fec04c74522d5b5400d1cefb6",
+    "bipartite-200-loose-greedy":
+        "b6a3298ac2a3e4a525a5250f77cea07920356029c27785b857584771424c059e",
+    "bipartite-200-tight-exact-bipartite":
+        "7d8d834d2a08cf22abd974884aab5202e408528d3a0912e3cf9ba4f0dd344557",
+    "bipartite-200-tight-greedy":
+        "ff017c896f748bc5c99aa7d8acd7b809414f9981c70fdbe4f32381719fb2938f",
+    "deadline-100-loose":
+        "d9ea3266090ee1bfa11e451c00b9ae43411d0c2d2f0ac245a231e84d89f03b12",
+    "deadline-100-tight":
+        "d13095f0c341772df1ae45f008a284d1bb9ac165b934de15acba7556047e87c9",
+    "deadline-200-loose":
+        "38ebe191137d8c0ef991456c0cf422a1e55e68cb7fba84c03706c65ef8bae6bf",
+    "deadline-200-tight":
+        "54dcea4bf7a2fff49f485f2d44b073499122915c17b07fbf4d1608be1d434869",
+    "free-100-loose":
+        "da7d759932e48978d0ce3b0b888380deb2a5984a377693ad0fbea7651b3f4b2f",
+    "free-100-tight":
+        "c963b34ad1df3acd8dc494ecba679ffeeb2e3f14ca5ce9cc2b80a8e1ede2eaf5",
+    "free-200-loose":
+        "2a0ac29053865577cd05252f86097c22f5c24e113b49852986e5d43287f8841f",
+    "free-200-tight":
+        "72605ef236208102549f26cb059e9b1a54534cc652ef89bb9aa9be5349c13bd1",
+    "graphic-100-loose":
+        "c32547cff3cf493d760e4b0e3e726b7ac131b664fba829c52d404061ad7f8251",
+    "graphic-100-tight":
+        "d7053c86a7937830b74b35bcf6e53c88134cc4e21bf9c3a9302f4c0fe5c92873",
+    "graphic-200-loose":
+        "8db780e70a9114a0676471c96aeb1c6c61b89f0103a31d52485e7667b09bf8dc",
+    "graphic-200-tight":
+        "357f77256cc521fb06e3f0d8a53738e64e88689237b591b036af43292a4ceb9f",
+    "partition-100-loose":
+        "f33511c4d53920223aef07b46e93758e7691153b1861699dab2b0a305d84bd93",
+    "partition-100-tight":
+        "36bdb8e605dd822b7c3911f6f4c8562daa209bbedcf75c9fd0972f0ef8d91562",
+    "partition-200-loose":
+        "0de4436a21dc9775cf241f3e1b55f4b8b930c5de0b2eccd50e022da4ba1459b7",
+    "partition-200-tight":
+        "9e08904a96433dd249491b09160b477df022aa89c358f01bcf0adef2c542fd9d",
+    "uniform-100-loose":
+        "9854ca310f40569387c67bb7358f53a40b1c8fef845d861fd320adf7a1373be2",
+    "uniform-100-tight":
+        "be0a210865748af1aaa5886dcd061e67579e6c5fc0cdcd9c2b085652b7c68bf8",
+    "uniform-200-loose":
+        "8856d96723923e0babe94be134bfe2b072d171a2023934a35b19ec4288d79846",
+    "uniform-200-tight":
+        "9cdcbcaf6dec5f7e1d6d6e1ae368efff78686eacb70c1d8fcc193ac3cbdda075",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_RUN_SHA256))
+def test_plain_run_output_at_benchmark_sizes_is_pinned(tmp_path, case):
+    stdout = _golden_run_stdout(tmp_path, case, trace=False)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PLAIN_RUN_SHA256[case]
+
+
 def test_run_intersection_both_blackboxes(tmp_path, capsys):
     path = write(tmp_path, "sq.json", BIPARTITE_2X2)
     assert main(["run", path, "--apx", "exact-bipartite"]) == 0
@@ -215,6 +286,76 @@ def test_bid_above_budget_exit2(tmp_path, capsys):
     }
     path = write(tmp_path, "bad.json", doc)
     assert main(["run", path]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the loader's sign and budget checks, at their boundaries
+
+
+def _one_element(budget="5/2", **fields):
+    element = {"id": "a", "weight": 1, "cost": 1, **fields}
+    return {"matroid": {"kind": "free"}, "elements": [element], "budget": budget}
+
+
+def _schema_error(doc):
+    with pytest.raises(SchemaError) as err:
+        load_instance(doc)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("field", ["weight", "cost", "bid"])
+@pytest.mark.parametrize("value", ["0", "0/5", "-1/3", "3/-4", 0, -2])
+def test_non_positive_element_field_rejected(field, value):
+    assert _schema_error(_one_element(**{field: value})) == \
+        f"elements[0].{field}: must be positive"
+
+
+@pytest.mark.parametrize("value", ["0", "0/5", "-1/3", "3/-4"])
+def test_non_positive_budget_rejected(value):
+    assert _schema_error(_one_element(budget=value)) == "budget: must be positive"
+
+
+def test_sign_in_the_denominator_is_read_as_negative_everywhere(tmp_path, capsys):
+    doc = {**_one_element(), "elements": [{"id": "a", "weight": 1, "cost": 1},
+                                          {"id": "b", "weight": 1, "cost": "3/-4"}]}
+    assert main(["run", write(tmp_path, "bad.json", doc)]) == 2
+    assert capsys.readouterr().err == "error: elements[1].cost: must be positive\n"
+
+
+@pytest.mark.parametrize("field", ["cost", "bid"])
+def test_value_equal_to_the_budget_in_another_spelling_accepted(field):
+    loaded = load_instance(_one_element(**{field: "10/4"}))
+    assert getattr(loaded, field + "s")["a"] == loaded.budget == mpq(5, 2)
+
+
+@pytest.mark.parametrize("field", ["cost", "bid"])
+def test_one_step_above_the_budget_rejected(tmp_path, capsys, field):
+    above = format_rational(mpq(5, 2) + mpq(1, 10**12))
+    doc = _one_element(**{field: above, "cost" if field == "bid" else "bid": 1})
+    message = f"elements: {field} of 'a' exceeds the budget"
+    assert _schema_error(doc) == message
+    assert main(["run", write(tmp_path, "bad.json", doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bid_above_the_budget_reported_before_the_cost():
+    assert _schema_error(_one_element(cost=3, bid=4)) == \
+        "elements: bid of 'a' exceeds the budget"
+    doc = _one_element()
+    doc["elements"] = [{"id": "a", "weight": 1, "cost": 3, "bid": 1},
+                       {"id": "b", "weight": 1, "cost": 1, "bid": 3}]
+    assert _schema_error(doc) == "elements: cost of 'a' exceeds the budget"
+
+
+def test_xos_clause_values_may_be_zero():
+    doc = {"elements": [{"id": "a", "weight": 1, "cost": 1},
+                        {"id": "b", "weight": 1, "cost": 1}],
+           "budget": 2, "xos": {"functions": [[0, "0/3"], [1, 0]]}}
+    loaded = load_instance(doc)
+    assert loaded.xos.functions[0] == {"a": 0, "b": 0}
+    assert loaded.xos.functions[1] == {"a": 1, "b": 0}
+    doc["xos"]["functions"][1][1] = "1/-3"
+    assert _schema_error(doc) == "xos: clause 1 value for 'b' is negative"
 
 
 def test_xos_cap_exit3(tmp_path, capsys):

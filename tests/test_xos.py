@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -298,6 +299,40 @@ def test_objective_at_paper_point():
     # the reported optimum: evaluating at alpha=218, beta=4.5184 the first
     # branch binds exactly, giving 1/436
     assert xos_objective(218, mpq(45184, 10000), 3) == mpq(1, 436)
+
+
+def _textbook_objective(alpha, beta, gamma):
+    """The least of the three branches, each computed as a ``Fraction``."""
+    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    return min(
+        1 / (2 * alpha),
+        (alpha - 1) / (32 * gamma * alpha * beta),
+        (alpha * beta - beta - 4 * alpha) / (16 * gamma * alpha * beta),
+    )
+
+
+NONZERO_RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool),
+                              st.integers(1, 10**6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(NONZERO_RATIONALS, NONZERO_RATIONALS, NONZERO_RATIONALS)
+@example(Fraction(218), Fraction(45184, 10000), Fraction(3))
+@example(Fraction(218), Fraction(9, 2), Fraction(4))
+@example(Fraction(-3), Fraction(1, 2), Fraction(-7))
+@example(Fraction(2), Fraction(-1, 3), Fraction(1))
+def test_objective_matches_the_textbook_minimum(alpha, beta, gamma):
+    value = xos_objective(alpha, beta, gamma)
+    assert value == _textbook_objective(alpha, beta, gamma)
+    assert str(value) == str(mpq(_textbook_objective(alpha, beta, gamma)))
+
+
+@pytest.mark.parametrize("alpha, beta, gamma", [(0, 1, 1), (2, 0, 1), (2, 1, 0)])
+def test_objective_at_a_zero_knob_raises_as_the_textbook_minimum_does(alpha, beta, gamma):
+    with pytest.raises(ZeroDivisionError):
+        _textbook_objective(alpha, beta, gamma)
+    with pytest.raises(ZeroDivisionError):
+        xos_objective(alpha, beta, gamma)
 
 
 def test_optimize_constant_gamma3():

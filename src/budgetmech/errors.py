@@ -13,7 +13,7 @@ class SchemaError(InputError):
 
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
-        self.field = field
+        self.field, self.message = field, message
 
 
 class CapExceeded(InputError):

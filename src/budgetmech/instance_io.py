@@ -47,7 +47,7 @@ class LoadedInstance:
 def parse_rational_field(value, field, positive=True):
     """A rational read from outside input; SchemaError names ``field``."""
     q = parse_rational(value, field)
-    if positive and q <= 0:
+    if positive and q.numerator <= 0:
         raise SchemaError(field, "must be positive")
     return q
 
@@ -76,22 +76,22 @@ def load_instance(obj):
         if "cost" not in entry:
             raise SchemaError(f"elements[{idx}].cost", "missing")
         ids.append(e)
-        weights[e] = parse_rational_field(entry["weight"], f"elements[{idx}].weight")
-        costs[e] = parse_rational_field(entry["cost"], f"elements[{idx}].cost")
-        bids[e] = (
-            parse_rational_field(entry["bid"], f"elements[{idx}].bid")
-            if "bid" in entry
-            else costs[e]
-        )
+        try:  # the element's field name is built only for an error
+            weights[e] = parse_rational_field(entry["weight"], "weight")
+            costs[e] = parse_rational_field(entry["cost"], "cost")
+            bids[e] = parse_rational_field(entry["bid"], "bid") if "bid" in entry else costs[e]
+        except SchemaError as exc:
+            raise SchemaError(f"elements[{idx}].{exc.field}", exc.message) from exc
 
     if "budget" not in obj:
         raise SchemaError("budget", "missing")
     budget = parse_rational_field(obj["budget"], "budget")
+    # q > budget on integers: every denominator is positive
+    num, den = budget.numerator, budget.denominator
     for e in ids:
-        if bids[e] > budget:
-            raise SchemaError("elements", f"bid of {e!r} exceeds the budget")
-        if costs[e] > budget:
-            raise SchemaError("elements", f"cost of {e!r} exceeds the budget")
+        for name, q in (("bid", bids[e]), ("cost", costs[e])):
+            if q.numerator * den > num * q.denominator:
+                raise SchemaError("elements", f"{name} of {e!r} exceeds the budget")
 
     structure = None
     if "matroid" in obj and obj["matroid"] is not None:
@@ -209,12 +209,13 @@ def _rate_to_json(rate):
 
 
 def outcome_to_json(outcome, include_trace=False):
+    payments, total = sorted(outcome.payments.items()), outcome.total_payment
     doc = {
         "allocation": sorted(outcome.allocation),
-        "payments": {e: format_rational(p) for e, p in sorted(outcome.payments.items())},
-        "payments_decimal": {e: to_decimal(p) for e, p in sorted(outcome.payments.items())},
-        "total_payment": format_rational(outcome.total_payment),
-        "total_payment_decimal": to_decimal(outcome.total_payment),
+        "payments": {e: format_rational(p) for e, p in payments},
+        "payments_decimal": {e: to_decimal(p) for e, p in payments},
+        "total_payment": format_rational(total),
+        "total_payment_decimal": to_decimal(total),
         "budget": format_rational(outcome.budget),
     }
     if isinstance(outcome, Outcome):

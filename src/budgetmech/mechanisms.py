@@ -166,7 +166,9 @@ class Payments:
 
     @property
     def total_payment(self):
-        return sum(self.payments.values(), ZERO)
+        """The payments' sum, added as integers over their common denominator."""
+        d, scaled = scale_to_integers(list(self.payments.values()))
+        return mpq(sum(scaled), d)
 
     def utility(self, e, cost):
         """Quasi-linear utility of ``e`` at true cost ``cost``: payment minus

@@ -6,7 +6,7 @@ fractions.Fraction as a drop-in fallback.
 """
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -60,16 +60,16 @@ def parse_rational(value, field="value"):
 
 def format_rational(q):
     """Render a rational as ``"p/q"`` (or ``"p"`` when the denominator is 1)."""
-    return str(mpq(q))
+    return str(as_rational(q))
 
 
-def to_decimal(q, significant_digits=12):
-    """Display-only decimal rendering at a fixed number of significant digits."""
-    q = mpq(q)
-    with localcontext() as ctx:
-        ctx.prec = significant_digits
-        d = Decimal(int(q.numerator)) / Decimal(int(q.denominator))
-    return str(d)
+_DISPLAY = Context(prec=12)
+
+
+def to_decimal(q):
+    """Display-only decimal rendering at 12 significant digits."""
+    q = as_rational(q)
+    return str(_DISPLAY.divide(Decimal(int(q.numerator)), Decimal(int(q.denominator))))
 
 
 def scale_to_integers(values):

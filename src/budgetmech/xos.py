@@ -370,7 +370,7 @@ class XosPlan:
                          _optimum_at_shift)
         self._t2 = _half(t2_ids, lambda c, t: _class_winners(t2_ids, c, t2_value, t),
                          _argmax_at_shift)
-        self._valuation, self._ground = valuation, frozenset(ground)
+        self._valuation, self._ground, self.seed = valuation, frozenset(ground), params.seed
         self._checked_budget, self._checked_bids, self._checked_costs = None, {}, {}
         self._threshold_key, self._threshold = (None, None, None), None
         self._chosen = {}
@@ -447,6 +447,7 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
 
     ``plan`` is ``XosPlan(valuation, params)``, built here when not given;
     pass one to share it across runs that differ only in bids and budget.
+    A plan built from another valuation object or seed raises InputError.
     A shared plan answers from what it keeps: the bid and cost objects it
     has checked (``XosPlan.check``), the T1 optimum, threshold and T2 argmax
     (``XosPlan.t1_optimum``, ``XosPlan.threshold``, ``XosPlan.t2_argmax``)
@@ -456,6 +457,8 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
     """
     if plan is None:
         plan = XosPlan(valuation, params)
+    elif valuation is not plan._valuation or params.seed != plan.seed:
+        raise InputError("plan was built from another valuation or seed")
     for name, values in (("bids", bids), ("true_costs", true_costs)):
         if values.keys() != plan._ground:
             raise InputError(f"{name} must cover exactly the ground set")
@@ -497,11 +500,14 @@ def xos_objective(alpha, beta, gamma):
     The three branches are the heavy-single-element case and the two
     threshold cases; gamma is the sub-mechanism's approximation factor.
     """
+    # with alpha = A/a, beta = B/b, gamma = G/g the branches are, in order,
+    # over the one denominator 32GAB: 16aGB, (A - a)gb and 2(AB - aB - 4Ab)g
     alpha, beta, gamma = mpq(alpha), mpq(beta), mpq(gamma)
-    a = 1 / (2 * alpha)
-    b = (alpha - 1) / (32 * gamma * alpha * beta)
-    c = (alpha * beta - beta - 4 * alpha) / (16 * gamma * alpha * beta)
-    return min(a, b, c)
+    A, a, B, b = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+    G, g = gamma.numerator, gamma.denominator
+    den = 32 * G * A * B
+    branches = (16 * a * G * B, (A - a) * g * b, 2 * (A * B - a * B - 4 * A * b) * g)
+    return mpq(min(branches) if den > 0 else max(branches), den)
 
 
 def optimize_constant(gamma):

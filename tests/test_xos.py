@@ -159,6 +159,26 @@ def test_plan_and_run_keep_the_cap_and_the_empty_ground_errors():
         xos_mechanism_main(empty, {}, {}, 30, params)
 
 
+def test_plan_built_from_another_seed_or_valuation_rejected():
+    """A plan holds the coin tape of its own valuation and seed: a run handed
+    a plan built at another seed or from another valuation raises instead of
+    running on the plan's tape.  At these seeds the plan built at seed 0 takes
+    the max-element branch, which a run at the seed itself does not."""
+    val = single_clause({"a": 1, "b": 2, "c": 3, "d": 4})
+    costs = {e: mpq(1) for e in val.ground}
+    plan = XosPlan(val, XosParams(seed=0, **PARAMS))
+    assert xos_mechanism_main(val, costs, costs, 10, XosParams(seed=0, **PARAMS),
+                              plan).branch == "max-element"
+    for seed in (1, 3, 4):
+        params = XosParams(seed=seed, **PARAMS)
+        assert xos_mechanism_main(val, costs, costs, 10, params).branch != "max-element"
+        with pytest.raises(InputError, match="plan was built from another valuation or seed"):
+            xos_mechanism_main(val, costs, costs, 10, params, plan)
+    other = single_clause({"a": 1, "b": 2, "c": 3, "d": 4})
+    with pytest.raises(InputError, match="plan was built from another valuation or seed"):
+        xos_mechanism_main(other, costs, costs, 10, XosParams(seed=0, **PARAMS), plan)
+
+
 @pytest.mark.parametrize("cost", [mpq(-5), ZERO])
 def test_non_positive_true_cost_rejected_on_every_coin_tape(cost):
     # the mechanism reads only bids, so the check must not depend on the

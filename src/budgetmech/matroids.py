@@ -6,15 +6,19 @@ family, so a deleted matroid remains exact and cheap to query.
 
 ``extender(start)`` grows an independent set ``S`` from ``start``:
 ``fits(e)`` equals ``_independent(S | {e})`` for ``e`` not in ``S``, and
-``add(e)`` puts a fitting ``e`` into ``S``.  After O(|start|) set-up (plus
-O(n) slots for deadlines) ``fits`` costs O(1) for uniform, free, partition
-(room per block) and deadline (``e`` fits iff its deadline is past the last
-tight slot), amortized O(log n) for graphic (one persistent union-find), and
-one whole-set oracle call for any other kind.  The greedy adds what fits.
-For ``x`` in a greedy basis ``B``, ``extender(B - x).fits(f)`` holds iff
-``f`` lies in the fundamental cocircuit of ``x`` with respect to ``B``,
-which is the test the mechanism's repair step needs.  ``_independent``
-stays the definitional oracle behind ``is_independent``.
+``add(e)`` puts a fitting ``e`` into ``S``.  After O(|start|) set-up
+``fits`` costs O(1) for uniform, free and partition (room per block),
+amortized O(log n) for deadline (latest free slot) and graphic (one
+persistent union-find each), and one whole-set oracle call for any other
+kind.  The greedy adds what fits.
+
+``exchange(B)`` repairs ``B``, a basis of the ground set that survives so
+far, in place: after ``remove(x)``, ``fits(f)`` holds iff ``f`` lies in the
+fundamental cocircuit of ``x`` with respect to ``B``, which is the test the
+mechanism's repair step needs, and ``add(f)`` puts ``f`` in.  Uniform, free,
+partition and explicit repair with their extender.  Deadlines keep the slack
+of every slot, and graphic the forest and the cut that ``remove`` leaves.
+``_independent`` stays the definitional oracle behind ``is_independent``.
 
 Element ids are opaque strings; every deterministic tie-break in the package
 orders them by plain string comparison, which is public, bid-independent
@@ -55,6 +59,11 @@ class Matroid:
     def extender(self, start=()):
         """Incremental independence test grown from the independent ``start``."""
         return _OracleExtender(self._independent, start)
+
+    def exchange(self, basis):
+        """Repair structure for ``basis``, a basis of the surviving ground set:
+        ``remove``, ``fits`` and ``add`` keep one set, first ``basis``."""
+        return self.extender(basis)
 
     def _with_ground(self, new_ground):
         raise NotImplementedError
@@ -204,6 +213,9 @@ class GraphicMatroid(Matroid):
     def extender(self, start=()):
         return _ForestExtender(self.edges, start)
 
+    def exchange(self, basis):
+        return _ForestCut(self.edges, basis)
+
     def _with_ground(self, new_ground):
         return GraphicMatroid([(e, *self.edges[e]) for e in new_ground])
 
@@ -239,7 +251,10 @@ class DeadlineMatroid(Matroid):
         return True
 
     def extender(self, start=()):
-        return _SlotExtender(self.deadlines, len(self.ground), start)
+        return _LatestFreeSlot(self.deadlines, len(self.ground), start)
+
+    def exchange(self, basis):
+        return _SlackSlots(self.deadlines, len(self.ground), basis)
 
     def _with_ground(self, new_ground):
         return DeadlineMatroid(new_ground, {e: self.deadlines[e] for e in new_ground})
@@ -307,6 +322,9 @@ class _OracleExtender:
     def add(self, e):
         self.members = self.members | {e}
 
+    def remove(self, e):
+        self.members = self.members - {e}
+
 
 class _RoomExtender:
     """Uniform and free: ``e`` fits while the count of members is below the rank."""
@@ -319,6 +337,9 @@ class _RoomExtender:
 
     def add(self, e):
         self.room -= 1
+
+    def remove(self, e):
+        self.room += 1
 
 
 class _BlockExtender:
@@ -336,19 +357,12 @@ class _BlockExtender:
     def add(self, e):
         self.room[self.block_of[e]] -= 1
 
+    def remove(self, e):
+        self.room[self.block_of[e]] += 1
 
-class _ForestExtender:
-    """Graphic: one persistent union-find over the vertices of the members.
 
-    ``e`` fits iff its endpoints lie in different trees, so a self-loop
-    never fits.  A vertex with no ``parent`` entry is a root.
-    """
-
-    def __init__(self, edges, start):
-        self.edges = edges
-        self.parent = {}
-        for e in start:
-            self.add(e)
+class _UnionFind:
+    """Path-compressed union-find on ``parent``; a key with no entry is a root."""
 
     def _root(self, x):
         parent = self.parent
@@ -358,6 +372,20 @@ class _ForestExtender:
         while x != root:
             parent[x], x = root, parent[x]
         return root
+
+
+class _ForestExtender(_UnionFind):
+    """Graphic: one persistent union-find over the vertices of the members.
+
+    ``e`` fits iff its endpoints lie in different trees, so a self-loop
+    never fits.
+    """
+
+    def __init__(self, edges, start):
+        self.edges = edges
+        self.parent = {}
+        for e in start:
+            self.add(e)
 
     def fits(self, e):
         u, v = self.edges[e]
@@ -370,14 +398,86 @@ class _ForestExtender:
             self.parent[ru] = rv
 
 
-class _SlotExtender:
-    """Deadline: ``slack[t] = t - #{members due by slot t}`` for t <= n.
+class _ForestCut:
+    """Graphic exchange: the adjacency of the forest ``S`` and, after
+    ``remove(x)``, one side of the cut that ``x`` left in its tree.
+
+    ``fits(f)`` holds iff ``f`` crosses that cut.  This is exact only for an
+    ``f`` spanned by ``S + x``, whose ends lie in one tree: ``S + f`` is a
+    forest iff ``f`` crosses.  Every ``f`` the repair asks about is spanned,
+    because its ``S + x`` is a basis of the surviving ground set.  Before
+    any ``remove`` and after an ``add``, no spanned ``f`` fits, and ``fits``
+    says so.  ``remove`` labels the side by a search from both ends of ``x``
+    in lockstep that stops when either side is done, so it costs the
+    smaller side.
+    """
+
+    def __init__(self, edges, start):
+        self.edges = edges
+        self.adjacent, self.side = {}, frozenset()
+        for e in start:
+            self.add(e)
+
+    def remove(self, x):
+        u, v = self.edges[x]
+        adjacent = self.adjacent
+        adjacent[u].remove(v)
+        adjacent[v].remove(u)
+        seen, todo = ({u}, {v}), ([u], [v])
+        while todo[0] and todo[1]:
+            for side, stack in zip(seen, todo):
+                for w in adjacent[stack.pop()]:
+                    if w not in side:
+                        side.add(w)
+                        stack.append(w)
+        self.side = seen[0] if not todo[0] else seen[1]
+
+    def fits(self, f):
+        u, v = self.edges[f]
+        return (u in self.side) != (v in self.side)
+
+    def add(self, e):
+        u, v = self.edges[e]
+        self.adjacent.setdefault(u, set()).add(v)
+        self.adjacent.setdefault(v, set()).add(u)
+        self.side = frozenset()
+
+
+class _LatestFreeSlot(_UnionFind):
+    """Deadline: each member takes the latest free slot up to its deadline,
+    found by union-find: a free slot is a root, a full slot t is linked to
+    t - 1, and slot 0, never filled, means none is free.
+
+    ``e`` fits iff ``_root(min(d_e, n)) > 0``.  No set of at most n jobs
+    needs a slot past n, so a later deadline is capped at n.  This is exact
+    under any insertion order: if ``e`` finds no free slot, let ``m >=
+    min(d_e, n)`` be maximal with slots 1..m all full.  A member due after
+    ``m`` would have taken slot ``m + 1``, which has been free all along, so
+    with ``e`` that makes ``m + 1`` jobs due by ``m``.
+    """
+
+    def __init__(self, deadlines, n, start):
+        self.deadlines, self.n, self.parent = deadlines, n, {}
+        for e in start:
+            self.add(e)
+
+    def fits(self, e):
+        return self._root(min(self.deadlines[e], self.n)) > 0
+
+    def add(self, e):
+        slot = self._root(min(self.deadlines[e], self.n))
+        self.parent[slot] = slot - 1
+
+
+class _SlackSlots:
+    """Deadline exchange: ``slack[t] = t - #{members due by slot t}`` for t <= n.
 
     A set is independent iff no slack is negative, so ``e`` fits iff no slot
     from its deadline on is tight (slack 0), that is iff its deadline is past
     ``last_tight``, the last tight slot.  Slot 0 is always tight, so
-    ``last_tight`` is 0 when no real slot is.  No set of at most n jobs needs
-    a slot past n, so a later deadline is counted at slot n.
+    ``last_tight`` is 0 when no real slot is.  Deadlines are capped at n, as
+    in ``_LatestFreeSlot``.  ``remove`` raises every slack from the deadline
+    on, so the new last tight slot is the last zero below it.
     """
 
     def __init__(self, deadlines, n, start):
@@ -397,6 +497,17 @@ class _SlotExtender:
             slack[t] -= 1
             if slack[t] == 0:
                 self.last_tight = t
+
+    def remove(self, e):
+        slack = self.slack
+        start = min(self.deadlines[e], len(slack) - 1)
+        for t in range(start, len(slack)):
+            slack[t] += 1
+        if self.last_tight >= start:
+            t = start - 1
+            while slack[t]:
+                t -= 1
+            self.last_tight = t
 
 
 def _json_int(value, what):

@@ -206,10 +206,11 @@ class Plan:
 
     The plan also owns the candidate sets, which ``walk`` yields.  On a
     matroid ``start`` is the greedy set and its scaled weight, and a set is
-    repaired as its elements leave (``_repair``).  On an intersection
-    ``start`` is no set, and ``blackbox`` is asked on the structure and the
-    set excluded so far; its answer and scaled weight are kept per
-    exclusion set, so every bid vector on the plan asks once per set.
+    repaired in place as its elements leave (``_repair``), on one exchange
+    structure per walk.  On an intersection ``start`` is no set, and
+    ``blackbox`` is asked on the structure and the set excluded so far; its
+    answer and scaled weight are kept per exclusion set, so every bid
+    vector on the plan asks once per set.
     """
 
     def __init__(self, structure, weights, blackbox=None):
@@ -247,41 +248,54 @@ class Plan:
         elements that have left, not on their order.
 
         The walk is lazy: an element leaves only when the next state is
-        asked for.
+        asked for.  On a matroid it builds one ``structure.exchange`` at its
+        first repair and repairs that in place from then on.  The structure
+        lives in the walk, not on the plan, because every run shares the
+        plan and ``OneBidRunner`` interleaves two walks on it.
         """
-        reselect = self._repair if isinstance(self.structure, Matroid) else self._ask
+        matroid = isinstance(self.structure, Matroid)
         chosen, value = self.start
-        excluded = set()
+        excluded, basis = set(), None
         for x in leaving:
             excluded.add(x)
-            if chosen is None or x in chosen:
-                chosen, value = reselect(x, chosen, value, excluded)
+            if not matroid and (chosen is None or x in chosen):
+                chosen, value = self._ask(excluded)
+            elif matroid and x in chosen:
+                if basis is None:
+                    basis = self.structure.exchange(chosen)
+                chosen, value = self._repair(x, chosen, value, excluded, basis)
             yield chosen, value
 
-    def _repair(self, x, chosen, value, excluded):
+    def _repair(self, x, chosen, value, excluded, basis):
         """``B - x + f``, with ``B`` the matroid set ``chosen`` and ``f`` the
         first surviving element after ``x`` outside ``B`` that keeps it
         independent, or ``B - x`` if there is none, with its scaled weight.
+        ``basis`` is the walk's ``structure.exchange``, which holds ``B`` and
+        is brought to the answer in place.
 
         Elements before ``x`` need no test: each one outside ``B`` is
         spanned by the members of ``B`` before it, which do not include
         ``x``.  The ``f`` outside ``B`` that keep ``B - x + f`` independent
         form, with ``x``, the fundamental cocircuit of ``x`` with respect to
-        ``B``; ``structure.extender(B - x).fits`` tests membership in it.
+        ``B``; after ``basis.remove(x)``, ``basis.fits`` tests membership in
+        it.  ``B`` is a basis of the surviving ground set, as ``exchange``
+        requires: the greedy set is one, a repair keeps one, and so does an
+        element outside ``B`` leaving.
         """
+        basis.remove(x)
         chosen = chosen - {x}
         value -= self.scaled[x]
-        cocircuit = None  # built at the first candidate; often none is left
-        for f in self.order[self.position[x] + 1:]:
+        order = self.order
+        for k in range(self.position[x] + 1, len(order)):
+            f = order[k]
             if f in chosen or f in excluded:
                 continue
-            if cocircuit is None:
-                cocircuit = self.structure.extender(chosen)
-            if cocircuit.fits(f):
+            if basis.fits(f):
+                basis.add(f)
                 return chosen | {f}, value + self.scaled[f]
         return chosen, value
 
-    def _ask(self, x, chosen, value, excluded):
+    def _ask(self, excluded):
         """The blackbox's answer with ``excluded`` left out, and its scaled
         weight, asked once per exclusion set."""
         key = frozenset(excluded)

@@ -252,3 +252,49 @@ def test_extender_matches_the_oracle(data, n, kind):
         if grow.fits(e):
             grow.add(e)
             members.add(e)
+
+
+def _draw_graph(data, ids):
+    """Edges on three to six vertices: several trees, self-loops, parallel edges,
+    and cuts with more than one vertex on each side all in reach."""
+    ends = st.integers(0, data.draw(st.integers(2, 5)))
+    return GraphicMatroid([(e, data.draw(ends), data.draw(ends)) for e in ids])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["uniform", "free", "partition", "graphic", "deadline", "explicit"]),
+)
+def test_exchange_matches_the_oracle(data, kind):
+    """Second route for ``exchange``, driven as the repair drives it: ``S``
+    starts as the greedy basis, along a drawn scan order, of the ground minus
+    a drawn excluded set.  Elements then leave in a drawn order; a member of
+    ``S`` leaves by ``remove``, followed by ``add`` of the first element in
+    scan order that fits.  After each ``remove`` every ``fits`` must answer
+    like the whole-set oracle ``_independent``."""
+    n = data.draw(st.integers(0, 10 if kind == "graphic" else 7))
+    ids = [f"x{j}" for j in range(n)]
+    m = _draw_graph(data, ids) if kind == "graphic" else _draw_matroid(data, kind, ids)
+    excluded = set(data.draw(st.sets(st.sampled_from(ids), max_size=n // 2))) if ids else set()
+    scan = data.draw(st.permutations(ids))
+    members = set()
+    for e in scan:
+        if e not in excluded and m._independent(frozenset(members | {e})):
+            members.add(e)
+    basis = m.exchange(frozenset(members))
+    for x in data.draw(st.permutations(ids)):
+        if x in excluded:
+            continue
+        excluded.add(x)
+        if x not in members:
+            continue
+        basis.remove(x)
+        members.remove(x)
+        candidates = [f for f in scan if f not in members and f not in excluded]
+        for f in candidates:
+            assert basis.fits(f) == m._independent(frozenset(members | {f})), (x, f, members)
+        fitting = [f for f in candidates if basis.fits(f)]
+        if fitting:
+            basis.add(fitting[0])
+            members.add(fitting[0])

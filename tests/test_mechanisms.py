@@ -1,6 +1,8 @@
 """The two procurement mechanisms: hand traces, invariants, edge cases."""
 
+import gc
 import random
+import weakref
 from unittest.mock import patch
 
 import pytest
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 
 from budgetmech import (
     ApxBlackbox,
+    DeadlineMatroid,
     GraphicMatroid,
     InputError,
     Instance,
     IntersectionSpec,
     Outcome,
     PartitionMatroid,
+    Plan,
     TraceStep,
     UniformMatroid,
     first_price_greedy,
@@ -219,6 +223,47 @@ def test_repaired_greedy_set_matches_recomputation(data, kind):
     bids = {e: data.draw(st.integers(1, budget)) for e in m.ground}
     inst = Instance(m, weights, bids, bids, budget)
     assert_trace_matches_recomputation(inst, run_matroid_mechanism(inst))
+
+
+@pytest.mark.parametrize("regime", ["tight", "loose"])
+@pytest.mark.parametrize("kind", ["graphic", "deadline"])
+def test_repaired_sets_match_recomputation_at_size(kind, regime):
+    """The same second route at n = 60, where graphic cuts split large trees
+    and deadline repairs move many slots; the runs must repair in earnest."""
+    cfg = GeneratorConfig(count=3, seed=0, n_range=(60, 60), kinds=(kind,),
+                          budget_regime=regime)
+    repairs = 0
+    for index in range(3):
+        inst = gen_matroid_instance(cfg, index)
+        out = run_matroid_mechanism(inst)
+        assert_trace_matches_recomputation(inst, out)
+        repairs += sum(step.removed in step.chosen for step in out.trace)
+    assert repairs >= 10
+
+
+def test_one_exchange_structure_per_walk(monkeypatch):
+    """A run repairs one exchange structure in place: a full run at n = 200
+    builds at most one, and once the run is over nothing holds it, the
+    shared plan included."""
+    built = []
+    for cls in (GraphicMatroid, DeadlineMatroid):
+        def counted(self, basis, exchange=cls.exchange):
+            structure = exchange(self, basis)
+            built.append(weakref.ref(structure))
+            return structure
+        monkeypatch.setattr(cls, "exchange", counted)
+    for kind in ("graphic", "deadline"):
+        for regime in ("tight", "loose"):
+            cfg = GeneratorConfig(count=1, seed=0, n_range=(200, 200), kinds=(kind,),
+                                  budget_regime=regime)
+            inst = gen_matroid_instance(cfg, 0)
+            plan = Plan(inst.structure, inst.weights)
+            built.clear()
+            out = run_matroid_mechanism(inst, plan)
+            assert sum(step.removed in step.chosen for step in out.trace) >= 2
+            assert len(built) == 1
+            gc.collect()
+            assert built[0]() is None
 
 
 def test_removing_a_coloop_leaves_no_replacement():

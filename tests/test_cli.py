@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from budgetmech import Instance, UniformMatroid, cli, first_price_greedy, verify
 from budgetmech.cli import main
 from budgetmech.errors import SchemaError
-from budgetmech.instance_io import instance_to_json, load_instance
+from budgetmech.instance_io import instance_to_json, load_instance, xos_instance_to_json
 from budgetmech.rationals import format_rational, mpq, parse_rational
 from budgetmech.verify import (
     Failure,
@@ -237,6 +237,37 @@ PLAIN_RUN_SHA256 = {
 def test_plain_run_output_at_benchmark_sizes_is_pinned(tmp_path, case):
     stdout = _golden_run_stdout(tmp_path, case, trace=False)
     assert hashlib.sha256(stdout.encode()).hexdigest() == PLAIN_RUN_SHA256[case]
+
+
+# sha256 of `run --trace` stdout on XOS instance files, keyed by
+# (n, instance index, coin seed, branch): the sub-mechanism tapes render the
+# inner trace, and seed 14 at n = 6 sends every element to T1 (branch empty)
+XOS_TRACE_SHA256 = {
+    (6, 0, 0, "max-element"):
+        "4ff59619027b2d1768ad8bc18b85afacf596ed05d111301cc99010ad079ffa9e",
+    (6, 0, 1, "sub-mechanism"):
+        "e8e3a41f5d5fe5e3a74caf4b9c6ee908c6e4f5317e3e422d16a7f78912a67236",
+    (6, 0, 14, "empty"):
+        "367bcfbc64cc30dbaba5aeb434f754b27db37c2954aadd2e0954d1b0d7cd13cf",
+    (10, 2, 4, "sub-mechanism"):
+        "e25f9a74865311fd89c756b52616774c2538bbb133623ea54bc55f810a1035dc",
+    (10, 2, 8, "sub-mechanism"):
+        "860609a6cfaa6e36b33fcb740d43bb705ed112a9d71e2a9c9f16636b3da5e3d5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(XOS_TRACE_SHA256))
+def test_xos_run_trace_output_is_pinned(tmp_path, case):
+    n, index, seed, branch = case
+    valuation, costs, budget = gen_xos_instance(0, index, n=n)
+    path = write(tmp_path, "xos.json", xos_instance_to_json(valuation, costs, costs, budget))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["run", path, "--trace", "--seed", str(seed)]) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["branch"] == branch
+    assert ("inner" in doc) == (branch == "sub-mechanism")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == XOS_TRACE_SHA256[case]
 
 
 def test_run_intersection_both_blackboxes(tmp_path, capsys):

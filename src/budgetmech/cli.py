@@ -71,14 +71,12 @@ def _cmd_run(args):
         inst = loaded.mechanism_instance()
         blackbox = get_blackbox(args.apx, inst.structure)
         outcome = run_intersection_mechanism(inst, blackbox)
-    elif mechanism == "xos":
+    else:  # xos: argparse's choices and the inference above leave three names
         if loaded.xos is None:
             raise SchemaError("xos", "missing (required for --mechanism xos)")
         params = XosParams(alpha=alpha, beta=beta, gamma=gamma, seed=args.seed)
         outcome = xos_mechanism_main(loaded.xos, loaded.costs, loaded.bids,
                                      loaded.budget, params)
-    else:
-        raise SchemaError("mechanism", f"unknown mechanism {mechanism!r}")
 
     doc = outcome_to_json(outcome, include_trace=args.trace)
     doc["mechanism"] = mechanism

@@ -44,10 +44,10 @@ class LoadedInstance:
         return Instance(self.structure, self.weights, self.costs, self.bids, self.budget)
 
 
-def parse_rational_field(value, field, positive=True):
-    """A rational read from outside input; SchemaError names ``field``."""
+def parse_rational_field(value, field):
+    """A positive rational read from outside input; SchemaError names ``field``."""
     q = parse_rational(value, field)
-    if positive and q.numerator <= 0:
+    if q.numerator <= 0:
         raise SchemaError(field, "must be positive")
     return q
 
@@ -126,7 +126,7 @@ def load_instance(obj):
                 )
             functions.append(
                 {
-                    e: parse_rational_field(v, f"xos.functions[{k}][{j}]", positive=False)
+                    e: parse_rational(v, f"xos.functions[{k}][{j}]")
                     for j, (e, v) in enumerate(zip(ids, row))
                 }
             )

@@ -28,16 +28,13 @@ class IntersectionSpec:
                 raise InputError("all matroids in an intersection must share one ground list")
         self.matroids = matroids
         self.ground = tuple(ground)
-        self._ground_set = frozenset(ground)
 
     @property
     def k(self):
         return len(self.matroids)
 
     def check_members(self, s):
-        unknown = set(s) - self._ground_set
-        if unknown:
-            raise InputError(f"unknown element ids: {sorted(unknown)}")
+        self.matroids[0].check_members(s)
 
     def is_independent(self, s):
         """Common independence: independent in every constituent matroid."""

@@ -54,9 +54,10 @@ class Instance:
             for e, v in vec.items():
                 if v.numerator <= 0:
                     raise InputError(f"{name}[{e}] must be positive")
-        # bids above the budget are rejected at the file-load boundary; the
-        # in-memory type tolerates them so that above-budget declarations can
-        # still be traced and tested (such elements can never be paid anyway)
+        # bids above the budget are rejected at the file-load boundary: the tau
+        # branch pays tau the budget whatever tau bid, so a tau bidding above
+        # the budget would be paid less than its bid.  The in-memory type
+        # tolerates such bids so that they can still be traced and tested.
 
     def buck_per_bang(self, e):
         return self.bids[e] / self.weights[e]
@@ -380,17 +381,28 @@ def _run_threshold_mechanism(inst, plan):
     return Outcome(trace=tuple(trace), **settle(plan, inst.budget, trace[-1], prev))
 
 
+def _check_plan(inst, plan, blackbox=None):
+    """Raise InputError unless ``plan`` was built on ``inst``'s structure
+    (the same object), its weights (by value) and ``blackbox``."""
+    if plan.structure is not inst.structure or plan.weights != inst.weights \
+            or plan.blackbox is not blackbox:
+        raise InputError("plan was built from another structure, weights or blackbox")
+
+
 def run_matroid_mechanism(inst, plan=None):
     """Budget-feasible mechanism for procuring an independent set of a matroid.
 
     The greedy set is computed once, in the plan, and repaired as elements
     leave the ground set (``Plan.walk``).  ``plan`` is
-    ``Plan(inst.structure, inst.weights)``, built here when not given.
+    ``Plan(inst.structure, inst.weights)``, built here when not given; a
+    plan built on another structure or other weights raises InputError.
     """
     if not isinstance(inst.structure, Matroid):
         raise InputError("run_matroid_mechanism needs a single-matroid instance")
     if plan is None:
         plan = Plan(inst.structure, inst.weights)
+    else:
+        _check_plan(inst, plan)
     return _run_threshold_mechanism(inst, plan)
 
 
@@ -398,12 +410,15 @@ def run_intersection_mechanism(inst, blackbox, plan=None):
     """Same mechanism with the exact greedy step replaced by an APX blackbox,
     asked on the instance's own spec and the set excluded so far.  ``plan``
     is ``Plan(inst.structure, inst.weights, blackbox)``, built here when not
-    given; a given plan asks its own blackbox.
+    given; a plan built on another structure, other weights or another
+    blackbox raises InputError.
     """
     if not isinstance(inst.structure, IntersectionSpec):
         raise InputError("run_intersection_mechanism needs an intersection instance")
     if plan is None:
         plan = Plan(inst.structure, inst.weights, blackbox)
+    else:
+        _check_plan(inst, plan, blackbox)
     return _run_threshold_mechanism(inst, plan)
 
 
@@ -534,8 +549,7 @@ class OneBidRunner:
 
 def utility(inst, outcome, e):
     """``outcome.utility`` of ``e`` at its true cost in ``inst``."""
-    if e not in inst.structure._ground_set:
-        raise InputError(f"unknown element id {e!r}")
+    inst.structure.check_members({e})
     return outcome.utility(e, inst.true_costs[e])
 
 

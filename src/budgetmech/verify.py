@@ -41,7 +41,7 @@ from .mechanisms import (
     run_matroid_mechanism,
 )
 from .oracle import brute_force_opt
-from .rationals import ZERO, format_rational, mpq
+from .rationals import format_rational, mpq
 from .xos import XosParams, XosPlan, XosValuation, xos_mechanism_main
 
 EPSILON = mpq(1, 10**9)
@@ -136,7 +136,7 @@ def _draw_weight(rng, dist):
     return mpq(rng.randint(1, 20))
 
 
-def _draw_budget(rng, regime, index, costs):
+def _draw_budget(regime, index, costs):
     total = sum(int(c) for c in costs.values())
     biggest = max(int(c) for c in costs.values())
     if regime == "mixed":
@@ -180,42 +180,44 @@ def _make_matroid(rng, kind, ids):
     raise InputError(f"unknown matroid kind {kind!r}")
 
 
-def gen_matroid_instance(config, index):
-    """Deterministic matroid instance number ``index`` of the stream."""
-    rng = _rng(config.seed, "matroid", index)
-    n = rng.randint(*config.n_range)
-    ids = _element_ids(n)
-    kind = config.kinds[index % len(config.kinds)]
-    matroid = _make_matroid(rng, kind, ids)
+def _make_bipartite(rng, ids):
+    """Two capacity-1 partition matroids: each element is an edge from one
+    of about sqrt(n) left vertices to one of one more right vertices."""
+    nl = max(1, round(math.sqrt(len(ids))))
+    ends = [(rng.randrange(nl), rng.randrange(nl + 1)) for _ in ids]
+    sides = []
+    for side in (0, 1):
+        blocks = {}
+        for e, end in zip(ids, ends):
+            blocks.setdefault(end[side], set()).add(e)
+        sides.append(PartitionMatroid(ids, [(s, 1) for s in blocks.values()]))
+    return IntersectionSpec(sides)
+
+
+def _gen_instance(config, stream, index, make_structure):
+    """Instance number ``index`` of ``stream``: its size, its structure from
+    ``make_structure(rng, ids)``, then weights, costs and budget, drawn in
+    that order from one rng."""
+    rng = _rng(config.seed, stream, index)
+    ids = _element_ids(rng.randint(*config.n_range))
+    structure = make_structure(rng, ids)
     weights = {e: _draw_weight(rng, config.weight_dist) for e in ids}
     costs = {e: mpq(rng.randint(1, 10)) for e in ids}
-    budget = _draw_budget(rng, config.budget_regime, index, costs)
-    return Instance(matroid, weights, costs, dict(costs), budget)
+    budget = _draw_budget(config.budget_regime, index, costs)
+    return Instance(structure, weights, costs, dict(costs), budget)
+
+
+def gen_matroid_instance(config, index):
+    """Deterministic matroid instance number ``index`` of the stream."""
+    kind = config.kinds[index % len(config.kinds)]
+    return _gen_instance(config, "matroid", index,
+                         lambda rng, ids: _make_matroid(rng, kind, ids))
 
 
 def gen_bipartite_instance(config, index):
     """Bipartite-matching instance: edges constrained by two capacity-1
     partition matroids (left endpoints, right endpoints)."""
-    rng = _rng(config.seed, "bipartite", index)
-    n = rng.randint(*config.n_range)
-    ids = _element_ids(n)
-    nl = max(1, round(math.sqrt(n)))
-    nr = max(2, round(math.sqrt(n)) + 1)
-    left, right = {}, {}
-    for e in ids:
-        left[e] = rng.randrange(nl)
-        right[e] = rng.randrange(nr)
-    by_left, by_right = {}, {}
-    for e in ids:
-        by_left.setdefault(left[e], set()).add(e)
-        by_right.setdefault(right[e], set()).add(e)
-    m_left = PartitionMatroid(ids, [(s, 1) for s in by_left.values()])
-    m_right = PartitionMatroid(ids, [(s, 1) for s in by_right.values()])
-    spec = IntersectionSpec([m_left, m_right])
-    weights = {e: _draw_weight(rng, config.weight_dist) for e in ids}
-    costs = {e: mpq(rng.randint(1, 10)) for e in ids}
-    budget = _draw_budget(rng, config.budget_regime, index, costs)
-    return Instance(spec, weights, costs, dict(costs), budget)
+    return _gen_instance(config, "bipartite", index, _make_bipartite)
 
 
 def gen_xos_instance(seed, index, n=10):
@@ -311,25 +313,32 @@ def check_outcome_invariants(inst, outcome, mechanism, doc=None):
     return failures
 
 
-def _around(x):
-    """``x`` and its neighbours EPSILON away: threshold mechanisms hide
-    violations exactly at a breakpoint."""
-    return (x - EPSILON, x, x + EPSILON)
-
-
 # the top-up draws lie on the grid budget * k / PROBE_GRID, k = 1..PROBE_GRID
 PROBE_GRID = 10**6
 
 
-def _probe_integers(anchors, den, budget, rng, min_count):
-    """The probe core, on integers over ``den``, a multiple of the budget's
-    denominator times ``PROBE_GRID``: the ``anchors`` inside (0, ``budget``],
-    deduplicated, topped up with uniform grid draws ``k * budget /
-    PROBE_GRID`` until there are ``min_count``, and sorted.  Only the probes
-    returned become rationals.  Raises InputError, before any draw, when
-    fewer than ``min_count`` distinct values are reachable."""
-    probes = {a for a in anchors if 0 < a <= budget}
-    step = budget // PROBE_GRID
+def _probe_fractions(exact, around, budget, rng, min_count):
+    """The probe bids: the integer fractions ``(p, q)`` of ``exact`` and of
+    ``around``, each ``around`` anchor with its neighbours EPSILON away
+    (threshold mechanisms hide violations exactly at a breakpoint), kept
+    inside (0, ``budget``], deduplicated, topped up with uniform grid draws
+    ``budget * k / PROBE_GRID`` until there are ``min_count``, and sorted.
+
+    Every anchor goes over one denominator with the budget, a multiple of
+    the budget's denominator times ``PROBE_GRID``, so the filter, the
+    deduplication, the draws and the sort compare integers, and only the
+    probes returned become rationals.  Raises InputError, before any draw,
+    when fewer than ``min_count`` distinct values are reachable."""
+    den = math.lcm(budget.denominator * PROBE_GRID, EPSILON.denominator,
+                   *(q for _, q in exact), *(q for _, q in around))
+    top = budget.numerator * (den // budget.denominator)
+    eps = EPSILON.numerator * (den // EPSILON.denominator)
+    anchors = [p * (den // q) for p, q in exact]
+    for p, q in around:
+        x = p * (den // q)
+        anchors += (x - eps, x, x + eps)
+    probes = {a for a in anchors if 0 < a <= top}
+    step = top // PROBE_GRID
     # the grid alone holds PROBE_GRID values, so only a larger ask can run out
     if min_count > PROBE_GRID:
         reachable = len(probes) + PROBE_GRID - sum(1 for a in probes if a % step == 0)
@@ -339,16 +348,6 @@ def _probe_integers(anchors, den, budget, rng, min_count):
     while len(probes) < min_count:
         probes.add(step * rng.randint(1, PROBE_GRID))
     return [mpq(a, den) for a in sorted(probes)]
-
-
-def _probe_bids(anchors, budget, rng, min_count):
-    """The rational ``anchors`` inside (0, budget], topped up with uniform
-    draws ``budget * k / PROBE_GRID`` until there are ``min_count``, sorted:
-    ``_probe_integers`` on the anchors and the budget over one
-    denominator."""
-    den = math.lcm(budget.denominator * PROBE_GRID, *(d.denominator for d in anchors))
-    return _probe_integers([d.numerator * (den // d.denominator) for d in anchors], den,
-                           budget.numerator * (den // budget.denominator), rng, min_count)
 
 
 def _deviation_sweep(report, doc, ground, costs, truthful, run, probes):
@@ -382,28 +381,20 @@ def truthful_deviation_bids(inst, e, truthful_outcome, rng, min_count):
     Boundary probes sit just above/below every other element's buck-per-bang
     breakpoint (scaled to e's weight) and at the truthful run's final rate
     times e's weight; threshold mechanisms hide violations exactly there.
-    They are built on integers: each rate ``bid / weight`` is the fraction
-    ``bid.num * weight.den / (bid.den * weight.num)``, over one common
-    denominator with the final rate, and every anchor, EPSILON and the
-    budget lie on one denominator per element (``_probe_integers``).
+    Each rate ``bid / weight`` times ``w_e`` is the integer fraction
+    ``(bid.num * weight.den * w_e.num, bid.den * weight.num * w_e.den)``,
+    so no anchor is a rational (``_probe_fractions``).
     """
-    w_e, budget = inst.weights[e], inst.budget
-    rates = [(inst.bids[o].numerator * inst.weights[o].denominator,
-              inst.bids[o].denominator * inst.weights[o].numerator)
-             for o in inst.structure.ground if o != e]
+    w_num, w_den = inst.weights[e].numerator, inst.weights[e].denominator
+    around = [(inst.bids[o].numerator * inst.weights[o].denominator * w_num,
+               inst.bids[o].denominator * inst.weights[o].numerator * w_den)
+              for o in inst.structure.ground if o != e]
     if truthful_outcome is not None and truthful_outcome.final_rate is not None:
         rate = truthful_outcome.final_rate
-        rates.append((rate.numerator, rate.denominator))
-    rate_den = math.lcm(*(q for _, q in rates))
-    den = math.lcm(rate_den * w_e.denominator, budget.denominator * PROBE_GRID,
-                   EPSILON.denominator)
-    scale = den // (rate_den * w_e.denominator) * w_e.numerator  # rate * w_e over den
-    eps = EPSILON.numerator * (den // EPSILON.denominator)
-    anchors = [budget.numerator * (den // budget.denominator)]
-    for p, q in rates:
-        x = p * (rate_den // q) * scale
-        anchors += (x - eps, x, x + eps)
-    return _probe_integers(anchors, den, anchors[0], rng, min_count)
+        around.append((rate.numerator * w_num, rate.denominator * w_den))
+    budget = inst.budget
+    return _probe_fractions([(budget.numerator, budget.denominator)], around, budget,
+                            rng, min_count)
 
 
 def check_truthfulness(runner, inst, deviations_per_element=50, seed=0,
@@ -453,12 +444,8 @@ def check_lemma1(inst, outcome, mechanism="matroid"):
     report = VerificationReport("Lemma1Bound", mechanism, instances_checked=1)
     tau = outcome.tau
     final_value = outcome.trace[-1].value
-    rest = inst.structure.delete({tau})
-    if rest.ground:
-        opt = brute_force_opt(rest, inst.weights, inst.bids, inst.budget)
-        opt_value = set_weight(inst.weights, opt)
-    else:
-        opt_value = ZERO
+    opt = brute_force_opt(inst.structure.delete({tau}), inst.weights, inst.bids, inst.budget)
+    opt_value = set_weight(inst.weights, opt)
     if opt_value > 2 * final_value + inst.weights[tau]:
         report.failures.append(
             Failure("Lemma1Bound", mechanism, instance_to_json(inst),
@@ -552,14 +539,15 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     breakpoints = plan.t2_breakpoints()
 
     def probes(e):
-        anchors = [budget, costs[e] - EPSILON, costs[e] + EPSILON]
-        if e in breakpoints:
-            anchors.extend(_around(breakpoints[e]))
+        exact = [budget, costs[e] - EPSILON, costs[e] + EPSILON]
         if truthful.inner is not None and truthful.inner.final_rate is not None \
                 and e in truthful.s_star:
             clause = valuation.functions[truthful.clause_index]
-            anchors.append(truthful.inner.final_rate * clause[e])
-        return _probe_bids(anchors, budget, rng, deviations_per_element)
+            exact.append(truthful.inner.final_rate * clause[e])
+        around = [breakpoints[e]] if e in breakpoints else []
+        return _probe_fractions([(x.numerator, x.denominator) for x in exact],
+                                [(x.numerator, x.denominator) for x in around],
+                                budget, rng, deviations_per_element)
 
     def run(e, d):
         # read as a module global at call time, so a wrapper installed on

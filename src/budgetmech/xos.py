@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .errors import CapExceeded, InputError
-from .matroids import FreeMatroid
+from .matroids import FreeMatroid, set_weight
 from .mechanisms import (
     Instance,
     OneBid,
@@ -59,10 +59,7 @@ class XosValuation:
         return len(self.functions)
 
     def clause_value(self, k, s):
-        total = ZERO
-        for e in s:
-            total += self.functions[k][e]
-        return total
+        return set_weight(self.functions[k], s)
 
     def value(self, s):
         """v(S): maximum clause value; 0 on the empty set."""

@@ -777,3 +777,84 @@ def test_mutated_documents_exit_cleanly(target, value):
     assert "Traceback" not in err
     if code >= 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on each error branch: the code and the one line
+
+
+def _replay_record(**changes):
+    """The report document holding one Lemma1Bound record, with ``changes``."""
+    record = Failure("Lemma1Bound", "matroid", EXAMPLE2).to_json()
+    return {"reports": [{"failures": [{**record, **changes}]}]}
+
+
+def _xos_record(run=None):
+    """The report document holding the XOS record of ``_report_doc``, with
+    its ``run`` block replaced by ``run`` when given."""
+    doc = copy.deepcopy(_report_doc()["reports"][1])
+    if run is not None:
+        doc["failures"][0]["instance"]["xos"]["run"] = run
+    return {"reports": [doc]}
+
+
+THREE_MATROIDS = {**BIPARTITE_2X2, "matroid": {
+    "intersection": [*BIPARTITE_2X2["matroid"]["intersection"], {"kind": "free"}]}}
+
+ERROR_BRANCHES = {
+    "verify-unknown-key": (
+        ["verify"], {**DOCUMENTS["verify"], "colour": 1}, 2,
+        "error: colour: unknown key\n"),
+    "run-duplicate-id": (
+        ["run"], {**EXAMPLE2, "elements": [*EXAMPLE2["elements"], EXAMPLE2["elements"][0]]},
+        2, "error: elements[3].id: duplicate id 'a'\n"),
+    "run-matroid-on-an-xos-file": (
+        ["run", "--mechanism", "matroid"], DOCUMENTS["run-xos"], 2,
+        "error: matroid: missing (required unless running the XOS mechanism)\n"),
+    "run-xos-without-an-xos-block": (
+        ["run", "--mechanism", "xos"], EXAMPLE2, 2,
+        "error: xos: missing (required for --mechanism xos)\n"),
+    "run-exact-bipartite-on-three-matroids": (
+        ["run", "--apx", "exact-bipartite"], THREE_MATROIDS, 2,
+        "error: bipartite matching needs exactly two matroids\n"),
+    "run-uniform-rank-minus-one": (
+        ["run"], _run_doc({"kind": "uniform", "rank": -1}), 2,
+        "error: matroid: uniform rank must be nonnegative\n"),
+    "run-partition-capacity-minus-one": (
+        ["run"], _run_doc({"kind": "partition", "blocks": [
+            {"members": ["a", "b"], "capacity": -1}, {"members": ["c"], "capacity": 1}]}),
+        2, "error: matroid: partition capacity must be nonnegative\n"),
+    "run-no-xos-clauses": (
+        ["run"], {**DOCUMENTS["run-xos"], "xos": {"functions": []}}, 2,
+        "error: xos: an XOS valuation needs at least one additive clause\n"),
+    "replay-reports-not-a-list": (
+        ["replay"], {"reports": {"failures": []}}, 2,
+        "error: reports: must be a list of report objects\n"),
+    "replay-unknown-element": (
+        ["replay"], _replay_record(element="zz"), 2,
+        "error: element: must be null or an element id of the instance\n"),
+    "replay-xos-record-without-xos": (
+        ["replay"], _replay_record(mechanism="xos", property="IR"), 2,
+        "error: instance.xos: missing (required to replay an XOS failure)\n"),
+    "replay-xos-seed-not-an-integer": (
+        ["replay"], _xos_record(run={"seed": "0", "alpha": "218", "beta": "9/2",
+                                     "gamma": "4"}), 2,
+        "error: instance.xos.run.seed: must be an integer\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_BRANCHES))
+def test_error_branches_keep_the_exit_code_contract(tmp_path, capsys, case):
+    argv, doc, code, stderr = ERROR_BRANCHES[case]
+    path = write(tmp_path, "doc.json", doc)
+    argv = [argv[0], path, *argv[1:]]
+    if argv[0] == "verify":
+        argv += ["--out", str(tmp_path / "reports")]
+    assert main(argv) == code
+    assert capsys.readouterr().err == stderr
+
+
+def test_replay_of_a_report_without_failures_exits_0(tmp_path, capsys):
+    path = write(tmp_path, "report.json", {"reports": [{"failures": []}]})
+    assert main(["replay", path]) == 0
+    assert capsys.readouterr() == ("report contains no failures; nothing to replay\n", "")

@@ -164,6 +164,43 @@ def test_wrong_structure_types_rejected():
         run_matroid_mechanism(inter_inst)
 
 
+def test_a_run_rejects_a_plan_built_on_another_instance():
+    """A given plan is the instance's own: the same structure object, equal
+    weights and, for an intersection, the same blackbox object."""
+    inst = uniform_instance({"a": 3, "b": 2, "c": 2}, {"a": 1, "b": 1, "c": 1}, 10, rank=3)
+    assert run_matroid_mechanism(inst).allocation == {"b", "c"}
+    # Instance.truthful rebuilds the weight dict from the same rationals
+    assert run_matroid_mechanism(inst.truthful(), Plan(inst.structure, inst.weights)) \
+        == run_matroid_mechanism(inst)
+    rank_one = UniformMatroid(inst.ground, 1)
+    other_weights = {**inst.weights, "c": mpq(3)}
+    for plan in (Plan(rank_one, inst.weights), Plan(inst.structure, other_weights)):
+        with pytest.raises(InputError, match="plan was built from another structure"):
+            run_matroid_mechanism(inst, plan)
+
+    square = square_instance({e: 1 for e in ["e11", "e12", "e21", "e22"]}, 12)
+    exact = get_blackbox("exact-bipartite", square.structure)
+    greedy = get_blackbox("greedy", square.structure)
+    plan = Plan(square.structure, square.weights, exact)
+    assert run_intersection_mechanism(square, exact, plan) == \
+        run_intersection_mechanism(square, exact)
+    for blackbox in (greedy, get_blackbox("exact-bipartite", square.structure)):
+        with pytest.raises(InputError, match="plan was built from another structure"):
+            run_intersection_mechanism(square, blackbox, plan)
+
+
+def test_tau_bidding_above_the_budget_breaks_ir_in_memory():
+    """The file boundary rejects bids above the budget because the tau
+    branch pays tau the budget whatever tau bid."""
+    m = UniformMatroid(["a", "b"], 1)
+    inst = Instance(m, {"a": 10, "b": 1}, {"a": 20, "b": 1}, {"a": 20, "b": 1}, 5)
+    out = run_matroid_mechanism(inst)
+    assert out.allocation == {"a"} and out.payments == {"a": 5}
+    (failure,) = check_outcome_invariants(inst, out, "matroid")
+    assert (failure.property, failure.element, failure.observed, failure.required) == \
+        ("IR", "a", "5", ">= bid 20")
+
+
 def test_invariants_on_random_instances():
     cfg = GeneratorConfig(count=80, seed=5)
     for index in range(80):

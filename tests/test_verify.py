@@ -248,7 +248,8 @@ def test_probes_match_a_plain_rational_route(case, seed, min_count):
         assert probes == _plain_probe_bids(anchors, inst.budget, plain_rng, min_count)
         assert rng.getstate() == plain_rng.getstate()
     rng, plain_rng = random.Random(seed), random.Random(seed)
-    probes = verify._probe_bids(anchors, inst.budget, rng, min_count)
+    probes = verify._probe_fractions([(a.numerator, a.denominator) for a in anchors], [],
+                                     inst.budget, rng, min_count)
     assert probes == _plain_probe_bids(anchors, inst.budget, plain_rng, min_count)
     assert rng.getstate() == plain_rng.getstate()
 
@@ -262,9 +263,9 @@ def test_a_probe_count_past_the_reachable_values_raises_before_drawing():
     budget, rng = mpq(7, 3), random.Random(0)
     state = rng.getstate()
     with pytest.raises(InputError, match="only 1000000 are reachable"):
-        verify._probe_bids([budget, budget / 2], budget, rng, 10**6 + 1)
+        verify._probe_fractions([(7, 3), (7, 6)], [], budget, rng, 10**6 + 1)
     with pytest.raises(InputError, match="only 1000001 are reachable"):
-        verify._probe_bids([budget, budget / 3], budget, rng, 10**6 + 2)
+        verify._probe_fractions([(7, 3), (7, 9)], [], budget, rng, 10**6 + 2)
     assert rng.getstate() == state
 
 

@@ -27,7 +27,6 @@ from .oracle import brute_force_opt
 from .matroids import set_weight
 from .rationals import format_rational, mpq, parse_rational, to_decimal
 from .verify import (
-    BLACKBOX_OF,
     DEFAULT_VERIFY_CONFIG,
     load_sweep_config,
     make_runner,
@@ -36,6 +35,7 @@ from .verify import (
     run_sweep,
     run_verification,
     sweep_instance,
+    threshold_blackbox,
 )
 from .xos import XosParams, optimize_constant, xos_mechanism_main
 
@@ -125,12 +125,9 @@ BENCH_DEFAULTS = {
 
 def _bench_row(cfg, mechanism, index):
     inst = sweep_instance(cfg, mechanism, index)
-    if mechanism == "matroid":
-        kind = inst.structure.kind
-        alpha = ""
-    else:
-        kind = "bipartite"
-        alpha = format_rational(get_blackbox(BLACKBOX_OF[mechanism], inst.structure).alpha)
+    blackbox = threshold_blackbox(mechanism, inst.structure, "unknown mechanism")
+    kind = inst.structure.kind if blackbox is None else "bipartite"
+    alpha = "" if blackbox is None else format_rational(blackbox.alpha)
     runner = make_runner(mechanism, inst)
     started = time.perf_counter_ns()
     outcome = runner(inst)

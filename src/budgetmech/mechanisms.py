@@ -370,56 +370,43 @@ def settle(plan, budget, stop, prev):
             "final_rate": rate, "budget": budget}
 
 
-def _run_threshold_mechanism(inst, plan):
+def _run_threshold_mechanism(inst, plan, blackbox):
     """The shared removal loop, on integers: walk tau and then the others in
     ``BidKeys`` order out of the candidate ground set (``Plan.walk``), and
     stop at the first candidate set that passes the budget test against the
-    next element."""
+    next element.  The two mechanisms differ only in ``blackbox``, None for
+    the matroid greedy (the alpha = 1 blackbox).  ``plan`` is
+    ``Plan(inst.structure, inst.weights, blackbox)``, built here when None;
+    a plan built on another structure (by identity), other weights (by
+    value) or another blackbox raises InputError."""
+    if plan is None:
+        plan = Plan(inst.structure, inst.weights, blackbox)
+    elif plan.structure is not inst.structure or plan.weights != inst.weights \
+            or plan.blackbox is not blackbox:
+        raise InputError("plan was built from another structure, weights or blackbox")
     keys = BidKeys(inst.bids, inst.budget, plan)
     trace = keys.steps(plan.walk([plan.tau, *keys.order]), keys.order)
     prev = trace[-2] if len(trace) > 1 else None
     return Outcome(trace=tuple(trace), **settle(plan, inst.budget, trace[-1], prev))
 
 
-def _check_plan(inst, plan, blackbox=None):
-    """Raise InputError unless ``plan`` was built on ``inst``'s structure
-    (the same object), its weights (by value) and ``blackbox``."""
-    if plan.structure is not inst.structure or plan.weights != inst.weights \
-            or plan.blackbox is not blackbox:
-        raise InputError("plan was built from another structure, weights or blackbox")
-
-
 def run_matroid_mechanism(inst, plan=None):
     """Budget-feasible mechanism for procuring an independent set of a matroid.
 
     The greedy set is computed once, in the plan, and repaired as elements
-    leave the ground set (``Plan.walk``).  ``plan`` is
-    ``Plan(inst.structure, inst.weights)``, built here when not given; a
-    plan built on another structure or other weights raises InputError.
-    """
+    leave the ground set (``Plan.walk``).  ``plan`` is checked or built by
+    ``_run_threshold_mechanism``."""
     if not isinstance(inst.structure, Matroid):
         raise InputError("run_matroid_mechanism needs a single-matroid instance")
-    if plan is None:
-        plan = Plan(inst.structure, inst.weights)
-    else:
-        _check_plan(inst, plan)
-    return _run_threshold_mechanism(inst, plan)
+    return _run_threshold_mechanism(inst, plan, None)
 
 
 def run_intersection_mechanism(inst, blackbox, plan=None):
     """Same mechanism with the exact greedy step replaced by an APX blackbox,
-    asked on the instance's own spec and the set excluded so far.  ``plan``
-    is ``Plan(inst.structure, inst.weights, blackbox)``, built here when not
-    given; a plan built on another structure, other weights or another
-    blackbox raises InputError.
-    """
+    asked on the instance's own spec and the set excluded so far."""
     if not isinstance(inst.structure, IntersectionSpec):
         raise InputError("run_intersection_mechanism needs an intersection instance")
-    if plan is None:
-        plan = Plan(inst.structure, inst.weights, blackbox)
-    else:
-        _check_plan(inst, plan, blackbox)
-    return _run_threshold_mechanism(inst, plan)
+    return _run_threshold_mechanism(inst, plan, blackbox)
 
 
 class OneBid:

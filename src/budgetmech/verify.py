@@ -46,9 +46,9 @@ from .xos import XosParams, XosPlan, XosValuation, xos_mechanism_main
 
 EPSILON = mpq(1, 10**9)
 
-# the properties checked for each mechanism (the threshold mechanisms by
-# ``_verify_one``, XOS by ``check_xos_truthfulness`` and ``check_xos_outcome``),
-# so the only (property, mechanism) pairs a failure record can name
+# the properties checked for each mechanism, by ``_threshold_reports`` or by
+# ``check_xos_truthfulness`` and ``check_xos_outcome``, so the only
+# (property, mechanism) pairs a failure record can name
 CHECKED_PROPERTIES = {
     "matroid": ("Independence", "IR", "BudgetFeasible", "Truthful", "ApproxRatio",
                 "Lemma1Bound", "BidIndependence"),
@@ -250,25 +250,30 @@ def make_runner(name, inst):
     outcome a full run gives.  Any other call runs in full, so a caller
     holds one budget per runner.
     """
-    if name == "matroid":
-        plan = Plan(inst.structure, inst.weights)
-        return OneBidRunner(plan, lambda i: run_matroid_mechanism(i, plan))
-    if name in BLACKBOX_OF:
-        blackbox = get_blackbox(BLACKBOX_OF[name], inst.structure)
-        plan = Plan(inst.structure, inst.weights, blackbox)
-        return OneBidRunner(plan, lambda i: run_intersection_mechanism(i, blackbox, plan))
     if name == "broken-first-price":
         return first_price_greedy
-    raise InputError(f"unknown mechanism {name!r}")
+    blackbox = threshold_blackbox(name, inst.structure, "unknown mechanism")
+    plan = Plan(inst.structure, inst.weights, blackbox)
+    if blackbox is None:
+        return OneBidRunner(plan, lambda i: run_matroid_mechanism(i, plan))
+    return OneBidRunner(plan, lambda i: run_intersection_mechanism(i, blackbox, plan))
+
+
+def threshold_blackbox(name, structure, unknown):
+    """The blackbox the threshold mechanism ``name`` runs on ``structure``,
+    None for ``matroid`` (its greedy is the alpha = 1 blackbox); any other
+    name raises InputError ``unknown`` followed by the name."""
+    if name == "matroid":
+        return None
+    if name not in BLACKBOX_OF:
+        raise InputError(f"{unknown} {name!r}")
+    return get_blackbox(BLACKBOX_OF[name], structure)
 
 
 def ratio_denominator(name, inst):
     """``3 * alpha + 1``; alpha is 1 for the matroid greedy."""
-    if name == "matroid":
-        return mpq(4)
-    if name in BLACKBOX_OF:
-        return 3 * get_blackbox(BLACKBOX_OF[name], inst.structure).alpha + 1
-    raise InputError(f"no certified ratio for mechanism {name!r}")
+    blackbox = threshold_blackbox(name, inst.structure, "no certified ratio for mechanism")
+    return 3 * (mpq(1) if blackbox is None else blackbox.alpha) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +470,9 @@ def check_bid_independence(inst, outcome, mechanism="matroid"):
     mechanism kept without asking its blackbox.  Only the threshold
     mechanisms have such a trace; any other mechanism is an ``InputError``.
     """
-    if mechanism == "matroid":
-        select = max_weight_independent_set
-    elif mechanism in BLACKBOX_OF:
-        select = get_blackbox(BLACKBOX_OF[mechanism], inst.structure)
-    else:
-        raise InputError(f"no bid-independence check for mechanism {mechanism!r}")
+    blackbox = threshold_blackbox(mechanism, inst.structure,
+                                  "no bid-independence check for mechanism")
+    select = max_weight_independent_set if blackbox is None else blackbox
     report = VerificationReport("BidIndependence", mechanism, instances_checked=1)
     removed = set()
     for step in outcome.trace:
@@ -503,10 +505,23 @@ def _xos_failure_doc(valuation, costs, bids, budget, params):
     return doc
 
 
-def check_xos_outcome(valuation, costs, bids, budget, outcome, params, mechanism="xos"):
+def check_xos_outcome(valuation, costs, bids, budget, outcome, params):
     """Budget feasibility and IR (against bids) of one realized XOS run."""
     doc = _xos_failure_doc(valuation, costs, bids, budget, params)
-    return _payment_failures(outcome, bids, budget, mechanism, doc)
+    return _payment_failures(outcome, bids, budget, "xos", doc)
+
+
+def _xos_runs(valuation, costs, budget, params):
+    """The runs of an XOS truthfulness sweep: a fresh ``XosPlan``, the
+    truthful run on it, and ``run(e, d)``, the run on it where ``e`` alone
+    bids ``d``."""
+    plan = XosPlan(valuation, params)
+    # passed positionally and read as a module global at call time, so a
+    # wrapper on ``verify.xos_mechanism_main`` that reads ``*args`` (a tracer,
+    # a recording test) sees every whole call, each deviation's too
+    truthful = xos_mechanism_main(valuation, costs, costs, budget, params, plan)
+    return plan, truthful, lambda e, d: xos_mechanism_main(
+        valuation, costs, {**costs, e: d}, budget, params, plan)
 
 
 def check_xos_truthfulness(valuation, costs, budget, params,
@@ -531,10 +546,7 @@ def check_xos_truthfulness(valuation, costs, budget, params,
     """
     report = VerificationReport("Truthful", "xos", instances_checked=1)
     doc = _xos_failure_doc(valuation, costs, costs, budget, params)
-    plan = XosPlan(valuation, params)
-    # passed positionally, so a wrapper on ``verify.xos_mechanism_main`` that
-    # reads ``*args`` (a tracer, a recording test) still sees each whole call
-    truthful = xos_mechanism_main(valuation, costs, costs, budget, params, plan)
+    plan, truthful, run = _xos_runs(valuation, costs, budget, params)
     rng = random.Random(f"xosdev:{seed}:{params.seed}")
     breakpoints = plan.t2_breakpoints()
 
@@ -548,11 +560,6 @@ def check_xos_truthfulness(valuation, costs, budget, params,
         return _probe_fractions([(x.numerator, x.denominator) for x in exact],
                                 [(x.numerator, x.denominator) for x in around],
                                 budget, rng, deviations_per_element)
-
-    def run(e, d):
-        # read as a module global at call time, so a wrapper installed on
-        # ``verify.xos_mechanism_main`` sees every deviation
-        return xos_mechanism_main(valuation, costs, {**costs, e: d}, budget, params, plan)
 
     return _deviation_sweep(report, doc, valuation.ground, costs, truthful, run, probes)
 
@@ -637,18 +644,11 @@ def load_sweep_config(doc, defaults, threads=None):
 
 def sweep_instance(cfg, mechanism, index):
     """Instance ``index`` of the stream a validated sweep config describes:
-    matroid instances for the matroid mechanisms, bipartite ones otherwise."""
-    gconf = GeneratorConfig(
-        count=cfg["count"],
-        seed=cfg["seed"],
-        n_range=tuple(cfg["n_range"]),
-        kinds=tuple(cfg["kinds"]),
-        weight_dist=cfg["weight_dist"],
-        budget_regime=cfg["budget_regime"],
-    )
-    if mechanism in ("matroid", "broken-first-price"):
-        return gen_matroid_instance(gconf, index)
-    return gen_bipartite_instance(gconf, index)
+    bipartite instances for the intersection mechanisms, matroid ones otherwise."""
+    gconf = GeneratorConfig(**{f.name: tuple(v) if isinstance(v := cfg[f.name], list) else v
+                               for f in fields(GeneratorConfig)})
+    gen = gen_bipartite_instance if mechanism in BLACKBOX_OF else gen_matroid_instance
+    return gen(gconf, index)
 
 
 def _sweep_chunk(task):
@@ -679,10 +679,12 @@ def run_sweep(job, cfg, mechanisms):
             yield from results
 
 
-def _verify_one(cfg, mechanism, index):
-    """The reports of every property ``CHECKED_PROPERTIES`` names for one
-    (mechanism, instance) pair."""
-    inst = sweep_instance(cfg, mechanism, index)
+def _threshold_reports(mechanism, inst, props, truthful):
+    """The reports of the properties ``props`` for the threshold mechanism
+    (or control) ``mechanism`` on ``inst``, in that order: the one property
+    dispatch of ``verify`` and ``replay``.  Every check shares one
+    ``make_runner`` runner, whose first call is ``inst``; the Truthful
+    report is ``truthful(runner)``."""
     runner = make_runner(mechanism, inst)
     outcome = runner(inst)
 
@@ -691,16 +693,22 @@ def _verify_one(cfg, mechanism, index):
     for f in check_outcome_invariants(inst, outcome, mechanism):
         reports[f.property].failures.append(f)
     checks = {
-        "Truthful": lambda: check_truthfulness(
-            runner, inst, cfg["deviations_per_element"],
-            seed=cfg["seed"] * 7919 + index, mechanism=mechanism),
+        "Truthful": lambda: truthful(runner),
         "ApproxRatio": lambda: check_ratio(
             runner, inst, ratio_denominator(mechanism, inst), mechanism),
         "BidIndependence": lambda: check_bid_independence(inst, outcome, mechanism),
         "Lemma1Bound": lambda: check_lemma1(inst, outcome, mechanism),
     }
-    return [reports[p] if p in reports else checks[p]()
-            for p in CHECKED_PROPERTIES[mechanism]]
+    return [reports[p] if p in reports else checks[p]() for p in props]
+
+
+def _verify_one(cfg, mechanism, index):
+    """The reports of every property ``CHECKED_PROPERTIES`` names for one
+    (mechanism, instance) pair."""
+    inst = sweep_instance(cfg, mechanism, index)
+    return _threshold_reports(mechanism, inst, CHECKED_PROPERTIES[mechanism], lambda runner: (
+        check_truthfulness(runner, inst, cfg["deviations_per_element"],
+                           seed=cfg["seed"] * 7919 + index, mechanism=mechanism)))
 
 
 def run_verification(config_doc):
@@ -782,46 +790,32 @@ def _load_record(doc):
 
 
 def replay_failure(doc):
-    """Re-derive a reported failure from its serialized instance.
-
-    Returns True when the recorded violation reproduces exactly.  Raises
-    SchemaError on a malformed record.
+    """Re-derive a reported failure from its serialized instance with the
+    check that ``verify`` ran (``_threshold_reports``, ``check_xos_outcome``,
+    and for a Truthful record ``_deviation_sweep`` over the record's one
+    element and one deviation).  Returns True when the recorded violation
+    reproduces exactly.  Raises SchemaError on a malformed record.
     """
     record, loaded, d, params = _load_record(doc)
-    mechanism, prop, e = record.mechanism, record.property, record.element
+    mechanism, prop, costs = record.mechanism, record.property, loaded.costs
+
+    def deviation(truthful, run):
+        report = VerificationReport(prop, mechanism)
+        return _deviation_sweep(report, record.instance, [record.element], costs,
+                                truthful, run, lambda e: [d])
 
     if mechanism == "xos":
-        return _replay_xos(prop, loaded, e, d, params)
+        valuation, bids, budget = loaded.xos, loaded.bids, loaded.budget
+        if prop == "Truthful":
+            return not deviation(*_xos_runs(valuation, costs, budget, params)[1:]).passed
+        outcome = xos_mechanism_main(valuation, costs, bids, budget, params)
+        failures = check_xos_outcome(valuation, costs, bids, budget, outcome, params)
+        return any(f.property == prop for f in failures)
 
     inst = loaded.mechanism_instance()
-    runner = make_runner(mechanism, inst)
-    if prop == "Truthful":
-        # the deviation goes to a runner of its own, whose first call is a
-        # full run: a replay never reads the one-bid chains it would check
-        t_inst = inst.truthful()
-        truthful = runner(t_inst)
-        deviated = make_runner(mechanism, inst)(t_inst.with_bid(e, d))
-        cost = t_inst.true_costs[e]
-        return deviated.utility(e, cost) > truthful.utility(e, cost)
-    if prop in ("Independence", "IR", "BudgetFeasible"):
-        outcome = runner(inst)
-        failures = check_outcome_invariants(inst, outcome, mechanism)
-        return any(f.property == prop for f in failures)
-    if prop == "ApproxRatio":
-        return not check_ratio(runner, inst, ratio_denominator(mechanism, inst),
-                               mechanism).passed
-    if prop == "Lemma1Bound":
-        return not check_lemma1(inst, runner(inst), mechanism).passed
-    return not check_bid_independence(inst, runner(inst), mechanism).passed
-
-
-def _replay_xos(prop, loaded, e, d, params):
-    valuation, costs, bids, budget = loaded.xos, loaded.costs, loaded.bids, loaded.budget
-    if prop == "Truthful":
-        plan = XosPlan(valuation, params)
-        truthful = xos_mechanism_main(valuation, costs, costs, budget, params, plan)
-        deviated = xos_mechanism_main(valuation, costs, {**costs, e: d}, budget, params, plan)
-        return deviated.utility(e, costs[e]) > truthful.utility(e, costs[e])
-    outcome = xos_mechanism_main(valuation, costs, bids, budget, params)
-    failures = check_xos_outcome(valuation, costs, bids, budget, outcome, params)
-    return any(f.property == prop for f in failures)
+    t_inst = inst.truthful()
+    # each deviation goes to a runner of its own, whose first call is a full
+    # run: a replay never reads the one-bid chains it would check
+    [report] = _threshold_reports(mechanism, inst, [prop], lambda runner: deviation(
+        runner(t_inst), lambda e, d: make_runner(mechanism, inst)(t_inst.with_bid(e, d))))
+    return not report.passed

@@ -462,6 +462,39 @@ def test_xos_truthful_replay_of_a_tie_is_missing(tmp_path, capsys):
     assert "MISSING" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("deviation", ["budget", "cost"])
+def test_threshold_truthful_replay_of_a_tie_is_missing(tmp_path, capsys, monkeypatch,
+                                                       deviation):
+    # a loser that raises its bid to the budget still loses, so its utility
+    # stays 0; a bid equal to the true cost is no deviation, and the sweep
+    # skips it: neither record is a violation
+    inst = gen_matroid_instance(GeneratorConfig(count=1, seed=0), 0)
+    outcome = verify.make_runner("matroid", inst)(inst)
+    assert outcome.branch == "set"
+    loser = min(set(inst.ground) - outcome.allocation - {outcome.tau})
+    bid = inst.budget if deviation == "budget" else inst.true_costs[loser]
+    record = Failure(
+        "Truthful", "matroid", instance_to_json(inst), element=loser,
+        deviation=format_rational(bid), observed="0", required="<= truthful utility 0",
+    ).to_json()
+    runs = []
+    real = verify.run_matroid_mechanism
+
+    def recording(i, *rest):
+        runs.append(i.bids[loser])
+        return real(i, *rest)
+
+    monkeypatch.setattr(verify, "run_matroid_mechanism", recording)
+    assert not replay_failure(record)
+    # one full run is the shared runner's first call; the deviation, unless
+    # skipped, runs in full on a runner of its own
+    assert runs == ([inst.true_costs[loser], bid] if deviation == "budget"
+                    else [inst.true_costs[loser]])
+    path = write(tmp_path, "report.json", {"reports": [{"failures": [record]}]})
+    assert main(["replay", path]) == 1
+    assert "MISSING" in capsys.readouterr().out
+
+
 def test_verify_malformed_config_exit2(tmp_path, capsys):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json")

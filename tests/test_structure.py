@@ -159,21 +159,28 @@ def test_the_guard_sees_an_identity_then_value_test(tmp_path):
     assert [line for line, _ in _identity_then_value(module)] == [1, 2, 3]
 
 
-def _moved_calls(path):
-    """``(line, class)`` of each call of ``moved`` (or ``rationals.moved``)
-    in the module at ``path``, with the name of the innermost class around
-    it (None outside every class)."""
+def _sites(path, match, scope):
+    """``(line, owner)`` of each node of the module at ``path`` that
+    ``match`` accepts, with the name of the innermost ``scope`` node (a
+    class or a function definition) around it (None outside every one)."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and ast.unparse(child.func) in (
-                    "moved", "rationals.moved"):
+            if match(child):
                 found.append((child.lineno, owner))
-            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+            visit(child, child.name if isinstance(child, scope) else owner)
 
     visit(ast.parse(path.read_text(), str(path)), None)
     return sorted(found)
+
+
+def _moved_calls(path):
+    """``(line, class)`` of each call of ``moved`` (or ``rationals.moved``)
+    in the module at ``path``, with the name of the innermost class around
+    it (None outside every class)."""
+    return _sites(path, lambda node: isinstance(node, ast.Call) and ast.unparse(node.func)
+                  in ("moved", "rationals.moved"), ast.ClassDef)
 
 
 def test_only_one_bid_asks_which_bid_moved():
@@ -196,3 +203,57 @@ def test_the_guard_sees_a_moved_call(tmp_path):
                       "        return [moved(b, c, d) for b, c, d in self.calls]\n"
                       "moved_ids = not_moved(bids, base, ids)\n")
     assert _moved_calls(module) == [(1, None), (4, "OneBid"), (7, "Runner")]
+
+
+def _utility_calls(path):
+    """``(line, function)`` of each ``.utility(...)`` call in the module at
+    ``path``, with the name of the innermost function around it (None
+    outside every function)."""
+    return _sites(path, lambda node: isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "utility",
+                  ast.FunctionDef)
+
+
+def test_verify_compares_utilities_only_in_the_deviation_sweep():
+    """Whether a deviation raised a utility is one rule,
+    ``verify._deviation_sweep``, which both sweeps and replay run."""
+    found = _utility_calls(SOURCE / "verify.py")
+    assert found and {owner for _, owner in found} == {"_deviation_sweep"}, found
+
+
+def test_the_guard_sees_a_utility_call(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("u = outcome.utility(e, cost)\n"
+                      "def _deviation_sweep(run):\n"
+                      "    return run(e, d).utility(e, cost)\n"
+                      "def replay(outcome):\n"
+                      "    gained = lambda o: o.utility(e, cost) > 0\n"
+                      "    return utility(inst, outcome, e)\n")
+    assert _utility_calls(module) == [(1, None), (3, "_deviation_sweep"), (5, "replay")]
+
+
+def _blackbox_of_reads(path):
+    """``(line, function)`` of each subscript of ``BLACKBOX_OF`` (or
+    ``verify.BLACKBOX_OF``) in the module at ``path``, with the name of the
+    innermost function around it (None outside every function)."""
+    return _sites(path, lambda node: isinstance(node, ast.Subscript)
+                  and ast.unparse(node.value) in ("BLACKBOX_OF", "verify.BLACKBOX_OF"),
+                  ast.FunctionDef)
+
+
+def test_one_function_maps_a_mechanism_name_to_its_blackbox():
+    """Which blackbox a threshold mechanism runs is one lookup,
+    ``verify.threshold_blackbox``."""
+    found = {(path.name, owner) for path in sorted(SOURCE.glob("*.py"))
+             for _, owner in _blackbox_of_reads(path)}
+    assert found == {("verify.py", "threshold_blackbox")}, found
+
+
+def test_the_guard_sees_a_blackbox_of_subscript(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("name = BLACKBOX_OF['intersection-exact']\n"
+                      "def runner(m, spec):\n"
+                      "    return get_blackbox(verify.BLACKBOX_OF[m], spec)\n"
+                      "known = m in BLACKBOX_OF\n"
+                      "other = BLACKBOX_OF_NAMES[m]\n")
+    assert _blackbox_of_reads(module) == [(1, None), (3, "runner")]

@@ -61,6 +61,13 @@ def test_ratio_denominator_is_3_alpha_plus_1(name, gen, denominator):
     assert ratio_denominator(name, inst) == denominator
 
 
+def test_make_runner_rejects_an_unknown_mechanism():
+    inst = gen_matroid_instance(GeneratorConfig(count=1, seed=0), 0)
+    with pytest.raises(InputError) as err:
+        make_runner("x", inst)
+    assert str(err.value) == "unknown mechanism 'x'"
+
+
 def test_ratio_denominator_rejects_uncertified_mechanism():
     inst = gen_matroid_instance(GeneratorConfig(count=1, seed=0), 0)
     with pytest.raises(InputError) as err:

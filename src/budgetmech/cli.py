@@ -35,7 +35,6 @@ from .verify import (
     run_sweep,
     run_verification,
     sweep_instance,
-    threshold_blackbox,
 )
 from .xos import XosParams, optimize_constant, xos_mechanism_main
 
@@ -125,10 +124,10 @@ BENCH_DEFAULTS = {
 
 def _bench_row(cfg, mechanism, index):
     inst = sweep_instance(cfg, mechanism, index)
-    blackbox = threshold_blackbox(mechanism, inst.structure, "unknown mechanism")
+    runner = make_runner(mechanism, inst)
+    blackbox = runner.plan.blackbox
     kind = inst.structure.kind if blackbox is None else "bipartite"
     alpha = "" if blackbox is None else format_rational(blackbox.alpha)
-    runner = make_runner(mechanism, inst)
     started = time.perf_counter_ns()
     outcome = runner(inst)
     elapsed_us = (time.perf_counter_ns() - started) // 1000

@@ -7,17 +7,18 @@ family, so a deleted matroid remains exact and cheap to query.
 ``extender(start)`` grows an independent set ``S`` from ``start``:
 ``fits(e)`` equals ``_independent(S | {e})`` for ``e`` not in ``S``, and
 ``add(e)`` puts a fitting ``e`` into ``S``.  After O(|start|) set-up
-``fits`` costs O(1) for uniform, free and partition (room per block),
-amortized O(log n) for deadline (latest free slot) and graphic (one
-persistent union-find each), and one whole-set oracle call for any other
-kind.  The greedy adds what fits.
+``fits`` costs O(1) for partition (room per block) and uniform and free
+(one block), amortized O(log n) for deadline (latest free slot) and graphic
+(one persistent union-find each), and one whole-set oracle call for any
+other kind.  The greedy adds what fits.
 
 ``exchange(B)`` repairs ``B``, a basis of the ground set that survives so
 far, in place: after ``remove(x)``, ``fits(f)`` holds iff ``f`` lies in the
 fundamental cocircuit of ``x`` with respect to ``B``, which is the test the
 mechanism's repair step needs, and ``add(f)`` puts ``f`` in.  Uniform, free,
 partition and explicit repair with their extender.  Deadlines keep the slack
-of every slot, and graphic the forest and the cut that ``remove`` leaves.
+of every slot, and graphic the forest and the cut that ``remove`` leaves: a
+second structure each, because one for both jobs measured slower.
 ``_independent`` stays the definitional oracle behind ``is_independent``.
 
 Element ids are opaque strings; every deterministic tie-break in the package
@@ -96,7 +97,8 @@ class UniformMatroid(Matroid):
         return len(s) <= self.rank
 
     def extender(self, start=()):
-        return _RoomExtender(self.rank - len(start))
+        # a uniform matroid is a partition matroid with one block
+        return _BlockExtender(dict.fromkeys(self.ground, 0), [self.rank], start)
 
     def _with_ground(self, new_ground):
         return UniformMatroid(new_ground, self.rank)
@@ -105,20 +107,15 @@ class UniformMatroid(Matroid):
         return {"kind": "uniform", "rank": self.rank}
 
 
-class FreeMatroid(Matroid):
-    """Every subset of the ground set is independent.
-
-    Semantically the uniform matroid of full rank; kept as its own kind so
-    instances can say "no structural constraint" directly.
-    """
+class FreeMatroid(UniformMatroid):
+    """Every subset is independent: the uniform matroid of full rank, kept as
+    its own kind so instances can say "no structural constraint" directly."""
 
     kind = "free"
 
-    def _independent(self, s):
-        return True
-
-    def extender(self, start=()):
-        return _RoomExtender(len(self.ground) - len(start))
+    def __init__(self, ground):
+        ground = tuple(ground)
+        super().__init__(ground, len(ground))
 
     def _with_ground(self, new_ground):
         return FreeMatroid(new_ground)
@@ -326,24 +323,8 @@ class _OracleExtender:
         self.members = self.members - {e}
 
 
-class _RoomExtender:
-    """Uniform and free: ``e`` fits while the count of members is below the rank."""
-
-    def __init__(self, room):
-        self.room = room
-
-    def fits(self, e):
-        return self.room > 0
-
-    def add(self, e):
-        self.room -= 1
-
-    def remove(self, e):
-        self.room += 1
-
-
 class _BlockExtender:
-    """Partition: the room left in each block."""
+    """Partition, uniform and free: the room left in each block."""
 
     def __init__(self, block_of, room, start):
         self.block_of = block_of
@@ -409,7 +390,8 @@ class _ForestCut:
     any ``remove`` and after an ``add``, no spanned ``f`` fits, and ``fits``
     says so.  ``remove`` labels the side by a search from both ends of ``x``
     in lockstep that stops when either side is done, so it costs the
-    smaller side.
+    smaller side.  One forest for both jobs, with ``_ForestExtender``, made
+    runs at n = 100/200 9-10% slower (1.78 to 1.96 ms; 2 vCPUs, Fraction).
     """
 
     def __init__(self, edges, start):
@@ -477,7 +459,8 @@ class _SlackSlots:
     ``last_tight``, the last tight slot.  Slot 0 is always tight, so
     ``last_tight`` is 0 when no real slot is.  Deadlines are capped at n, as
     in ``_LatestFreeSlot``.  ``remove`` raises every slack from the deadline
-    on, so the new last tight slot is the last zero below it.
+    on, so the new last tight slot is the last zero below it.  As the greedy's
+    extender it took 0.94 ms per greedy at n = 200, ``_LatestFreeSlot`` 0.18.
     """
 
     def __init__(self, deadlines, n, start):

@@ -483,7 +483,7 @@ class OneBidRunner:
     """
 
     def __init__(self, plan, run=None):
-        self._run, self._plan = run, plan
+        self._run, self.plan = run, plan
         self._keys = None  # the base's BidKeys, built with the first chains
         self.one = OneBid(plan.rest, self._build, self._answer)
 
@@ -496,8 +496,8 @@ class OneBidRunner:
         and for each ``k`` the index of ``B``'s first passing test from ``k``
         on."""
         if self._keys is None:
-            self._keys = BidKeys(bids, budget, self._plan)
-        keys, plan = self._keys, self._plan
+            self._keys = BidKeys(bids, budget, self.plan)
+        keys, plan = self._keys, self.plan
         others = [o for o in keys.order if o != e]
         a = keys.steps(plan.walk([plan.tau, *others]), others)
         walk = plan.walk([plan.tau, e, *others])
@@ -510,7 +510,7 @@ class OneBidRunner:
 
     def _answer(self, chains, budget, bid, _base_bid):
         e, others, a, b, next_pass, tails = chains
-        plan, key, rate_den = self._plan, self._keys.key, self._keys.scales[1]
+        plan, key, rate_den = self.plan, self._keys.key, self._keys.scales[1]
         # e's key over its own scale: buck-per-bang is key_e * value_den / den_e
         key_e, den_e = bid.numerator * plan.multiplier[e], bid.denominator * plan.lcm
         p = bisect_left(others, (-key_e * rate_den, e), key=lambda o: (-key[o] * den_e, o))

@@ -10,7 +10,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from math import lcm
 
-from .errors import SchemaError
+from .errors import InputError, SchemaError
 
 try:
     from gmpy2 import mpq
@@ -21,8 +21,14 @@ ZERO = mpq(0)
 
 
 def as_rational(value):
-    """``value`` as a rational; a rational is kept as it is."""
-    return value if type(value) is mpq else mpq(value)
+    """``value`` as a rational; a rational is kept as it is.  A float or a
+    bool raises InputError, as ``parse_rational`` rejects them in files: a
+    float would silently break exactness."""
+    if type(value) is mpq:
+        return value
+    if isinstance(value, (bool, float)):
+        raise InputError(f"expected an exact rational, got {type(value).__name__}")
+    return mpq(value)
 
 
 def same(a, b):
@@ -83,7 +89,7 @@ def scale_to_integers(values):
 
 def rational_isqrt(q, digits=24):
     """Rational approximation of sqrt(q) accurate to ~``digits`` decimal digits."""
-    q = mpq(q)
+    q = as_rational(q)
     if q < 0:
         raise ValueError("square root of a negative rational")
     scale = 10 ** digits

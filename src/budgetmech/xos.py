@@ -47,7 +47,7 @@ class XosValuation:
         for k, f in enumerate(functions):
             if set(f) != ground_set:
                 raise InputError(f"clause {k} must cover exactly the ground set")
-            clause = {e: mpq(v) for e, v in f.items()}
+            clause = {e: as_rational(v) for e, v in f.items()}
             for e, v in clause.items():
                 if v < 0:
                     raise InputError(f"clause {k} value for {e!r} is negative")
@@ -93,9 +93,9 @@ class XosParams:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", mpq(self.alpha))
-        object.__setattr__(self, "beta", mpq(self.beta))
-        object.__setattr__(self, "gamma", mpq(self.gamma))
+        object.__setattr__(self, "alpha", as_rational(self.alpha))
+        object.__setattr__(self, "beta", as_rational(self.beta))
+        object.__setattr__(self, "gamma", as_rational(self.gamma))
         if self.alpha <= 1:
             raise InputError("alpha must exceed 1")
         if self.beta <= 0:
@@ -114,7 +114,7 @@ def partition_halves(valuation, opt, alpha):
     where f* is the clause achieving v(opt).  Elements are consumed in id
     order, so the construction is deterministic.
     """
-    alpha = mpq(alpha)
+    alpha = as_rational(alpha)
     if alpha <= 1:
         raise InputError("alpha must exceed 1")
     opt = frozenset(opt)
@@ -499,7 +499,7 @@ def xos_objective(alpha, beta, gamma):
     """
     # with alpha = A/a, beta = B/b, gamma = G/g the branches are, in order,
     # over the one denominator 32GAB: 16aGB, (A - a)gb and 2(AB - aB - 4Ab)g
-    alpha, beta, gamma = mpq(alpha), mpq(beta), mpq(gamma)
+    alpha, beta, gamma = map(as_rational, (alpha, beta, gamma))
     A, a, B, b = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
     G, g = gamma.numerator, gamma.denominator
     den = 32 * G * A * B
@@ -515,7 +515,7 @@ def optimize_constant(gamma):
     in alpha.  Returns exact rationals close to the (irrational) optimum and
     the reciprocal of the objective evaluated exactly at that point.
     """
-    gamma = mpq(gamma)
+    gamma = as_rational(gamma)
     if gamma < 1:
         raise InputError("gamma must be at least 1")
     trace_coeff = 2 + 72 * gamma

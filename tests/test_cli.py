@@ -526,6 +526,27 @@ def test_bench_writes_csv(tmp_path, capsys):
         assert float(row["total_payment_over_budget"]) <= 1.0
 
 
+def test_bench_builds_one_blackbox_per_row(tmp_path, monkeypatch):
+    """The alpha column reads the blackbox the row's runner runs."""
+    calls = []
+
+    def counted(name, spec, build=verify.get_blackbox):
+        calls.append(name)
+        return build(name, spec)
+
+    monkeypatch.setattr(verify, "get_blackbox", counted)
+    config = write(tmp_path, "bench.json", {
+        "count": 5, "n_range": [3, 5], "seed": 2,
+        "mechanisms": ["matroid", "intersection-exact", "intersection-greedy"],
+    })
+    out_csv = tmp_path / "sweep.csv"
+    assert main(["bench", config, str(out_csv)]) == 0
+    with open(out_csv) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 15
+    assert sorted(calls) == ["exact-bipartite"] * 5 + ["greedy"] * 5
+
+
 # sha256 of the `verify` outputs and of the `bench` CSV without its
 # runtime_us column, taken at --threads 1: the process pool must give the
 # serial sweep's bytes

@@ -75,6 +75,21 @@ def test_free_is_full_rank_uniform():
             assert free.is_independent(set(s)) == uni.is_independent(set(s))
 
 
+def test_free_is_a_uniform_matroid_that_stays_free():
+    """A free matroid counts room as a uniform one does, and deleting from
+    it keeps its kind and its wire format, so it never turns uniform."""
+    free = FreeMatroid(["c", "a", "b"])
+    assert isinstance(free, UniformMatroid) and free.rank == 3
+    assert free.to_json() == {"kind": "free"}
+    for t in ({"a"}, {"a", "b", "c"}, set()):
+        deleted = free.delete(t)
+        assert type(deleted) is FreeMatroid and deleted.kind == "free"
+        assert deleted.rank == 3 - len(t) and deleted.to_json() == {"kind": "free"}
+        assert matroid_from_json(deleted.to_json(), list(deleted.ground)).kind == "free"
+    kept = UniformMatroid(["a", "b", "c"], 3).delete({"a"})
+    assert type(kept) is UniformMatroid and kept.to_json() == {"kind": "uniform", "rank": 3}
+
+
 def test_partition_invariants_enforced():
     with pytest.raises(InputError):
         PartitionMatroid(["a", "b"], [({"a"}, 1)])  # does not cover

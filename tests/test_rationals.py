@@ -1,6 +1,19 @@
 """The shared rational helpers."""
 
-from budgetmech.rationals import moved, mpq, same
+import pytest
+
+from budgetmech import (
+    Instance,
+    InputError,
+    UniformMatroid,
+    XosParams,
+    XosValuation,
+    optimize_constant,
+    partition_halves,
+    xos_mechanism_main,
+    xos_objective,
+)
+from budgetmech.rationals import as_rational, moved, mpq, rational_isqrt, same
 
 
 def test_same_compares_by_identity_then_value():
@@ -26,3 +39,49 @@ def test_an_equal_bid_in_a_new_object_has_not_moved():
     assert all(copy[e] is not base[e] for e in base)
     assert moved(copy, base, base) == []
     assert moved({**copy, "b": mpq(3)}, base, base) == ["b"]
+
+
+# every in-memory entry point that takes a caller's number, each called with
+# ``bad`` in one numeric slot and exact values elsewhere
+def _uniform():
+    return UniformMatroid(["a", "b"], 1)
+
+
+def _xos():
+    return XosValuation(["a", "b"], [{"a": 3, "b": 2}])
+
+
+ONE = {"a": mpq(1), "b": mpq(2)}
+PARAMS = dict(alpha=218, beta=mpq(9, 2), gamma=4, seed=0)
+ENTRY_POINTS = {
+    "as_rational": lambda bad: as_rational(bad),
+    "Instance weight": lambda bad: Instance(_uniform(), {**ONE, "a": bad}, ONE, ONE, 5),
+    "Instance true cost": lambda bad: Instance(_uniform(), ONE, {**ONE, "b": bad}, ONE, 5),
+    "Instance bid": lambda bad: Instance(_uniform(), ONE, ONE, {**ONE, "a": bad}, 5),
+    "Instance budget": lambda bad: Instance(_uniform(), ONE, ONE, ONE, bad),
+    "Instance.with_bid": lambda bad: Instance(_uniform(), ONE, ONE, ONE, 5).with_bid("a", bad),
+    "XosValuation": lambda bad: XosValuation(["a", "b"], [{"a": 3, "b": bad}]),
+    "XosParams alpha": lambda bad: XosParams(**{**PARAMS, "alpha": bad}),
+    "XosParams beta": lambda bad: XosParams(**{**PARAMS, "beta": bad}),
+    "XosParams gamma": lambda bad: XosParams(**{**PARAMS, "gamma": bad}),
+    "xos_mechanism_main bid": lambda bad: xos_mechanism_main(
+        _xos(), ONE, {**ONE, "b": bad}, 5, XosParams(**PARAMS)),
+    "xos_mechanism_main true cost": lambda bad: xos_mechanism_main(
+        _xos(), {**ONE, "a": bad}, ONE, 5, XosParams(**PARAMS)),
+    "xos_mechanism_main budget": lambda bad: xos_mechanism_main(
+        _xos(), ONE, ONE, bad, XosParams(**PARAMS)),
+    "partition_halves": lambda bad: partition_halves(_xos(), {"a", "b"}, bad),
+    "xos_objective": lambda bad: xos_objective(218, bad, 4),
+    "optimize_constant": lambda bad: optimize_constant(bad),
+    "rational_isqrt": lambda bad: rational_isqrt(bad),
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, True], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_in_memory_inputs_reject_floats_and_booleans(entry, bad):
+    """As the file boundary does: a float would silently break exactness
+    (0.1 is not 1/10), and a bool is no number."""
+    with pytest.raises(InputError, match=f"got {type(bad).__name__}"):
+        ENTRY_POINTS[entry](bad)
+

@@ -257,3 +257,59 @@ def test_the_guard_sees_a_blackbox_of_subscript(tmp_path):
                       "known = m in BLACKBOX_OF\n"
                       "other = BLACKBOX_OF_NAMES[m]\n")
     assert _blackbox_of_reads(module) == [(1, None), (3, "runner")]
+
+
+def _definers(path, method):
+    """``(module, class)`` of each class in the module at ``path`` whose body
+    defines ``method``, by a ``def`` or an assignment."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [ast.unparse(target) for target in item.targets]
+            elif isinstance(item, ast.AnnAssign):
+                names = [ast.unparse(item.target)]
+            else:
+                names = []
+            if method in names:
+                found.append((path.stem, node.name))
+    return sorted(found)
+
+
+def test_matroids_keep_one_structure_per_job_and_two_for_graphic_and_deadline():
+    """Uniform, free and partition count room in one class,
+    ``_BlockExtender``, and repair with it; explicit repairs with its
+    whole-set oracle.  Only graphic and deadline keep a second structure
+    for the repair, each measured faster than one structure for both jobs."""
+    exchange = [found for path in sorted(SOURCE.glob("*.py"))
+                for found in _definers(path, "exchange")]
+    assert exchange == [("matroids", "DeadlineMatroid"), ("matroids", "GraphicMatroid"),
+                        ("matroids", "Matroid")], exchange
+    fits = [found for path in sorted(SOURCE.glob("*.py")) for found in _definers(path, "fits")]
+    assert fits == [("matroids", name) for name in sorted((
+        "_OracleExtender", "_BlockExtender", "_ForestExtender", "_ForestCut",
+        "_LatestFreeSlot", "_SlackSlots"))], fits
+
+
+def test_the_guard_sees_a_method_definition(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("class Room:\n"
+                      "    def fits(self, e):\n"
+                      "        return True\n"
+                      "class Outer:\n"
+                      "    class Inner:\n"
+                      "        async def fits(self, e): ...\n"
+                      "    room = fits = None\n"
+                      "class Typed:\n"
+                      "    fits: object = len\n"
+                      "class Other:\n"
+                      "    def fit(self, e): ...\n"
+                      "    room = 0\n"
+                      "def fits(e):\n"
+                      "    return e\n")
+    assert _definers(module, "fits") == [
+        ("sample", "Inner"), ("sample", "Outer"), ("sample", "Room"), ("sample", "Typed")]

@@ -1,6 +1,7 @@
 """XOS valuations: value oracle, lemma constructions, sampling mechanism."""
 
 import itertools
+import random
 import re
 from fractions import Fraction
 from unittest import mock
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 
 from budgetmech import (
     CapExceeded,
+    FreeMatroid,
     InputError,
+    Instance,
+    XosOutcome,
     XosParams,
     XosPlan,
     XosValuation,
@@ -33,6 +37,8 @@ from budgetmech.xos import (
     _opt_value_under_budget,
     _value_table,
 )
+from conftest import RATIONALS
+from test_mechanisms import reference_mechanism
 
 
 def single_clause(values):
@@ -602,3 +608,102 @@ def test_shared_plan_matches_fresh_runs():
     assert branches == {"max-element", "empty", "sub-mechanism"}
     assert sum(answers["t1"]) > 0 and sum(answers["t2"]) > 0
     assert chain_answers.call_count > 0
+
+
+# ---------------------------------------------------------------------------
+# whole outcomes against a second route written from the mechanism's
+# description: no subset table, no plan and no kernel of ``xos.py``
+
+
+def reference_xos(valuation, costs, bids, budget, params):
+    """One seeded run of the sampling mechanism, from its description.
+
+    The tape is ``random.Random(seed)``: a branch coin (1 buys the element
+    of largest ``v({e})``, ties to the smaller id, at the full budget), then
+    one split bit per element in id order (1 puts it in T1).  The threshold
+    is the best ``v(S)`` over the subsets S of T1 with bid total at most the
+    budget, over ``beta * budget``.  The chosen set is the subset of T2 of
+    largest ``v(S) - threshold * bids(S)``, ties to the smaller bid total,
+    then to the smaller sorted id tuple.  Its clause is the lowest index at
+    its value (None for the empty set), and the inner run is the threshold
+    mechanism on a free matroid over the members that clause values above
+    zero, weighted by it."""
+    rng = random.Random(params.seed)
+    ids = sorted(valuation.ground)
+    take_max_element = rng.getrandbits(1)
+    t1 = frozenset(e for e in ids if rng.getrandbits(1))
+    t2 = frozenset(ids) - t1
+    if take_max_element:
+        star = min(ids, key=lambda e: (-valuation.value({e}), e))
+        return XosOutcome(branch="max-element", allocation=frozenset([star]),
+                          payments={star: budget}, budget=budget)
+
+    def subsets(members):
+        members = sorted(members)
+        return [c for r in range(len(members) + 1) for c in itertools.combinations(members, r)]
+
+    def total(s):
+        return sum((bids[e] for e in s), ZERO)
+
+    t1_opt = max(valuation.value(set(s)) for s in subsets(t1) if total(s) <= budget)
+    threshold = t1_opt / (params.beta * budget)
+    s_star = min(subsets(t2), key=lambda s: (threshold * total(s) - valuation.value(set(s)),
+                                             total(s), s))
+    clause_values = [sum((f[e] for e in s_star), ZERO) for f in valuation.functions]
+    clause_index = clause_values.index(max(clause_values)) if s_star else None
+    clause = valuation.functions[clause_index] if s_star else {}
+    positive = [e for e in s_star if clause[e] > 0]
+    fields = dict(budget=budget, t1=t1, t2=t2, threshold=threshold, s_star=frozenset(s_star),
+                  clause_index=clause_index)
+    if not positive:
+        return XosOutcome(branch="empty", allocation=frozenset(), payments={}, **fields)
+    inst = Instance(FreeMatroid(positive), {e: clause[e] for e in positive},
+                    {e: costs[e] for e in positive}, {e: bids[e] for e in positive}, budget)
+    inner = reference_mechanism(inst, lambda excluded: frozenset(positive) - excluded)
+    return XosOutcome(branch="sub-mechanism", allocation=inner.allocation,
+                      payments=dict(inner.payments), inner=inner, **fields)
+
+
+@st.composite
+def xos_deviation_cases(draw):
+    """An XOS valuation at n <= 7 with clause weights 0..3, a coin tape, true
+    costs over mixed denominators, a budget that admits them and is often
+    the bid total of some T1 set, and deviated bid vectors in (0, budget]:
+    each element's bid moved alone, twice, then a few pairs moved together."""
+    ids = [f"e{j}" for j in range(draw(st.integers(1, 7)))]
+    functions = [{e: mpq(draw(st.integers(0, 3))) for e in ids}
+                 for _ in range(draw(st.integers(1, 3)))]
+    valuation = XosValuation(ids, functions)
+    params = XosParams(seed=draw(st.integers(0, 255)), **PARAMS)
+    costs = {e: draw(RATIONALS) for e in ids}
+    binding = draw(st.sets(st.sampled_from(XosPlan(valuation, params).t1_ids or ids)))
+    budget = max(*costs.values(), sum((costs[e] for e in binding), ZERO))
+    bid = RATIONALS.map(lambda b: min(b, budget))
+    one = [{**costs, e: draw(bid)} for e in ids for _ in range(2)]
+    two = []
+    if len(ids) > 1:
+        for _ in range(draw(st.integers(1, 4))):
+            e, f = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+            two.append({**costs, e: draw(bid), f: draw(bid)})
+    return valuation, costs, budget, params, [costs, *one, *two]
+
+
+def test_whole_outcomes_match_a_reference_written_from_the_description():
+    """Every field of every run through one shared plan, the inner trace and
+    payments included, equals ``reference_xos``: at truthful bids, the base
+    of both halves' one-bid tables, then along one-bid and two-bid
+    deviations.  The drawn tapes reach all three branches."""
+    branches = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(xos_deviation_cases())
+    def check(case):
+        valuation, costs, budget, params, runs = case
+        plan = XosPlan(valuation, params)
+        for bids in runs:
+            out = xos_mechanism_main(valuation, costs, bids, budget, params, plan)
+            assert out == reference_xos(valuation, costs, bids, budget, params), bids
+            branches.add(out.branch)
+
+    check()
+    assert branches == {"max-element", "empty", "sub-mechanism"}

@@ -29,7 +29,7 @@ information.
 from itertools import accumulate
 
 from .errors import InputError
-from .rationals import ZERO, scale_to_integers
+from .rationals import ZERO, is_int, scale_to_integers
 
 
 class Matroid:
@@ -495,7 +495,7 @@ class _SlackSlots:
 
 def _json_int(value, what):
     """``value`` if it is a JSON integer (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -511,7 +511,7 @@ def _json_edge(edge):
     """``edge`` if it is ``[id, u, v]`` with string or integer endpoints."""
     if (
         not isinstance(edge, list) or len(edge) != 3 or not isinstance(edge[0], str)
-        or not all(isinstance(x, (str, int)) and not isinstance(x, bool) for x in edge[1:])
+        or not all(isinstance(x, str) or is_int(x) for x in edge[1:])
     ):
         raise InputError(f"graphic edge must be [id, u, v] with string or integer "
                          f"endpoints, got {edge!r}")

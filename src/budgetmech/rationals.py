@@ -31,6 +31,11 @@ def as_rational(value):
     return mpq(value)
 
 
+def is_int(value):
+    """Whether ``value`` is a JSON integer: an ``int`` that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def same(a, b):
     """Whether two rationals are equal, compared by identity first."""
     return a is b or a == b
@@ -48,10 +53,10 @@ def parse_rational(value, field="value"):
     Raises SchemaError (a ValueError) naming ``field`` on malformed input.
     Floats are rejected on purpose: they would silently break exactness.
     """
+    if is_int(value):
+        return mpq(value)
     if isinstance(value, bool):
         raise SchemaError(field, "booleans are not rationals")
-    if isinstance(value, int):
-        return mpq(value)
     if isinstance(value, str):
         text = value.strip()
         try:
@@ -87,11 +92,14 @@ def scale_to_integers(values):
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def rational_isqrt(q, digits=24):
-    """Rational approximation of sqrt(q) accurate to ~``digits`` decimal digits."""
+ISQRT_DIGITS = 24
+
+
+def rational_isqrt(q):
+    """Rational approximation of sqrt(q) to ``ISQRT_DIGITS`` decimal digits."""
     q = as_rational(q)
     if q < 0:
         raise ValueError("square root of a negative rational")
-    scale = 10 ** digits
+    scale = 10 ** ISQRT_DIGITS
     n = math.isqrt(int(q.numerator * scale * scale // q.denominator))
     return mpq(n, scale)

@@ -41,7 +41,7 @@ from .mechanisms import (
     run_matroid_mechanism,
 )
 from .oracle import brute_force_opt
-from .rationals import format_rational, mpq
+from .rationals import format_rational, is_int, mpq
 from .xos import XosParams, XosPlan, XosValuation, xos_mechanism_main
 
 EPSILON = mpq(1, 10**9)
@@ -584,10 +584,6 @@ DEFAULT_VERIFY_CONFIG = {
 }
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _nonempty_list_of(allowed):
     return lambda v: isinstance(v, (list, tuple)) and bool(v) and all(x in allowed for x in v)
 
@@ -598,11 +594,11 @@ MAX_THREADS = 64
 
 # the one rule, and its message, for each key a sweep config may set
 _SWEEP_RULES = {
-    "seed": (_is_int, "must be an integer"),
-    "count": (lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer"),
+    "seed": (is_int, "must be an integer"),
+    "count": (lambda v: is_int(v) and v >= 0, "must be a nonnegative integer"),
     "n_range": (
         lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-        and all(_is_int(x) for x in v) and 1 <= v[0] <= v[1],
+        and all(is_int(x) for x in v) and 1 <= v[0] <= v[1],
         "must be [lo, hi] with 1 <= lo <= hi",
     ),
     "kinds": (_nonempty_list_of(MATROID_KINDS),
@@ -612,10 +608,10 @@ _SWEEP_RULES = {
                       "must be tight, loose or mixed"),
     "mechanisms": (_nonempty_list_of(SWEEP_MECHANISMS),
                    "must be a nonempty list drawn from " + ", ".join(SWEEP_MECHANISMS)),
-    "deviations_per_element": (lambda v: _is_int(v) and 1 <= v <= PROBE_GRID,
+    "deviations_per_element": (lambda v: is_int(v) and 1 <= v <= PROBE_GRID,
                                f"must be an integer from 1 to {PROBE_GRID}"),
     "include_broken": (lambda v: isinstance(v, bool), "must be a boolean"),
-    "threads": (lambda v: _is_int(v) and 1 <= v <= MAX_THREADS,
+    "threads": (lambda v: is_int(v) and 1 <= v <= MAX_THREADS,
                 f"must be an integer from 1 to {MAX_THREADS}"),
 }
 
@@ -738,13 +734,15 @@ def report_failures(doc):
     ``replay_failure`` validates each record."""
     if not isinstance(doc, dict):
         raise SchemaError("report", "must be a JSON object")
-    if not isinstance(doc.get("reports", []), list):
+    if "reports" not in doc:
+        raise SchemaError("reports", "missing")
+    if not isinstance(doc["reports"], list):
         raise SchemaError("reports", "must be a list of report objects")
     records = []
-    for idx, report in enumerate(doc.get("reports", [])):
-        if not isinstance(report, dict) or not isinstance(report.get("failures", []), list):
+    for idx, report in enumerate(doc["reports"]):
+        if not isinstance(report, dict) or not isinstance(report.get("failures"), list):
             raise SchemaError(f"reports[{idx}]", "must be an object with a 'failures' list")
-        records.extend(report.get("failures", []))
+        records.extend(report["failures"])
     return records
 
 
@@ -779,7 +777,7 @@ def _load_record(doc):
     run = record.instance["xos"].get("run")
     if not isinstance(run, dict):
         raise SchemaError("instance.xos.run", "must be an object with seed, alpha, beta, gamma")
-    if not _is_int(run.get("seed")):
+    if not is_int(run.get("seed")):
         raise SchemaError("instance.xos.run.seed", "must be an integer")
     params = XosParams(
         **{k: parse_rational_field(run.get(k), f"instance.xos.run.{k}")

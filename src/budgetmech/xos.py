@@ -28,7 +28,7 @@ from .mechanisms import (
     Plan,
     run_matroid_mechanism,
 )
-from .rationals import ZERO, as_rational, mpq, rational_isqrt, same, scale_to_integers
+from .rationals import ZERO, as_rational, mpq, rational_isqrt, scale_to_integers
 
 XOS_ENUMERATION_CAP = 16
 
@@ -279,37 +279,38 @@ def _half(ids, rows, read):
 class _ChosenSet:
     """The bid-free part of the sub-mechanism on one chosen T2 set: the
     clause achieving its value (``clause_index``, ties to the lowest index;
-    None for the empty set), the members that clause values above zero
-    (``positive``, sorted), and the free matroid and weights over them.
+    None for the empty set) and the free matroid and weights over its
+    sorted ``members``.
+
+    A chosen set never holds a member that its best clause values at 0:
+    dropping one keeps v(S) and lowers the bid total, so neither the full
+    argmax nor an answer read off ``_class_winners`` chooses such a set.
 
     ``run`` hands its bids and budget to the ``OneBid`` of one
-    ``OneBidRunner`` over one ``Plan``, so a run that moves no bid of
-    ``positive`` (tau aside) away from the first run's gets that run's
-    outcome, and one that moves one such bid is answered from the runner's
-    chains.  Only a full run builds an inner ``Instance``, and it calls
+    ``OneBidRunner`` over one ``Plan``, so a run that moves no member's bid
+    (tau aside) away from the first run's gets that run's outcome, and one
+    that moves one such bid is answered from the runner's chains.  Only a
+    full run builds an inner ``Instance``, and it calls
     ``run_matroid_mechanism`` as a module global, at call time.
     """
 
     def __init__(self, valuation, s_star):
         self.clause_index = valuation.best_clause(s_star) if s_star else None
-        clause = valuation.functions[self.clause_index] if s_star else {}
-        # elements the chosen clause values at zero can never receive an
-        # individually rational proportional payment; they are left out
-        self.positive = sorted(e for e in s_star if clause[e] > 0)
-        if self.positive:
-            self.matroid = FreeMatroid(self.positive)
-            self.weights = {e: clause[e] for e in self.positive}
+        self.members = sorted(s_star)
+        if self.members:
+            clause = valuation.functions[self.clause_index]
+            self.matroid = FreeMatroid(self.members)
+            self.weights = {e: clause[e] for e in self.members}
             self._plan = Plan(self.matroid, self.weights)
             self._one = OneBidRunner(self._plan).one
 
     def run(self, true_costs, bids, budget):
-        """The inner ``Outcome`` at ``bids``, or None when ``positive`` is
-        empty."""
-        if not self.positive:
+        """The inner ``Outcome`` at ``bids``, or None for the empty set."""
+        if not self.members:
             return None
         return self._one(bids, budget, lambda: run_matroid_mechanism(Instance(
-            self.matroid, self.weights, {e: true_costs[e] for e in self.positive},
-            {e: bids[e] for e in self.positive}, budget), self._plan))
+            self.matroid, self.weights, {e: true_costs[e] for e in self.members},
+            {e: bids[e] for e in self.members}, budget), self._plan))
 
 
 class XosPlan:
@@ -334,13 +335,8 @@ class XosPlan:
     exact, so a run through a plan gives the outcome of a run without one.
 
     ``chosen(s_star)`` keeps one ``_ChosenSet`` per chosen T2 set for the
-    plan's life: the best clause, the inner free matroid and weights, and
-    the inner runner's ``OneBid`` are built at the first run that chooses
-    the set.
-
-    ``check`` validates a run's bids and true costs once per plan: it
-    remembers the objects it has passed at one budget, so a run through a
-    shared plan checks only the bids and costs that are new objects.
+    plan's life, built at the first run that chooses the set: the best
+    clause, the inner free matroid and weights, and the inner ``OneBid``.
     """
 
     def __init__(self, valuation, params):
@@ -368,29 +364,8 @@ class XosPlan:
         self._t2 = _half(t2_ids, lambda c, t: _class_winners(t2_ids, c, t2_value, t),
                          _argmax_at_shift)
         self._valuation, self._ground, self.seed = valuation, frozenset(ground), params.seed
-        self._checked_budget, self._checked_bids, self._checked_costs = None, {}, {}
         self._threshold_key, self._threshold = (None, None, None), None
         self._chosen = {}
-
-    def check(self, true_costs, bids, budget):
-        """Raise InputError unless every bid lies in (0, ``budget``] and
-        every true cost is positive, in ground order, each bid before its
-        element's true cost.  The plan remembers the bid and true-cost
-        objects it has passed at ``budget`` and checks only the others;
-        another budget forgets them."""
-        if not same(budget, self._checked_budget):
-            self._checked_budget, self._checked_bids, self._checked_costs = budget, {}, {}
-        checked_bids, checked_costs = self._checked_bids, self._checked_costs
-        for e in self._valuation.ground:
-            bid, cost = bids[e], true_costs[e]
-            if bid is not checked_bids.get(e):
-                if bid > budget or bid <= 0:
-                    raise InputError(f"bid of {e!r} must lie in (0, budget]")
-                checked_bids[e] = bid
-            if cost is not checked_costs.get(e):
-                if cost.numerator <= 0:
-                    raise InputError(f"true_costs[{e}] must be positive")
-                checked_costs[e] = cost
 
     def t1_optimum(self, bids, budget):
         """max v(S) over S within T1 with bid total at most ``budget``."""
@@ -440,17 +415,16 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
     thresholded subset of T2 and hands it to the additive sub-mechanism
     (the matroid mechanism on a free matroid) under the clause achieving its
     value.  The mechanism reads declared bids, never true costs; both maps
-    must cover exactly the ground set.
+    must cover exactly the ground set, and every call checks all of them.
 
     ``plan`` is ``XosPlan(valuation, params)``, built here when not given;
     pass one to share it across runs that differ only in bids and budget.
     A plan built from another valuation object or seed raises InputError.
-    A shared plan answers from what it keeps: the bid and cost objects it
-    has checked (``XosPlan.check``), the T1 optimum, threshold and T2 argmax
-    (``XosPlan.t1_optimum``, ``XosPlan.threshold``, ``XosPlan.t2_argmax``)
-    and, per chosen set, the best clause and the inner runner
-    (``XosPlan.chosen``).  Bids that are rationals already are kept
-    as they are, so the plan compares them by identity first.
+    A shared plan answers from what it keeps: the T1 optimum, threshold and
+    T2 argmax (``XosPlan.t1_optimum``, ``XosPlan.threshold``,
+    ``XosPlan.t2_argmax``) and, per chosen set, the best clause and the
+    inner runner (``XosPlan.chosen``).  Bids that are rationals already are
+    kept as they are, so the plan compares them by identity first.
     """
     if plan is None:
         plan = XosPlan(valuation, params)
@@ -463,7 +437,14 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
     budget = as_rational(budget)
     bids = {e: as_rational(bids[e]) for e in ground}
     true_costs = {e: as_rational(true_costs[e]) for e in ground}
-    plan.check(true_costs, bids, budget)
+    # bid > budget in integers, as in the loader: denominators are positive
+    num, den = budget.numerator, budget.denominator
+    for e in ground:
+        bid = bids[e]
+        if bid.numerator <= 0 or bid.numerator * den > num * bid.denominator:
+            raise InputError(f"bid of {e!r} must lie in (0, budget]")
+        if true_costs[e].numerator <= 0:
+            raise InputError(f"true_costs[{e}] must be positive")
 
     if plan.take_max_element:
         return XosOutcome(

@@ -884,6 +884,11 @@ ERROR_BRANCHES = {
     "replay-reports-not-a-list": (
         ["replay"], {"reports": {"failures": []}}, 2,
         "error: reports: must be a list of report objects\n"),
+    "replay-an-instance-file": (
+        ["replay"], EXAMPLE2, 2, "error: reports: missing\n"),
+    "replay-a-report-without-failures": (
+        ["replay"], {"reports": [{"property": "IR"}]}, 2,
+        "error: reports[0]: must be an object with a 'failures' list\n"),
     "replay-unknown-element": (
         ["replay"], _replay_record(element="zz"), 2,
         "error: element: must be null or an element id of the instance\n"),

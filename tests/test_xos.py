@@ -204,10 +204,10 @@ def _input_error(*args):
 
 
 def test_a_shared_plan_rejects_what_a_fresh_plan_rejects():
-    """The plan remembers the bid and cost objects it has checked at one
-    budget.  After valid runs, a new bid object above the budget, a smaller
-    budget below a checked bid object and a non-positive true cost each
-    raise through the shared plan what they raise through a fresh one."""
+    """A shared plan keeps no record of the bids and costs it has seen:
+    after valid runs, a bid above the budget, a smaller budget below a bid
+    that passed before and a non-positive true cost each raise through the
+    shared plan what they raise through a fresh one."""
     val, costs, budget = gen_xos_instance(0, 1, n=8)
     e = max(val.ground, key=lambda x: (costs[x], x))
     first = val.ground[0]

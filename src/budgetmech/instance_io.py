@@ -23,7 +23,7 @@ from .errors import InputError, SchemaError
 from .intersection import IntersectionSpec
 from .matroids import matroid_from_json
 from .mechanisms import Instance, Outcome
-from .rationals import format_rational, parse_rational, to_decimal
+from .rationals import format_rational, is_int, parse_rational, to_decimal
 from .xos import XosOutcome, XosValuation
 
 
@@ -53,7 +53,12 @@ def parse_rational_field(value, field):
 
 
 def load_instance(obj):
-    """Validate a parsed instance document; raises SchemaError naming the field."""
+    """Validate a parsed instance document; raises SchemaError naming the field.
+
+    Each distinct wire text is parsed once: one table per document maps it to
+    its rational for the element fields and the XOS clause values, so fields
+    that share a text share one (immutable) rational.
+    """
     if not isinstance(obj, dict):
         raise SchemaError("document", "instance file must be a JSON object")
     if "elements" not in obj:
@@ -61,6 +66,25 @@ def load_instance(obj):
     elements = obj["elements"]
     if not isinstance(elements, list) or not elements:
         raise SchemaError("elements", "must be a nonempty list")
+
+    texts = {}
+
+    def rational(value, field):
+        # parse_rational accepts only strings and JSON integers, so every
+        # rational read is in the table.  True and 1.0 equal 1 but are never
+        # keys: they reach parse_rational, which rejects them
+        if not isinstance(value, str) and not is_int(value):
+            return parse_rational(value, field)
+        q = texts.get(value)
+        if q is None:
+            q = texts[value] = parse_rational(value, field)
+        return q
+
+    def positive(value, field):
+        q = rational(value, field)
+        if q.numerator <= 0:
+            raise SchemaError(field, "must be positive")
+        return q
 
     ids, weights, costs, bids = [], {}, {}, {}
     for idx, entry in enumerate(elements):
@@ -77,21 +101,25 @@ def load_instance(obj):
             raise SchemaError(f"elements[{idx}].cost", "missing")
         ids.append(e)
         try:  # the element's field name is built only for an error
-            weights[e] = parse_rational_field(entry["weight"], "weight")
-            costs[e] = parse_rational_field(entry["cost"], "cost")
-            bids[e] = parse_rational_field(entry["bid"], "bid") if "bid" in entry else costs[e]
+            weights[e] = positive(entry["weight"], "weight")
+            costs[e] = positive(entry["cost"], "cost")
+            bids[e] = positive(entry["bid"], "bid") if "bid" in entry else costs[e]
         except SchemaError as exc:
             raise SchemaError(f"elements[{idx}].{exc.field}", exc.message) from exc
 
     if "budget" not in obj:
         raise SchemaError("budget", "missing")
     budget = parse_rational_field(obj["budget"], "budget")
-    # q > budget on integers: every denominator is positive
+    # q > budget on integers (every denominator is positive), once per
+    # distinct rational; weights are tested too, but only a bid or a cost is
+    # named, the first in element order, bid before cost
     num, den = budget.numerator, budget.denominator
-    for e in ids:
-        for name, q in (("bid", bids[e]), ("cost", costs[e])):
-            if q.numerator * den > num * q.denominator:
-                raise SchemaError("elements", f"{name} of {e!r} exceeds the budget")
+    over = {id(q) for q in texts.values() if q.numerator * den > num * q.denominator}
+    if over:
+        for e in ids:
+            for name, q in (("bid", bids[e]), ("cost", costs[e])):
+                if id(q) in over:
+                    raise SchemaError("elements", f"{name} of {e!r} exceeds the budget")
 
     structure = None
     if "matroid" in obj and obj["matroid"] is not None:
@@ -124,12 +152,10 @@ def load_instance(obj):
                 raise SchemaError(
                     f"xos.functions[{k}]", f"must list one value per element ({len(ids)})"
                 )
-            functions.append(
-                {
-                    e: parse_rational(v, f"xos.functions[{k}][{j}]")
-                    for j, (e, v) in enumerate(zip(ids, row))
-                }
-            )
+            try:  # the clause value's field name is built only for an error
+                functions.append({e: rational(v, j) for j, (e, v) in enumerate(zip(ids, row))})
+            except SchemaError as exc:
+                raise SchemaError(f"xos.functions[{k}][{exc.field}]", exc.message) from exc
         try:
             valuation = XosValuation(ids, functions)
         except InputError as exc:

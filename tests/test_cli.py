@@ -13,10 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from budgetmech import Instance, UniformMatroid, cli, first_price_greedy, verify
+from budgetmech import Instance, UniformMatroid, cli, first_price_greedy, instance_io, verify
 from budgetmech.cli import main
 from budgetmech.errors import SchemaError
-from budgetmech.instance_io import instance_to_json, load_instance, xos_instance_to_json
+from budgetmech.instance_io import (
+    instance_to_json,
+    load_instance,
+    parse_rational_field,
+    xos_instance_to_json,
+)
 from budgetmech.rationals import format_rational, mpq, parse_rational
 from budgetmech.verify import (
     Failure,
@@ -376,6 +381,128 @@ def test_bid_above_the_budget_reported_before_the_cost():
     doc["elements"] = [{"id": "a", "weight": 1, "cost": 3, "bid": 1},
                        {"id": "b", "weight": 1, "cost": 1, "bid": 3}]
     assert _schema_error(doc) == "elements: cost of 'a' exceeds the budget"
+
+
+def test_repeated_over_budget_text_names_the_first_offender():
+    # "3" is one shared rational; it exceeds the budget as a weight too,
+    # but only a bid or a cost is ever named
+    assert _schema_error(_one_element(cost="3", bid="4")) == \
+        "elements: bid of 'a' exceeds the budget"
+    doc = _one_element()
+    doc["elements"] = [{"id": "a", "weight": "3", "cost": "1", "bid": "1"},
+                       {"id": "b", "weight": "1", "cost": "3", "bid": "1"},
+                       {"id": "c", "weight": "1", "cost": "1", "bid": "3"}]
+    assert _schema_error(doc) == "elements: cost of 'b' exceeds the budget"
+    doc["elements"][1]["bid"] = "3"
+    assert _schema_error(doc) == "elements: bid of 'b' exceeds the budget"
+    doc["elements"][1:] = [{"id": "b", "weight": "3", "cost": "1"}]
+    assert load_instance(doc).weights == {"a": 3, "b": 3}
+
+
+@pytest.mark.parametrize("weight", ["1", 1], ids=["text", "int"])
+@pytest.mark.parametrize("cost, message", [
+    (True, "booleans are not rationals"),
+    (1.0, "expected int or 'p/q' string, got float"),
+], ids=["true", "float"])
+def test_a_value_equal_to_a_parsed_one_is_still_rejected(weight, cost, message):
+    # True == 1.0 == 1, with one hash: neither may be read as the 1 parsed before
+    doc = _one_element()
+    doc["elements"] = [{"id": "a", "weight": weight, "cost": 1},
+                       {"id": "b", "weight": 1, "cost": cost}]
+    assert _schema_error(doc) == f"elements[1].cost: {message}"
+
+
+def _load_field_by_field(doc):
+    """What ``load_instance`` reads of ``doc``'s rationals, by a second route: a
+    fresh parse per field and the budget test per element, on rationals."""
+    weights, costs, bids = {}, {}, {}
+    for idx, entry in enumerate(doc["elements"]):
+        e = entry["id"]
+        try:
+            weights[e] = parse_rational_field(entry["weight"], "weight")
+            costs[e] = parse_rational_field(entry["cost"], "cost")
+            bids[e] = parse_rational_field(entry.get("bid", entry["cost"]), "bid")
+        except SchemaError as exc:
+            raise SchemaError(f"elements[{idx}].{exc.field}", exc.message) from exc
+    budget = parse_rational_field(doc["budget"], "budget")
+    for e in weights:
+        for name, q in (("bid", bids[e]), ("cost", costs[e])):
+            if q > budget:
+                raise SchemaError("elements", f"{name} of {e!r} exceeds the budget")
+    functions = None
+    if "xos" in doc:
+        functions = [{e: parse_rational(v, f"xos.functions[{k}][{j}]")
+                      for j, (e, v) in enumerate(zip(weights, row))}
+                     for k, row in enumerate(doc["xos"]["functions"])]
+        if any(v < 0 for f in functions for v in f.values()):
+            return None  # rejected by XosValuation, past the parsing compared here
+    return weights, costs, bids, budget, functions
+
+
+# repeated texts, JSON ints beside strings and several spellings of one value
+WIRE = st.sampled_from([1, 2, 7, "1", "2", "7", " 7 ", "14/2", "5/2", "10/4"])
+# zero, a sign in the denominator, a boolean and a float
+BAD = st.sampled_from([0, "0", "0/5", "3/-4", True, 1.0])
+# above a budget of 10, equal to one of 11; drawn twice, a text repeats
+ABOVE = st.sampled_from(["11", "22/2", 11])
+XOS_WIRE = st.sampled_from([0, 1, "0", "0/3", "7", " 7 ", "14/2", 7, "5/2", "-1", True])
+
+
+@st.composite
+def wire_documents(draw):
+    n = draw(st.integers(1, 5))
+    elements = []
+    for e in draw(st.permutations([f"e{j}" for j in range(n)])):  # file order is not id order
+        entry = {"id": e, "weight": draw(WIRE), "cost": draw(WIRE)}
+        if draw(st.booleans()):
+            entry["bid"] = draw(WIRE)
+        elements.append(entry)
+    fields = [(entry, f) for entry in elements for f in ("weight", "cost", "bid") if f in entry]
+    for values in (draw(st.lists(BAD, max_size=1)), draw(st.lists(ABOVE, max_size=3))):
+        for value in values:
+            entry, f = draw(st.sampled_from(fields))
+            entry[f] = value
+    doc = {"matroid": {"kind": "free"}, "elements": elements,
+           "budget": draw(st.sampled_from([10, "10", " 20/2 ", "11", "22/2"]))}
+    if draw(st.booleans()):
+        rows = st.lists(XOS_WIRE, min_size=n, max_size=n)
+        doc["xos"] = {"functions": draw(st.lists(rows, min_size=1, max_size=2))}
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wire_documents())
+def test_the_text_table_reads_what_a_fresh_parse_per_field_reads(doc):
+    try:
+        expected = _load_field_by_field(doc)
+    except SchemaError as exc:
+        assert _schema_error(doc) == str(exc)
+        return
+    if expected is None:
+        assert _schema_error(doc).startswith("xos: ")
+        return
+    loaded = load_instance(doc)
+    weights, costs, bids, budget, functions = expected
+    assert (loaded.weights, loaded.costs, loaded.bids, loaded.budget) == \
+        (weights, costs, bids, budget)
+    assert (loaded.xos and list(loaded.xos.functions)) == functions
+
+
+def test_each_distinct_text_is_parsed_once(tmp_path, monkeypatch):
+    config = GeneratorConfig(1, 0, (200, 200), ("partition",))
+    doc = instance_to_json(gen_matroid_instance(config, 0))
+    texts = {el[f] for el in doc["elements"] for f in ("weight", "cost", "bid")}
+    assert len(texts) < 60  # of 600 fields: the file repeats its texts
+    calls = []
+
+    def counting(value, field="value"):
+        calls.append(value)
+        return parse_rational(value, field)
+
+    monkeypatch.setattr(instance_io, "parse_rational", counting)
+    instance_io.load_instance_file(write(tmp_path, "n200.json", doc))
+    assert len(calls) == len(texts) + 1  # and the budget
+    assert sorted(calls[:-1]) == sorted(texts) and calls[-1] == doc["budget"]
 
 
 def test_xos_clause_values_may_be_zero():

@@ -25,7 +25,7 @@ from .intersection import IntersectionSpec, get_blackbox
 from .mechanisms import run_intersection_mechanism, run_matroid_mechanism
 from .oracle import brute_force_opt
 from .matroids import set_weight
-from .rationals import format_rational, mpq, parse_rational, to_decimal
+from .rationals import format_rational, parse_rational, to_decimal
 from .verify import (
     DEFAULT_VERIFY_CONFIG,
     load_sweep_config,
@@ -134,7 +134,7 @@ def _bench_row(cfg, mechanism, index):
     alloc_value = set_weight(inst.weights, outcome.allocation)
     opt = brute_force_opt(inst.structure, inst.weights, inst.true_costs, inst.budget)
     opt_value = set_weight(inst.weights, opt)
-    ratio = opt_value / alloc_value if alloc_value > 0 else mpq(0)
+    ratio = opt_value / alloc_value
     return [
         instance_hash(instance_to_json(inst)),
         len(inst.structure.ground),

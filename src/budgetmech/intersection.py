@@ -40,6 +40,8 @@ class IntersectionSpec:
         """Common independence: independent in every constituent matroid."""
         self.check_members(s)
         s = frozenset(s)
+        # ``_independent``, not ``is_independent``: the matroids share one
+        # ground set, so the member check made once above covers every one
         return all(m._independent(s) for m in self.matroids)
 
     def delete(self, t):
@@ -84,7 +86,7 @@ def _bipartite_shape(spec):
             raise InputError("bipartite matching needs two partition matroids")
         if any(cap != 1 for _, cap in m.blocks):
             raise InputError("bipartite matching needs capacity 1 on every vertex block")
-    return spec.matroids[0]._block_of, spec.matroids[1]._block_of
+    return spec.matroids[0].block_of, spec.matroids[1].block_of
 
 
 def _perturb_for_lex(weights, ids):

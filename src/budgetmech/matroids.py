@@ -125,7 +125,8 @@ class FreeMatroid(UniformMatroid):
 
 
 class PartitionMatroid(Matroid):
-    """Disjoint blocks with per-block capacities covering the ground set."""
+    """Disjoint blocks with per-block capacities covering the ground set;
+    ``block_of[e]`` is the index of ``e``'s block."""
 
     kind = "partition"
 
@@ -141,22 +142,22 @@ class PartitionMatroid(Matroid):
             seen |= members
         if seen != self._ground_set:
             raise InputError("partition blocks must cover the ground set exactly")
-        self._block_of = {}
+        self.block_of = {}
         for idx, (members, _) in enumerate(self.blocks):
             for e in members:
-                self._block_of[e] = idx
+                self.block_of[e] = idx
 
     def _independent(self, s):
         counts = {}
         for e in s:
-            idx = self._block_of[e]
+            idx = self.block_of[e]
             counts[idx] = counts.get(idx, 0) + 1
             if counts[idx] > self.blocks[idx][1]:
                 return False
         return True
 
     def extender(self, start=()):
-        return _BlockExtender(self._block_of, [cap for _, cap in self.blocks], start)
+        return _BlockExtender(self.block_of, [cap for _, cap in self.blocks], start)
 
     def _with_ground(self, new_ground):
         keep = frozenset(new_ground)

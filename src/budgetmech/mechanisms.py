@@ -91,66 +91,49 @@ class Instance:
 class TraceStep:
     """One loop iteration: the rate tested, the set computed, the removal (if any).
 
-    ``rate`` is None only on the exit iteration reached after every element
-    has been removed (no candidate rate exists there).
+    A step is the loop's integers: ``key``, the order key of the element
+    tested (None on the exit iteration reached after every element has been
+    removed, where no candidate rate exists), ``members``, the candidate
+    set, and ``weight``, its scaled weight, with the run's ``scales =
+    (value_den, rate_den)``.  ``rate = key * value_den / rate_den``,
+    ``chosen`` (sorted ids) and ``value = weight / value_den`` each render
+    their own field on every read.
 
-    The loop records a step in integers: the order key of the element
-    considered, the candidate set and its scaled weight, with the run's
-    ``(value_den, rate_den)``, so ``rate = key * value_den / rate_den`` and
-    ``value = weight / value_den``.  ``rate``, ``chosen`` (sorted ids) and
-    ``value`` are rendered when first read.  Equality is by those values.
+    Equality and ``repr`` are by the rendered fields, not the integers: a
+    one-bid answer's step for the moved element scales its rate by that
+    element's own bid denominator, so it carries other ``scales`` than the
+    same step of a full run.
     """
 
-    __slots__ = ("iteration", "removed", "_key", "_members", "_weight", "_scales",
-                 "_rendered")
+    __slots__ = ("iteration", "removed", "key", "members", "weight", "scales")
 
     def __init__(self, iteration, removed, key, members, weight, scales):
         self.iteration = iteration
         self.removed = removed
-        self._key = key
-        self._members = members
-        self._weight = weight
-        self._scales = scales
-        self._rendered = None
-
-    @classmethod
-    def of(cls, iteration, rate, removed, chosen, value):
-        """A step given by its rendered fields."""
-        step = cls(iteration, removed, None, None, None, None)
-        step._rendered = (rate, tuple(chosen), value)
-        return step
-
-    def _render(self):
-        if self._rendered is None:
-            value_den, rate_den = self._scales
-            rate = None if self._key is None else mpq(self._key * value_den, rate_den)
-            self._rendered = (rate, tuple(sorted(self._members)),
-                              mpq(self._weight, value_den))
-        return self._rendered
+        self.key = key
+        self.members = members
+        self.weight = weight
+        self.scales = scales
 
     @property
     def rate(self):
-        return self._render()[0]
+        return None if self.key is None else mpq(self.key * self.scales[0], self.scales[1])
 
     @property
     def chosen(self):
-        return self._render()[1]
+        return tuple(sorted(self.members))
 
     @property
     def value(self):
-        return self._render()[2]
+        return mpq(self.weight, self.scales[0])
 
     def _fields(self):
-        rate, chosen, value = self._render()
-        return (self.iteration, rate, self.removed, chosen, value)
+        return (self.iteration, self.rate, self.removed, self.chosen, self.value)
 
     def __eq__(self, other):
         if not isinstance(other, TraceStep):
             return NotImplemented
         return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     def __repr__(self):
         iteration, rate, removed, chosen, value = self._fields()
@@ -353,13 +336,13 @@ def settle(plan, budget, stop, prev):
     removed.  The set branch buys ``stop``'s set at that rate per weight,
     when it outweighs tau; the tau branch buys tau at the budget.
     """
-    chosen, value, tau = stop._members, stop._weight, plan.tau
+    chosen, value, tau = stop.members, stop.weight, plan.tau
     value_den, num, den = plan.value_den, budget.numerator, budget.denominator
-    # budget / value <= bb_prev, with bb_prev = prev._key * value_den / prev._scales[1]
-    if value > 0 and (prev is None or num * prev._scales[1] <= prev._key * den * value):
+    # budget / value <= bb_prev, with bb_prev = prev.key * value_den / prev.scales[1]
+    if value > 0 and (prev is None or num * prev.scales[1] <= prev.key * den * value):
         rate = mpq(num * value_den, den * value)  # budget / value
     else:
-        rate = None if prev is None else mpq(prev._key * value_den, prev._scales[1])
+        rate = None if prev is None else prev.rate
 
     if value > plan.scaled[tau]:
         branch, allocation = "set", frozenset(chosen)
@@ -524,8 +507,8 @@ class OneBidRunner:
         if p >= len(a):  # A passes before e is tested
             return Outcome(trace=tuple(a), **tail(a, len(a) - 1))
         at = a[p]  # e's own budget test, as in BidKeys but at e's scale
-        passed = at._weight * key_e * budget.denominator <= budget.numerator * den_e
-        step = TraceStep(p + 1, None if passed else e, key_e, at._members, at._weight,
+        passed = at.weight * key_e * budget.denominator <= budget.numerator * den_e
+        step = TraceStep(p + 1, None if passed else e, key_e, at.members, at.weight,
                          (plan.value_den, den_e))
         if passed:
             return Outcome(trace=(*a[:p], step), **tail(a, p))

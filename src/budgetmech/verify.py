@@ -567,7 +567,7 @@ def check_xos_truthfulness(valuation, costs, budget, params,
 # ---------------------------------------------------------------------------
 # sweep configs and the sweep driver (CLI `verify` and `bench`)
 
-SWEEP_MECHANISMS = ("matroid", "intersection-exact", "intersection-greedy")
+SWEEP_MECHANISMS = ("matroid", *BLACKBOX_OF)
 MATROID_KINDS = ("uniform", "partition", "graphic", "deadline", "free")
 
 DEFAULT_VERIFY_CONFIG = {
@@ -578,7 +578,7 @@ DEFAULT_VERIFY_CONFIG = {
     "weight_dist": "uniform",
     "budget_regime": "mixed",
     "deviations_per_element": 12,
-    "mechanisms": ["matroid", "intersection-exact", "intersection-greedy"],
+    "mechanisms": list(SWEEP_MECHANISMS),
     "include_broken": False,
     "threads": 1,
 }

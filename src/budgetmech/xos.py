@@ -337,6 +337,9 @@ class XosPlan:
     ``chosen(s_star)`` keeps one ``_ChosenSet`` per chosen T2 set for the
     plan's life, built at the first run that chooses the set: the best
     clause, the inner free matroid and weights, and the inner ``OneBid``.
+
+    ``valuation``, ``ground`` (a frozenset) and ``seed`` name what the plan
+    was built from, so a run can reject a plan built for another.
     """
 
     def __init__(self, valuation, params):
@@ -363,7 +366,7 @@ class XosPlan:
                          _optimum_at_shift)
         self._t2 = _half(t2_ids, lambda c, t: _class_winners(t2_ids, c, t2_value, t),
                          _argmax_at_shift)
-        self._valuation, self._ground, self.seed = valuation, frozenset(ground), params.seed
+        self.valuation, self.ground, self.seed = valuation, frozenset(ground), params.seed
         self._threshold_key, self._threshold = (None, None, None), None
         self._chosen = {}
 
@@ -401,7 +404,7 @@ class XosPlan:
     def chosen(self, s_star):
         """The ``_ChosenSet`` of the chosen T2 set ``s_star``."""
         if s_star not in self._chosen:
-            self._chosen[s_star] = _ChosenSet(self._valuation, s_star)
+            self._chosen[s_star] = _ChosenSet(self.valuation, s_star)
         return self._chosen[s_star]
 
 
@@ -428,10 +431,10 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
     """
     if plan is None:
         plan = XosPlan(valuation, params)
-    elif valuation is not plan._valuation or params.seed != plan.seed:
+    elif valuation is not plan.valuation or params.seed != plan.seed:
         raise InputError("plan was built from another valuation or seed")
     for name, values in (("bids", bids), ("true_costs", true_costs)):
-        if values.keys() != plan._ground:
+        if values.keys() != plan.ground:
             raise InputError(f"{name} must cover exactly the ground set")
     ground = valuation.ground
     budget = as_rational(budget)

@@ -1005,6 +1005,9 @@ ERROR_BRANCHES = {
         ["run"], _run_doc({"kind": "partition", "blocks": [
             {"members": ["a", "b"], "capacity": -1}, {"members": ["c"], "capacity": 1}]}),
         2, "error: matroid: partition capacity must be nonnegative\n"),
+    "run-xos-beta-zero": (
+        ["run", "--mechanism", "xos", "--beta", "0"], DOCUMENTS["run-xos"], 2,
+        "error: beta must be positive\n"),
     "run-no-xos-clauses": (
         ["run"], {**DOCUMENTS["run-xos"], "xos": {"functions": []}}, 2,
         "error: xos: an XOS valuation needs at least one additive clause\n"),

@@ -379,6 +379,13 @@ def test_with_bid_rejects_what_the_constructor_rejects():
 def reference_mechanism(inst, select):
     """The threshold mechanism in rational arithmetic; ``select(excluded)``
     is the candidate set on the ground set minus ``excluded``."""
+
+    def step(iteration, rate, removed, chosen, value):
+        # rate p/q and value a/b: key p, weight a, scales (b, q * b)
+        p, q = (None, 1) if rate is None else (rate.numerator, rate.denominator)
+        b = value.denominator
+        return TraceStep(iteration, removed, p, chosen, value.numerator, (b, q * b))
+
     weights, budget = inst.weights, inst.budget
     tau = max(sorted(inst.ground), key=weights.__getitem__)
     bb = {e: inst.bids[e] / weights[e] for e in inst.ground if e != tau}
@@ -390,17 +397,17 @@ def reference_mechanism(inst, select):
     i = 1
     while True:
         if i > len(others):
-            trace.append(TraceStep.of(i, None, None, sorted(chosen), value))
+            trace.append(step(i, None, None, sorted(chosen), value))
             break
         rate_i = bb[others[i - 1]]
         if value * rate_i > budget:
-            trace.append(TraceStep.of(i, rate_i, others[i - 1], sorted(chosen), value))
+            trace.append(step(i, rate_i, others[i - 1], sorted(chosen), value))
             excluded.add(others[i - 1])
             chosen = select(excluded)
             value = set_weight(weights, chosen)
             i += 1
         else:
-            trace.append(TraceStep.of(i, rate_i, None, sorted(chosen), value))
+            trace.append(step(i, rate_i, None, sorted(chosen), value))
             break
     bb_prev = None if i == 1 else bb[others[i - 2]]
     if value > 0:

@@ -1,5 +1,7 @@
 """The shared rational helpers."""
 
+import re
+
 import pytest
 
 from budgetmech import (
@@ -85,3 +87,30 @@ def test_in_memory_inputs_reject_floats_and_booleans(entry, bad):
     with pytest.raises(InputError, match=f"got {type(bad).__name__}"):
         ENTRY_POINTS[entry](bad)
 
+
+# value checks of in-memory entry points, each with one call that fails it
+# (``XosParams``'s beta check is reached from ``run --beta 0``, a case of
+# ``tests/test_cli.py``'s ``ERROR_BRANCHES``)
+VALUE_ERRORS = {
+    "Matroid repeated id": (lambda: UniformMatroid(["a", "b", "a"], 1), InputError,
+                            "duplicate element ids in ground set"),
+    "Instance structure": (lambda: Instance(_xos(), ONE, ONE, ONE, 5), InputError,
+                           "structure must be a Matroid or an IntersectionSpec"),
+    "XosValuation clause cover": (lambda: XosValuation(["a", "b"], [{"a": 3, "b": 2}, {"a": 1}]),
+                                  InputError, "clause 1 must cover exactly the ground set"),
+    "XosValuation.value unknown id": (lambda: _xos().value({"a", "zz"}), InputError,
+                                      "unknown element ids: ['zz']"),
+    "partition_halves alpha": (lambda: partition_halves(_xos(), {"a", "b"}, 1), InputError,
+                               "alpha must exceed 1"),
+    "optimize_constant gamma": (lambda: optimize_constant(mpq(99, 100)), InputError,
+                                "gamma must be at least 1"),
+    "rational_isqrt": (lambda: rational_isqrt(mpq(-1, 4)), ValueError,
+                       "square root of a negative rational"),
+}
+
+
+@pytest.mark.parametrize("case", VALUE_ERRORS)
+def test_in_memory_entry_points_reject_values_out_of_their_domain(case):
+    call, error, message = VALUE_ERRORS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

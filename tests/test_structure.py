@@ -313,3 +313,58 @@ def test_the_guard_sees_a_method_definition(tmp_path):
                       "    return e\n")
     assert _definers(module, "fits") == [
         ("sample", "Inner"), ("sample", "Outer"), ("sample", "Room"), ("sample", "Typed")]
+
+
+def _private_uses(path):
+    """``(line, owner, source)`` of each read or write of an
+    underscore-prefixed attribute (not a dunder) on an object other than
+    ``self`` or ``cls`` in the module at ``path``, with the qualified name
+    of the innermost function around it (None outside every function)."""
+    found = []
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr.startswith("_")
+                    and not child.attr.endswith("__")
+                    and not (isinstance(child.value, ast.Name)
+                             and child.value.id in ("self", "cls"))):
+                found.append((child.lineno, owner, ast.unparse(child)))
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = ".".join([*scope, child.name])
+                visit(child, [*scope, child.name],
+                      owner if isinstance(child, ast.ClassDef) else name)
+            else:
+                visit(child, scope, owner)
+
+    visit(ast.parse(path.read_text(), str(path)), [], None)
+    return sorted(found)
+
+
+def test_objects_use_each_others_private_attributes_only_where_named():
+    """A trace step, a plan and a matroid expose what other code reads.
+    Two reads stay: ``IntersectionSpec.is_independent`` asks each matroid's
+    ``_independent`` after one member check for all of them, and
+    ``TraceStep.__eq__`` compares the other step's rendered fields."""
+    found = {(path.name, owner, source) for path in sorted(SOURCE.glob("*.py"))
+             for _, owner, source in _private_uses(path)}
+    assert found == {
+        ("intersection.py", "IntersectionSpec.is_independent", "m._independent"),
+        ("mechanisms.py", "TraceStep.__eq__", "other._fields"),
+    }, found
+
+
+def test_the_guard_sees_a_private_use(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("key = step._key\n"
+                      "class Spec:\n"
+                      "    def check(self, m):\n"
+                      "        return m._independent(self._ground) and self.__class__\n"
+                      "    @classmethod\n"
+                      "    def build(cls):\n"
+                      "        def inner(plan):\n"
+                      "            plan._ground = cls._cache\n"
+                      "        return inner\n"
+                      "size = obj.__len__() + len(obj.public)\n")
+    assert _private_uses(module) == [
+        (1, None, "step._key"), (4, "Spec.check", "m._independent"),
+        (8, "Spec.build.inner", "plan._ground")]

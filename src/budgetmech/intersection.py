@@ -44,6 +44,12 @@ class IntersectionSpec:
         # ground set, so the member check made once above covers every one
         return all(m._independent(s) for m in self.matroids)
 
+    def loops(self):
+        """The loops of the intersection, in ground order: a set with one
+        element is commonly independent iff no constituent has it as a loop."""
+        loops = {e for m in self.matroids for e in m.loops()}
+        return tuple(e for e in self.ground if e in loops)
+
     def delete(self, t):
         return IntersectionSpec([m.delete(t) for m in self.matroids])
 

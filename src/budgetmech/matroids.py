@@ -57,6 +57,11 @@ class Matroid:
     def _independent(self, s):
         raise NotImplementedError
 
+    def loops(self):
+        """The loops, in ground order: the elements in no independent set,
+        read off the description without an oracle call."""
+        raise NotImplementedError
+
     def extender(self, start=()):
         """Incremental independence test grown from the independent ``start``."""
         return _OracleExtender(self._independent, start)
@@ -95,6 +100,9 @@ class UniformMatroid(Matroid):
 
     def _independent(self, s):
         return len(s) <= self.rank
+
+    def loops(self):
+        return self.ground if self.rank == 0 else ()
 
     def extender(self, start=()):
         # a uniform matroid is a partition matroid with one block
@@ -156,6 +164,9 @@ class PartitionMatroid(Matroid):
                 return False
         return True
 
+    def loops(self):
+        return tuple(e for e in self.ground if self.blocks[self.block_of[e]][1] == 0)
+
     def extender(self, start=()):
         return _BlockExtender(self.block_of, [cap for _, cap in self.blocks], start)
 
@@ -208,6 +219,9 @@ class GraphicMatroid(Matroid):
             parent[ru] = rv
         return True
 
+    def loops(self):
+        return tuple(e for e in self.ground if self.edges[e][0] == self.edges[e][1])
+
     def extender(self, start=()):
         return _ForestExtender(self.edges, start)
 
@@ -247,6 +261,9 @@ class DeadlineMatroid(Matroid):
             if d < j:
                 return False
         return True
+
+    def loops(self):
+        return ()  # every deadline is at least 1
 
     def extender(self, start=()):
         return _LatestFreeSlot(self.deadlines, len(self.ground), start)
@@ -293,6 +310,10 @@ class ExplicitMatroid(Matroid):
 
     def _independent(self, s):
         return s in self.independents
+
+    def loops(self):
+        listed = frozenset().union(*self.independents)
+        return tuple(e for e in self.ground if e not in listed)
 
     def _with_ground(self, new_ground):
         keep = frozenset(new_ground)

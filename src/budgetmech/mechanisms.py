@@ -29,7 +29,12 @@ from .rationals import ZERO, as_rational, moved, mpq, same, scale_to_integers
 
 
 class Instance:
-    """Ground elements with public weights, private costs, declared bids, budget."""
+    """Ground elements with public weights, private costs, declared bids, budget.
+
+    The structure has no loop, an element in no independent set: the tau
+    branch buys tau alone without asking the structure, so a loop as tau
+    would be bought.
+    """
 
     def __init__(self, structure, weights, true_costs, bids, budget):
         if not isinstance(structure, (Matroid, IntersectionSpec)):
@@ -37,6 +42,9 @@ class Instance:
         ground = set(structure.ground)
         if not ground:
             raise InputError("instance needs a nonempty ground set")
+        loops = structure.loops()
+        if loops:
+            raise InputError(f"element {loops[0]!r} is a loop: no independent set holds it")
         self.structure = structure
         self.budget = as_rational(budget)
         if self.budget.numerator <= 0:
@@ -335,18 +343,27 @@ def settle(plan, budget, stop, prev):
     is the rate of the last removed element, +inf (None) if none was
     removed.  The set branch buys ``stop``'s set at that rate per weight,
     when it outweighs tau; the tau branch buys tau at the budget.
+
+    The rate is ``pn * value_den / pd`` for integers ``pn / pd``: budget /
+    value is ``b_num / (b_den * value)`` and bb_prev is ``prev.key /
+    prev.scales[1]``.  With ``w_e = scaled[e] / value_den``, a winner's
+    payment ``rate * w_e`` is ``pn * scaled[e] / pd``, one rational built
+    from those integers.
     """
     chosen, value, tau = stop.members, stop.weight, plan.tau
-    value_den, num, den = plan.value_den, budget.numerator, budget.denominator
+    num, den = budget.numerator, budget.denominator
     # budget / value <= bb_prev, with bb_prev = prev.key * value_den / prev.scales[1]
     if value > 0 and (prev is None or num * prev.scales[1] <= prev.key * den * value):
-        rate = mpq(num * value_den, den * value)  # budget / value
+        pn, pd = num, den * value
+    elif prev is not None:
+        pn, pd = prev.key, prev.scales[1]
     else:
-        rate = None if prev is None else prev.rate
+        pn = pd = None
+    rate = None if pn is None else mpq(pn * plan.value_den, pd)
 
     if value > plan.scaled[tau]:
         branch, allocation = "set", frozenset(chosen)
-        payments = {e: rate * plan.weights[e] for e in chosen}
+        payments = {e: mpq(pn * plan.scaled[e], pd) for e in chosen}
     else:
         branch, allocation, payments = "tau", frozenset([tau]), {tau: budget}
     return {"allocation": allocation, "payments": payments, "tau": tau, "branch": branch,
@@ -405,6 +422,7 @@ class OneBid:
     ``full``, and the last such answer is kept under its exact key, the
     level and the bids of ``ids``.  Bids and levels are compared by
     ``rationals.moved`` and ``same``: by identity first, then by value.
+    ``moved`` stops at a second moved bid, which no read can answer.
     """
 
     def __init__(self, ids, table, read):
@@ -477,11 +495,14 @@ class OneBidRunner:
         """``e``'s two chains as trace steps, ``A`` up to its first passing
         test and ``B`` up to its first passing test at or after that index,
         and for each ``k`` the index of ``B``'s first passing test from ``k``
-        on."""
+        on.  ``ranked`` holds ``(-key[o] * lcm, o)`` for each ``o`` in ``O``,
+        ascending, and the two dicts keep the fields of the stops on ``A``
+        and on ``B`` that read no bid of ``e``, settled when first reached."""
         if self._keys is None:
             self._keys = BidKeys(bids, budget, self.plan)
         keys, plan = self._keys, self.plan
         others = [o for o in keys.order if o != e]
+        ranked = [(-keys.key[o] * plan.lcm, o) for o in others]
         a = keys.steps(plan.walk([plan.tau, *others]), others)
         walk = plan.walk([plan.tau, e, *others])
         next(walk)  # tau alone has left: that is A_0
@@ -489,32 +510,45 @@ class OneBidRunner:
         next_pass = [len(b) - 1] * len(b)
         for k in range(len(b) - 2, -1, -1):
             next_pass[k] = k if b[k].removed is None else next_pass[k + 1]
-        return e, others, a, b, next_pass, {}
+        return e, ranked, a, b, next_pass, {}, {}
 
-    def _answer(self, chains, budget, bid, _base_bid):
-        e, others, a, b, next_pass, tails = chains
-        plan, key, rate_den = self.plan, self._keys.key, self._keys.scales[1]
-        # e's key over its own scale: buck-per-bang is key_e * value_den / den_e
-        key_e, den_e = bid.numerator * plan.multiplier[e], bid.denominator * plan.lcm
-        p = bisect_left(others, (-key_e * rate_den, e), key=lambda o: (-key[o] * den_e, o))
+    def _answer(self, entry, budget, bid, _base_bid):
+        """The outcome when ``e`` bids ``bid``.
 
-        def tail(chain, k):  # the fields of a stop at chain[k], which read no bid of e
-            slot = (chain is a, k)
-            if slot not in tails:
-                tails[slot] = settle(plan, budget, chain[k], chain[k - 1] if k else None)
-            return tails[slot]
-
+        ``e``'s position ``p`` in ``O`` is found on integers.  Times
+        ``rate_den * lcm / value_den``, another element's buck-per-bang is
+        the integer ``A = key[o] * lcm``, and ``e``'s, at ``bid = P / q``,
+        is ``T / q`` with ``T = P * multiplier[e] * rate_den``.  For
+        integers ``A`` and ``q > 0``, ``A * q > T`` exactly when ``A > f =
+        T // q``, and ``A * q = T`` only when ``r = T % q`` is 0.  So ``e``
+        goes after every ``A > f`` and before every ``A < f``; among the
+        ``A = f`` it goes by id when ``r`` is 0 (ties to the smaller id)
+        and first otherwise, which ``""``, below every id, encodes."""
+        e, ranked, a, b, next_pass, a_stops, b_stops = entry
+        plan = self.plan
+        key_e = bid.numerator * plan.multiplier[e]
+        f, r = divmod(key_e * self._keys.scales[1], bid.denominator)
+        p = bisect_left(ranked, (-f, e if r == 0 else ""))
         if p >= len(a):  # A passes before e is tested
-            return Outcome(trace=tuple(a), **tail(a, len(a) - 1))
-        at = a[p]  # e's own budget test, as in BidKeys but at e's scale
+            return Outcome(trace=tuple(a), **self._stop(a_stops, a, len(a) - 1, budget))
+        # e's own budget test, as in BidKeys but at e's scale
+        at, den_e = a[p], bid.denominator * plan.lcm
         passed = at.weight * key_e * budget.denominator <= budget.numerator * den_e
         step = TraceStep(p + 1, None if passed else e, key_e, at.members, at.weight,
                          (plan.value_den, den_e))
         if passed:
-            return Outcome(trace=(*a[:p], step), **tail(a, p))
+            return Outcome(trace=(*a[:p], step), **self._stop(a_stops, a, p, budget))
         stop = next_pass[p]
-        fields = settle(plan, budget, b[p], step) if stop == p else tail(b, stop)
+        fields = settle(plan, budget, b[p], step) if stop == p else \
+            self._stop(b_stops, b, stop, budget)
         return Outcome(trace=(*a[:p], step, *b[p:stop + 1]), **fields)
+
+    def _stop(self, stops, chain, k, budget):
+        """The fields of a stop at ``chain[k]``, which read no bid of ``e``,
+        kept in the chain's ``stops``."""
+        if k not in stops:
+            stops[k] = settle(self.plan, budget, chain[k], chain[k - 1] if k else None)
+        return stops[k]
 
 
 def utility(inst, outcome, e):

@@ -480,15 +480,17 @@ def xos_objective(alpha, beta, gamma):
 
     The three branches are the heavy-single-element case and the two
     threshold cases; gamma is the sub-mechanism's approximation factor.
+    Every knob must be positive, else InputError.
     """
     # with alpha = A/a, beta = B/b, gamma = G/g the branches are, in order,
     # over the one denominator 32GAB: 16aGB, (A - a)gb and 2(AB - aB - 4Ab)g
     alpha, beta, gamma = map(as_rational, (alpha, beta, gamma))
     A, a, B, b = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
     G, g = gamma.numerator, gamma.denominator
-    den = 32 * G * A * B
+    if min(A, B, G) <= 0:
+        raise InputError("alpha, beta and gamma must be positive")
     branches = (16 * a * G * B, (A - a) * g * b, 2 * (A * B - a * B - 4 * A * b) * g)
-    return mpq(min(branches) if den > 0 else max(branches), den)
+    return mpq(min(branches), 32 * G * A * B)
 
 
 def optimize_constant(gamma):

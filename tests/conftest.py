@@ -41,13 +41,16 @@ MATROID_KINDS = ("uniform", "free", "partition", "graphic", "deadline", "explici
 
 
 @st.composite
-def matroids(draw, kind):
-    """Small matroid of ``kind`` over ids listed out of id order, with loops
-    (rank 0, capacity 0, self-loops) and parallel edges in reach."""
+def matroids(draw, kind, loops=False):
+    """Small matroid of ``kind`` over ids listed out of id order, with
+    parallel edges in reach, and with ``loops`` (rank 0, capacity 0,
+    self-loops) in reach too.  An ``Instance`` rejects a loop, so a draw for
+    a mechanism run leaves them out."""
+    least = 0 if loops else 1  # the least rank or capacity drawn
     n = draw(st.integers(1, 8))
     ids = [f"x{j}" for j in range(n)][::-1]
     if kind == "uniform":
-        return UniformMatroid(ids, draw(st.integers(0, n)))
+        return UniformMatroid(ids, draw(st.integers(least, n)))
     if kind == "free":
         return FreeMatroid(ids)
     if kind == "partition":
@@ -55,15 +58,17 @@ def matroids(draw, kind):
         blocks = []
         for label in sorted(set(labels)):
             members = {e for e, b in zip(ids, labels) if b == label}
-            blocks.append((members, draw(st.integers(0, len(members)))))
+            blocks.append((members, draw(st.integers(least, len(members)))))
         return PartitionMatroid(ids, blocks)
     if kind == "graphic":
         # three vertices: parallel edges are common, u == v is a self-loop
         ends = st.integers(0, 2)
-        return GraphicMatroid([(e, draw(ends), draw(ends)) for e in ids])
+        edges = [(e, draw(ends), draw(ends)) for e in ids]
+        return GraphicMatroid([(e, u, v if loops or v != u else (u + 1) % 3)
+                               for e, u, v in edges])
     if kind == "deadline":
         return DeadlineMatroid(ids, {e: draw(st.integers(1, n)) for e in ids})
-    base = draw(matroids(draw(st.sampled_from(MATROID_KINDS[:-1]))))
+    base = draw(matroids(draw(st.sampled_from(MATROID_KINDS[:-1])), loops))
     return ExplicitMatroid(base.ground, enumerate_independent_sets(base))
 
 
@@ -86,12 +91,13 @@ def bipartite_specs(draw):
 
 
 @st.composite
-def mixed_specs(draw):
-    """A matroid of any kind intersected with a partition matroid."""
-    base = draw(matroids(draw(st.sampled_from(MATROID_KINDS))))
+def mixed_specs(draw, loops=False):
+    """A matroid of any kind intersected with a partition matroid, with
+    loops of either in reach when ``loops``."""
+    base = draw(matroids(draw(st.sampled_from(MATROID_KINDS)), loops))
     labels = [draw(st.integers(0, 1)) for _ in base.ground]
     blocks = []
     for label in sorted(set(labels)):
         members = {e for e, b in zip(base.ground, labels) if b == label}
-        blocks.append((members, draw(st.integers(0, len(members)))))
+        blocks.append((members, draw(st.integers(0 if loops else 1, len(members)))))
     return IntersectionSpec([base, PartitionMatroid(base.ground, blocks)])

@@ -1005,6 +1005,29 @@ ERROR_BRANCHES = {
         ["run"], _run_doc({"kind": "partition", "blocks": [
             {"members": ["a", "b"], "capacity": -1}, {"members": ["c"], "capacity": 1}]}),
         2, "error: matroid: partition capacity must be nonnegative\n"),
+    # a loop of each kind that can hold one, and of one matroid of an intersection
+    "run-uniform-rank-zero": (
+        ["run"], _run_doc({"kind": "uniform", "rank": 0}), 2,
+        "error: element 'a' is a loop: no independent set holds it\n"),
+    "run-partition-capacity-zero": (
+        ["run"], _run_doc({"kind": "partition", "blocks": [
+            {"members": ["a", "c"], "capacity": 1}, {"members": ["b"], "capacity": 0}]}),
+        2, "error: element 'b' is a loop: no independent set holds it\n"),
+    "run-graphic-self-loop": (
+        ["run"], {"matroid": {"kind": "graphic", "edges": [["a", 0, 0], ["b", 0, 1],
+                                                           ["c", 1, 2]]},
+                  "budget": 3, "elements": [{"id": e, "weight": w, "cost": 1}
+                                            for e, w in (("a", 5), ("b", 1), ("c", 1))]},
+        2, "error: element 'a' is a loop: no independent set holds it\n"),
+    "run-explicit-unlisted-element": (
+        ["run"], _run_doc({"kind": "explicit", "independents": [["a"], ["b"]]}), 2,
+        "error: element 'c' is a loop: no independent set holds it\n"),
+    "run-greedy-intersection-with-a-loop": (
+        ["run", "--apx", "greedy"], _run_doc({"intersection": [
+            {"kind": "free"},
+            {"kind": "partition", "blocks": [{"members": ["a", "b"], "capacity": 1},
+                                             {"members": ["c"], "capacity": 0}]}]}),
+        2, "error: element 'c' is a loop: no independent set holds it\n"),
     "run-xos-beta-zero": (
         ["run", "--mechanism", "xos", "--beta", "0"], DOCUMENTS["run-xos"], 2,
         "error: beta must be positive\n"),

@@ -20,6 +20,7 @@ from budgetmech import (
 )
 from budgetmech.oracle import brute_force_max, enumerate_independent_sets
 from budgetmech.rationals import mpq
+from conftest import MATROID_KINDS, matroids, mixed_specs
 
 
 def triangle():
@@ -267,6 +268,16 @@ def test_extender_matches_the_oracle(data, n, kind):
         if grow.fits(e):
             grow.add(e)
             members.add(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure=st.one_of(*(matroids(kind, loops=True) for kind in MATROID_KINDS),
+                           mixed_specs(loops=True)))
+def test_loops_match_the_oracle_on_single_elements(structure):
+    """Second route for ``loops``, read off each description: an element is
+    a loop iff the oracle rejects it alone."""
+    assert structure.loops() == tuple(e for e in structure.ground
+                                      if not structure.is_independent({e}))
 
 
 def _draw_graph(data, ids):

@@ -97,7 +97,8 @@ def _subsets(ground):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), structure=st.one_of(
-    *(matroids(kind) for kind in MATROID_KINDS), bipartite_specs(), mixed_specs()))
+    *(matroids(kind, loops=True) for kind in MATROID_KINDS), bipartite_specs(),
+    mixed_specs(loops=True)))
 def test_oracles_match_a_naive_scan_with_the_written_tie_rule(data, structure):
     """Second route: a scan of ``combinations`` that applies the tie rule as
     written (value, then smaller cost for XOS, then the smaller sorted id

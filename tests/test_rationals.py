@@ -33,6 +33,8 @@ def test_moved_lists_the_changed_ids_in_ids_order():
     assert moved(bids, base, ["a", "b", "c"]) == ["a", "c"]
     assert moved(bids, base, ["b"]) == []  # ids outside the list are not read
     assert moved(bids, base, []) == []
+    # the pass stops at the second moved id: a third is not looked for
+    assert moved({**bids, "b": mpq(6)}, base, ["a", "b", "c"]) == ["a", "b"]
 
 
 def test_an_equal_bid_in_a_new_object_has_not_moved():
@@ -106,6 +108,17 @@ VALUE_ERRORS = {
                                 "gamma must be at least 1"),
     "rational_isqrt": (lambda: rational_isqrt(mpq(-1, 4)), ValueError,
                        "square root of a negative rational"),
+    "Instance budget zero": (lambda: Instance(_uniform(), ONE, ONE, ONE, 0), InputError,
+                             "budget must be positive"),
+    "Instance loop": (lambda: Instance(UniformMatroid(["a", "b"], 0), ONE, ONE, ONE, 5),
+                      InputError, "element 'a' is a loop: no independent set holds it"),
+    "xos_mechanism_main bid zero": (lambda: xos_mechanism_main(
+        _xos(), ONE, {**ONE, "b": 0}, 5, XosParams(**PARAMS)), InputError,
+        "bid of 'b' must lie in (0, budget]"),
+    "xos_objective knob zero": (lambda: xos_objective(218, 0, 4), InputError,
+                                "alpha, beta and gamma must be positive"),
+    "xos_objective knob negative": (lambda: xos_objective(218, mpq(9, 2), -4), InputError,
+                                    "alpha, beta and gamma must be positive"),
 }
 
 

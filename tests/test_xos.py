@@ -81,6 +81,15 @@ def test_partition_hand_example():
     assert val.value(s1) >= bound and val.value(s2) >= bound
 
 
+def test_partition_stops_at_a_prefix_equal_to_the_bound():
+    """The first half stops as soon as its value reaches the bound: at
+    alpha = 2 the bound is a quarter of 4, which ``a`` alone meets."""
+    val = single_clause({"a": 1, "b": 1, "c": 1, "d": 1})
+    s1, s2 = partition_halves(val, {"a", "b", "c", "d"}, 2)
+    assert val.value(s1) == 1 == (2 - 1) / (2 * mpq(2)) * 4
+    assert s1 == {"a"} and s2 == {"b", "c", "d"}
+
+
 def test_partition_precondition_violation_names_element():
     val = single_clause({"a": 5, "b": 1})
     with pytest.raises(InputError, match="'a'"):
@@ -337,16 +346,13 @@ def _textbook_objective(alpha, beta, gamma):
     )
 
 
-NONZERO_RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool),
-                              st.integers(1, 10**6))
+POSITIVE_RATIONALS = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
 
 
 @settings(max_examples=500, deadline=None)
-@given(NONZERO_RATIONALS, NONZERO_RATIONALS, NONZERO_RATIONALS)
+@given(POSITIVE_RATIONALS, POSITIVE_RATIONALS, POSITIVE_RATIONALS)
 @example(Fraction(218), Fraction(45184, 10000), Fraction(3))
 @example(Fraction(218), Fraction(9, 2), Fraction(4))
-@example(Fraction(-3), Fraction(1, 2), Fraction(-7))
-@example(Fraction(2), Fraction(-1, 3), Fraction(1))
 def test_objective_matches_the_textbook_minimum(alpha, beta, gamma):
     value = xos_objective(alpha, beta, gamma)
     assert value == _textbook_objective(alpha, beta, gamma)
@@ -355,9 +361,11 @@ def test_objective_matches_the_textbook_minimum(alpha, beta, gamma):
 
 @pytest.mark.parametrize("alpha, beta, gamma", [(0, 1, 1), (2, 0, 1), (2, 1, 0)])
 def test_objective_at_a_zero_knob_raises_as_the_textbook_minimum_does(alpha, beta, gamma):
+    """Where the textbook minimum divides by zero, ``xos_objective`` rejects
+    the knob before it divides, as it rejects a negative one."""
     with pytest.raises(ZeroDivisionError):
         _textbook_objective(alpha, beta, gamma)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(InputError, match="^alpha, beta and gamma must be positive$"):
         xos_objective(alpha, beta, gamma)
 
 

@@ -422,7 +422,6 @@ class OneBid:
     ``full``, and the last such answer is kept under its exact key, the
     level and the bids of ``ids``.  Bids and levels are compared by
     ``rationals.moved`` and ``same``: by identity first, then by value.
-    ``moved`` stops at a second moved bid, which no read can answer.
     """
 
     def __init__(self, ids, table, read):
@@ -523,12 +522,13 @@ class OneBidRunner:
         T // q``, and ``A * q = T`` only when ``r = T % q`` is 0.  So ``e``
         goes after every ``A > f`` and before every ``A < f``; among the
         ``A = f`` it goes by id when ``r`` is 0 (ties to the smaller id)
-        and first otherwise, which ``""``, below every id, encodes."""
+        and first otherwise, which the 1-tuple ``(-f,)`` encodes: it sorts
+        below every ``(-f, o)``, whatever the ids' type."""
         e, ranked, a, b, next_pass, a_stops, b_stops = entry
         plan = self.plan
         key_e = bid.numerator * plan.multiplier[e]
         f, r = divmod(key_e * self._keys.scales[1], bid.denominator)
-        p = bisect_left(ranked, (-f, e if r == 0 else ""))
+        p = bisect_left(ranked, (-f, e) if r == 0 else (-f,))
         if p >= len(a):  # A passes before e is tested
             return Outcome(trace=tuple(a), **self._stop(a_stops, a, len(a) - 1, budget))
         # e's own budget test, as in BidKeys but at e's scale

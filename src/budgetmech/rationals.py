@@ -43,15 +43,8 @@ def same(a, b):
 
 def moved(bids, base, ids):
     """The ids, in ``ids`` order, whose bid in ``bids`` differs from the one
-    in ``base``, up to the second: one pass that stops there.  Bids are
-    compared by identity first, then by value."""
-    found = []
-    for e in ids:
-        if (b := bids[e]) is not (b0 := base[e]) and b != b0:
-            found.append(e)
-            if len(found) == 2:
-                break
-    return found
+    in ``base``; bids are compared by identity first, then by value."""
+    return [e for e in ids if (b := bids[e]) is not (b0 := base[e]) and b != b0]
 
 
 def parse_rational(value, field="value"):

@@ -363,25 +363,18 @@ def _deviation_sweep(report, doc, ground, costs, truthful, run, probes):
     the outcome when ``e`` alone bids ``d``; ``probes(e)`` lists the bids
     tried for ``e``.  Elements go in ``ground`` order and each element's
     probes are drawn just before its runs, so the rng stream is fixed.
-
-    A deviation's utility is its payment, less the cost when ``e`` wins, so
-    it beats ``u_truth`` exactly when the payment beats a bar: ``u_truth +
-    cost`` for a winner, ``u_truth`` for a loser.  The bar is built once per
-    element and the utility only for a failure record.
     """
     for e in ground:
-        cost = costs[e]
-        u_truth = truthful.utility(e, cost)
-        bar = u_truth + cost
+        u_truth = truthful.utility(e, costs[e])
         for d in probes(e):
-            if d == cost:
+            if d == costs[e]:
                 continue
-            outcome = run(e, d)
-            if outcome.payment(e) > (bar if e in outcome.allocation else u_truth):
+            u_dev = run(e, d).utility(e, costs[e])
+            if u_dev > u_truth:
                 report.failures.append(
                     Failure("Truthful", report.mechanism, doc, element=e,
                             deviation=format_rational(d),
-                            observed=format_rational(outcome.utility(e, cost)),
+                            observed=format_rational(u_dev),
                             required=f"<= truthful utility {format_rational(u_truth)}")
                 )
     return report

@@ -555,6 +555,22 @@ def test_one_bid_answers_match_fresh_runs(mechanism, kind, data):
             full_runs.clear()
 
 
+def test_one_bid_answers_with_integer_ids_match_fresh_runs():
+    """The one-bid bisect needs no string ids.  Element 2 has
+    buck-per-bang 3; bidding 3 ties it exactly, and bidding 3 + 10^-9 lands
+    strictly between two integer keys, so the bisect's floor equals 2's key
+    with a nonzero remainder: the case that places 1 before every equal key
+    without reading an id."""
+    structure = UniformMatroid([3, 1, 2], 2)
+    inst = Instance(structure, {1: 1, 2: 1, 3: 2}, {1: 2, 2: 3, 3: 4},
+                    {1: 2, 2: 3, 3: 4}, 10)
+    runner = make_runner("matroid", inst)
+    assert runner(inst) == run_matroid_mechanism(inst)
+    for d in (mpq(3), mpq(3) + mpq(1, 10**9), mpq(3) - mpq(1, 10**9)):
+        deviated = inst.with_bid(1, d)
+        assert runner(deviated) == run_matroid_mechanism(deviated)
+
+
 def test_one_bid_reads_one_moved_bid_off_its_first_call():
     """``OneBid`` with counting hooks: its first call is the base for life,
     a call that moves one bid of its ids is a read off that element's entry,

@@ -33,8 +33,6 @@ def test_moved_lists_the_changed_ids_in_ids_order():
     assert moved(bids, base, ["a", "b", "c"]) == ["a", "c"]
     assert moved(bids, base, ["b"]) == []  # ids outside the list are not read
     assert moved(bids, base, []) == []
-    # the pass stops at the second moved id: a third is not looked for
-    assert moved({**bids, "b": mpq(6)}, base, ["a", "b", "c"]) == ["a", "b"]
 
 
 def test_an_equal_bid_in_a_new_object_has_not_moved():

@@ -14,7 +14,7 @@ size is capped accordingly.
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, takewhile
 from typing import Optional
 
 from .errors import CapExceeded, InputError
@@ -41,8 +41,6 @@ class XosValuation:
         ground_set = set(self.ground)
         if len(ground_set) != len(self.ground):
             raise InputError("duplicate element ids in ground set")
-        if not functions:
-            raise InputError("an XOS valuation needs at least one additive clause")
         self.functions = []
         for k, f in enumerate(functions):
             if set(f) != ground_set:
@@ -53,6 +51,8 @@ class XosValuation:
                     raise InputError(f"clause {k} value for {e!r} is negative")
             self.functions.append(clause)
         self.functions = tuple(self.functions)
+        if not self.functions:
+            raise InputError("an XOS valuation needs at least one additive clause")
 
     @property
     def num_clauses(self):
@@ -167,10 +167,10 @@ class XosOutcome(Payments):
     inner: Optional[Outcome] = None
 
 
-def _additive_subset_sums(values):
+def _additive_subset_sums(values, zero=ZERO):
     """Sum of every subset of ``values``, indexed by bitmask (bit j set when
-    ``values[j]`` is in the subset)."""
-    sums = [ZERO] * (1 << len(values))
+    ``values[j]`` is in the subset); the empty sum is ``zero``."""
+    sums = [zero] * (1 << len(values))
     for mask in range(1, 1 << len(values)):
         low = mask & (-mask)
         sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
@@ -184,93 +184,146 @@ def _value_table(valuation, ids):
     return [max(sums) for sums in zip(*clause_sums)]
 
 
+def _scaled(value):
+    """``(value, D, V)``: a v(S) table with its entries as integers ``V``
+    over their common denominator ``D`` (``scale_to_integers``), the form
+    every kernel reads."""
+    return (value, *scale_to_integers(value))
+
+
+def _bid_totals(bids):
+    """``(d, C)``: the rationals ``bids`` as integers over their common
+    denominator ``d``, and ``C``, the integer bid total of every subset by
+    bitmask, so a subset's bid total is ``C[mask] / d``."""
+    d, scaled = scale_to_integers(bids)
+    return d, _additive_subset_sums(scaled, 0)
+
+
 def _opt_value_under_budget(cost, value, budget):
-    """max v(S) over the subsets with bid total at most ``budget``."""
-    return max(v for c, v in zip(cost, value) if c <= budget)
+    """max v(S) over the subsets with bid total at most ``budget``, as the
+    table's entry at the first bitmask of that value.  On integers: ``C <=
+    floor(budget * d)``."""
+    d, C = cost
+    table, _, V = value
+    limit = budget.numerator * d // budget.denominator
+    return table[V.index(max(compress(V, map(limit.__ge__, C))))]
 
 
 def _one_bid_optima(ids, cost, value, budget):
-    """For each element j of ``ids``, ``(without, costs, best)``: the max
-    v(S) over the subsets without j with bid total at most ``budget``; the
-    bid totals of the subsets with j, ascending; and ``best[k]``, the max
-    v(S) over the first k + 1 of them.  Changing j's bid alone by D moves
-    every total with j by D and no other, so the optimum under ``budget`` is
-    the larger of ``without`` and ``best[k - 1]``, k = bisect_right(costs,
-    budget - D) (``without`` alone when k is 0).  O(k 2^k) for k ids."""
-    table = []
+    """For each element j of ``ids``, ``(without, costs, best, bid, d,
+    first)``: the max integer value V over the subsets without j with bid
+    total at most ``budget``; the integer bid totals of the subsets with j,
+    ascending; ``best[k]``, the max V over the first k + 1 of them; j's bid
+    as an integer over the bid scale ``d``; and ``first``, which maps each V
+    to the table's entry at the first bitmask of that value.  Changing j's
+    bid alone by D moves every total with j by D and no other, so the
+    optimum under ``budget`` is the larger of ``without`` and ``best[k -
+    1]``, k = bisect_right(costs, (budget - D) * d) (``without`` alone when
+    k is 0).  O(k 2^k) for k ids."""
+    d, C = cost
+    table, _, V = value
+    limit = budget.numerator * d // budget.denominator
+    first = dict(zip(reversed(V), reversed(table)))
+    rows = []
     for j in range(len(ids)):
         bit = 1 << j
-        without = max(v for m, (c, v) in enumerate(zip(cost, value))
-                      if not m & bit and c <= budget)
-        pairs = sorted((c, v) for m, (c, v) in enumerate(zip(cost, value)) if m & bit)
+        without = max(v for m, (c, v) in enumerate(zip(C, V)) if not m & bit and c <= limit)
+        pairs = sorted((c, v) for m, (c, v) in enumerate(zip(C, V)) if m & bit)
         best = list(accumulate((v for _, v in pairs), max))
-        table.append((without, [c for c, _ in pairs], best))
-    return table
+        rows.append((without, [c for c, _ in pairs], best, C[bit], d, first))
+    return rows
 
 
 def _optimum_at_shift(entry, budget, bid, base_bid):
     """The optimum under ``budget`` once j's bid moves from ``base_bid`` to
-    ``bid``, read off j's ``_one_bid_optima`` entry."""
-    without, costs, best = entry
-    k = bisect_right(costs, budget - (bid - base_bid))
-    return max(without, best[k - 1]) if k else without
+    ``bid``, read off j's ``_one_bid_optima`` entry.  A total C with j fits
+    when C + (bid - base_bid) * d <= budget * d; times q * b, the
+    denominators of the new bid and the budget, that is a test of C against
+    one integer floor."""
+    without, costs, best, base, d, first = entry
+    q, b = bid.denominator, budget.denominator
+    k = bisect_right(costs, (budget.numerator * d * q + (base * q - bid.numerator * d) * b)
+                     // (q * b))
+    return first[max(without, best[k - 1]) if k else without]
+
+
+def _ranks(cost, value, threshold):
+    """``(slope, ranks)``: an iterator over the rank ``(K, C)`` of every
+    subset by bitmask, the smaller the better in the surplus order.  ``C``
+    is the integer bid total of ``_bid_totals`` over its scale d, and K =
+    (threshold * bids(S) - v(S)) * t_den * d * D = slope * C - t_den * d *
+    V, where threshold = t_num / t_den, v(S) = V / D (``_scaled``) and slope
+    = t_num * D.  The ranks are made lazily: a list of 2^k tuples held next
+    to the rational tables fragments the allocator's arenas and raises the
+    process's peak memory."""
+    d, C = cost
+    _, D, V = value
+    slope, scale = threshold.numerator * D, threshold.denominator * d
+    return slope, zip((slope * c - scale * v for c, v in zip(C, V)), C)
+
+
+def _members(ids, mask):
+    """The id tuple of ``mask``, in ``ids`` order."""
+    return tuple(e for j, e in enumerate(ids) if mask >> j & 1)
 
 
 def _argmax_surplus(ids, cost, value, threshold):
     """argmax over subsets of ``ids`` of v(S) - threshold * bids(S).
 
     Ties: smaller bid total, then lexicographically smallest id set.  The
-    empty set (objective 0, cost 0) is always a candidate.
+    empty set (objective 0, cost 0) is always a candidate.  The order is
+    the least rank of ``_ranks``, then the smaller id tuple, found in two
+    lazy passes over the ranks.
     """
-    best_obj, best_cost = ZERO, ZERO
-    best_ids = ()
-    for mask in range(1, 1 << len(ids)):
-        obj = value[mask] - threshold * cost[mask]
-        if obj < best_obj:
-            continue
-        mask_ids = tuple(ids[j] for j in range(len(ids)) if mask >> j & 1)
-        if (
-            obj > best_obj
-            or cost[mask] < best_cost
-            or (cost[mask] == best_cost and mask_ids < best_ids)
-        ):
-            best_obj, best_cost, best_ids = obj, cost[mask], mask_ids
-    return frozenset(best_ids)
+    best = min(_ranks(cost, value, threshold)[1])
+    _, ranks = _ranks(cost, value, threshold)
+    return frozenset(min(_members(ids, m) for m, r in enumerate(ranks) if r == best))
 
 
 def _class_winners(ids, cost, value, threshold):
-    """For each element e of ``ids``, the best subset with e and the best
-    without e (the empty set included) in ``_argmax_surplus``'s order, each
-    as its rank (threshold * bids(S) - v(S), bids(S), id tuple): the smaller
-    rank is the better set.  Changing e's bid alone by D adds
-    (threshold * D, D) to the rank of every set with e, so both stay the
-    best of their class.  O(k 2^k) for k ids."""
-    deficit = [threshold * c - v for c, v in zip(cost, value)]
-    _, scaled = scale_to_integers(deficit)  # so the sort compares integers
-    ranked = sorted(
-        (k, d, c, tuple(e for j, e in enumerate(ids) if m >> j & 1), m)
-        for m, (k, d, c) in enumerate(zip(scaled, deficit, cost)))
-    return [tuple(next(r[1:4] for r in ranked if (r[4] >> j & 1) == side) for side in (1, 0))
+    """For each element e of ``ids``, ``(inn, out, bid, d, slope)``: the
+    best subset with e and the best without e (the empty set included) in
+    ``_argmax_surplus``'s order, each as its rank ``(K, C, id tuple)``
+    (``_ranks``), so the smaller rank is the better set; e's bid as an
+    integer over the bid scale d; and the slope of K in C.  Changing e's
+    bid alone by D adds (slope, 1) * D * d to the rank of every set with e,
+    so both stay the best of their class.  O(k 2^k) for k ids."""
+    d, C = cost
+    slope, ranks = _ranks(cost, value, threshold)
+    ranks = list(ranks)
+    order = sorted(range(len(ranks)), key=ranks.__getitem__)
+
+    def winner(bit, side):
+        i = next(i for i, m in enumerate(order) if bool(m & bit) is side)
+        best = ranks[order[i]]
+        tied = takewhile(lambda m: ranks[m] == best, order[i:])
+        return (*best, min(_members(ids, m) for m in tied if bool(m & bit) is side))
+
+    return [(winner(1 << j, True), winner(1 << j, False), C[1 << j], d, slope)
             for j in range(len(ids))]
 
 
 def _argmax_at_shift(entry, threshold, bid, base_bid):
     """The surplus argmax at ``threshold`` once e's bid moves from
-    ``base_bid`` to ``bid``, read off e's ``_class_winners`` entry."""
-    (deficit, cost, ids), out = entry
-    shift = bid - base_bid
-    return frozenset(min((deficit + threshold * shift, cost + shift, ids), out)[2])
+    ``base_bid`` to ``bid``, read off e's ``_class_winners`` entry: both
+    ranks over the new bid's denominator q, where the move is (bid -
+    base_bid) * d * q on integers."""
+    (deficit, cost, ids), out, base, d, slope = entry
+    q = bid.denominator
+    shift = bid.numerator * d - base * q
+    return frozenset(min((deficit * q + slope * shift, cost * q + shift, ids),
+                         (out[0] * q, out[1] * q, out[2]))[2])
 
 
 def _half(ids, rows, read):
     """A ``OneBid`` over ``ids`` whose entries are the rows of ``rows(cost,
-    level)``, the half's one-bid table at the base's bid totals by subset
-    bitmask, built whole when the first entry is asked for."""
+    level)``, the half's one-bid table at the base's bid totals
+    (``_bid_totals``), built whole when the first entry is asked for."""
     built = {}
 
     def table(e, level, bids):
         if not built:
-            built.update(zip(ids, rows(_additive_subset_sums([bids[o] for o in ids]), level)))
+            built.update(zip(ids, rows(_bid_totals([bids[o] for o in ids]), level)))
         return built[e]
 
     return OneBid(ids, table, read)
@@ -320,11 +373,13 @@ class XosPlan:
     The coin tape is drawn from ``params.seed`` alone, so the branch coin
     (``take_max_element``), the split ``t1``/``t2`` (ids sorted in
     ``t1_ids``/``t2_ids``), the max-element winner ``star`` and the v(S)
-    tables of both halves (``t1_value``, ``t2_value``; ``_value_table``)
-    read no bid.  The tables are built only on the sampling branch, where a
-    run reads them; on the max-element branch they are None.  The kernels
-    are pure functions of the tables (``cost`` and ``value`` by subset
-    bitmask), read as module globals at call time.
+    tables of both halves (``t1_value``, ``t2_value``: each ``_value_table``
+    with its integers over their common denominator, ``_scaled``) read no
+    bid.  The tables are built only on the sampling branch, where a run
+    reads them; on the max-element branch they are None.  The kernels are
+    pure functions of the tables (``cost``, the integer bid totals of
+    ``_bid_totals``, and ``value`` by subset bitmask) that compare integers
+    only, read as module globals at call time.
 
     Each half reads only its own bids, so each is a ``mechanisms.OneBid``
     whose base is the first run through the plan: T1's optimum under the
@@ -359,8 +414,8 @@ class XosPlan:
         if self.take_max_element:
             self.star = min(ground, key=lambda e: (-valuation.value(frozenset([e])), e))
         else:
-            self.t1_value = _value_table(valuation, t1_ids)
-            self.t2_value = _value_table(valuation, t2_ids)
+            self.t1_value = _scaled(_value_table(valuation, t1_ids))
+            self.t2_value = _scaled(_value_table(valuation, t2_ids))
         t1_value, t2_value = self.t1_value, self.t2_value
         self._t1 = _half(t1_ids, lambda c, b: _one_bid_optima(t1_ids, c, t1_value, b),
                          _optimum_at_shift)
@@ -373,7 +428,7 @@ class XosPlan:
     def t1_optimum(self, bids, budget):
         """max v(S) over S within T1 with bid total at most ``budget``."""
         return self._t1(bids, budget, lambda: _opt_value_under_budget(
-            _additive_subset_sums([bids[e] for e in self.t1_ids]), self.t1_value, budget))
+            _bid_totals([bids[e] for e in self.t1_ids]), self.t1_value, budget))
 
     def threshold(self, t1_optimum, budget, beta):
         """``t1_optimum / (beta * budget)``, kept under the three objects it
@@ -387,19 +442,20 @@ class XosPlan:
     def t2_argmax(self, bids, threshold):
         """``_argmax_surplus`` over T2."""
         return self._t2(bids, threshold, lambda: _argmax_surplus(
-            self.t2_ids, _additive_subset_sums([bids[e] for e in self.t2_ids]),
-            self.t2_value, threshold))
+            self.t2_ids, _bid_totals([bids[e] for e in self.t2_ids]), self.t2_value, threshold))
 
     def t2_breakpoints(self):
         """Bid level of each T2 element above which the surplus argmax at the
         first run's T2 bids and threshold leaves it out and below which it
         keeps it, read off the ``_class_winners`` table there; empty before
         a run has reached T2 and unless that threshold is positive."""
-        if self._t2.base is None or self._t2.base[0] <= 0:
+        if self._t2.base is None or self._t2.base[0].numerator <= 0:
             return {}
-        threshold, bids, _ = self._t2.base
-        return {e: (out[0] - inn[0]) / threshold + bids[e]
-                for e, (inn, out) in zip(self.t2_ids, map(self._t2.entry, self.t2_ids))}
+        # the rank with e gains slope in K per unit of C, so the two ranks'
+        # K meet (K_out - K_in) / slope above e's bid, both over d
+        entries = map(self._t2.entry, self.t2_ids)
+        return {e: mpq(bid * slope + out[0] - inn[0], slope * d)
+                for e, (inn, out, bid, d, slope) in zip(self.t2_ids, entries)}
 
     def chosen(self, s_star):
         """The ``_ChosenSet`` of the chosen T2 set ``s_star``."""

@@ -2,8 +2,13 @@
 
 import ast
 import pathlib
+from fractions import Fraction
+
+import pytest
 
 import budgetmech
+from budgetmech import XosParams, XosPlan, XosValuation, xos
+from budgetmech.rationals import mpq
 
 SOURCE = pathlib.Path(budgetmech.__file__).parent
 
@@ -114,6 +119,79 @@ def test_the_guard_sees_a_float(tmp_path):
                       "half = 0.5\n"
                       "exact = Fraction('1.5'), 3 // 2\n")
     assert _floats(module) == [(1, "float('inf')"), (2, "0.5")]
+
+
+class RationalArithmetic(AssertionError):
+    """A guarded rational took part in arithmetic or a comparison."""
+
+
+class _Guarded(Fraction):
+    """A rational whose arithmetic and comparison operators raise: code
+    handed one may read its numerator and denominator only."""
+
+
+def _refuse(self, *args):
+    raise RationalArithmetic(f"arithmetic on {self.numerator}/{self.denominator}")
+
+
+for _name in ("lt", "le", "gt", "ge", "eq", "ne", "neg", "pos", "abs", "trunc", "floor",
+              "ceil", "round", *(f"{r}{op}" for op in ("add", "sub", "mul", "truediv",
+                                                       "floordiv", "mod", "divmod", "pow")
+                                 for r in ("", "r"))):
+    setattr(_Guarded, f"__{_name}__", _refuse)
+
+
+def _scoring_answers(bids, budget, threshold, moves):
+    """Every answer of the XOS scoring kernels and their one-bid reads over
+    three elements whose values and bids mix denominators: the T1 optimum
+    and the T2 argmax, in full and through a plan; both one-bid tables,
+    each element's reads at each bid of ``moves``; and the plan's
+    membership breakpoints."""
+    ids = ["e0", "e1", "e2"]
+    valuation = XosValuation(ids, [{"e0": mpq(1), "e1": mpq(2, 3), "e2": mpq(0)},
+                                   {"e0": mpq(1, 5), "e1": mpq(0), "e2": mpq(5, 3)}])
+    value = xos._scaled(xos._value_table(valuation, ids))
+    cost = xos._bid_totals([bids[e] for e in ids])
+    optima = xos._one_bid_optima(ids, cost, value, budget)
+    winners = xos._class_winners(ids, cost, value, threshold)
+    answers = [xos._opt_value_under_budget(cost, value, budget),
+               xos._argmax_surplus(ids, cost, value, threshold), optima, winners]
+    for e, t1_entry, t2_entry in zip(ids, optima, winners):
+        for bid in moves:
+            answers.append(xos._optimum_at_shift(t1_entry, budget, bid, bids[e]))
+            answers.append(xos._argmax_at_shift(t2_entry, threshold, bid, bids[e]))
+    params = dict(alpha=218, beta=mpq(9, 2), gamma=4)
+    t1_plan = XosPlan(valuation, XosParams(seed=1, **params))  # every element in T1
+    t2_plan = XosPlan(valuation, XosParams(seed=16, **params))  # every element in T2
+    answers.append(t1_plan.t1_optimum(bids, budget))
+    answers.append(t2_plan.t2_argmax(bids, threshold))
+    answers.append(t2_plan.t2_breakpoints())
+    assert t1_plan.t1_ids == t2_plan.t2_ids == ids and answers[-1]
+    return answers
+
+
+def test_the_xos_scoring_kernels_do_no_rational_arithmetic():
+    """The kernels score every subset on integers: handed bids, a budget
+    and a threshold that refuse arithmetic, they read numerators and
+    denominators only, and give what they give on plain rationals."""
+    case = [{"e0": (1, 2), "e1": (1, 3), "e2": (5, 6)}, (5, 6), (1, 2),
+            [(1, 7), (2, 3), (5, 6), (3, 2)]]
+
+    def answers(kind):
+        bids, budget, threshold, moves = case
+        return _scoring_answers({e: kind(*b) for e, b in bids.items()}, kind(*budget),
+                                kind(*threshold), [kind(*b) for b in moves])
+
+    assert answers(_Guarded) == answers(mpq)
+
+
+def test_the_guard_sees_rational_arithmetic():
+    budget, bid, base_bid = _Guarded(5, 6), _Guarded(1, 7), _Guarded(1, 2)
+    with pytest.raises(RationalArithmetic):
+        budget - (bid - base_bid)
+    with pytest.raises(RationalArithmetic):
+        bid <= budget
+    assert (bid.numerator, bid.denominator) == (1, 7)
 
 
 def _identity_then_value(path):

@@ -32,6 +32,14 @@ from .errors import InputError
 from .rationals import ZERO, is_int, scale_to_integers
 
 
+def _integer(value, what):
+    """``value`` if it is an integer (a bool is not one), as in files: a
+    rank, capacity or deadline is never truncated."""
+    if not is_int(value):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class Matroid:
     """Base class: a ground list plus an independence oracle."""
 
@@ -93,10 +101,10 @@ class UniformMatroid(Matroid):
     kind = "uniform"
 
     def __init__(self, ground, rank):
+        self.rank = _integer(rank, "uniform rank")
         super().__init__(ground)
         if rank < 0:
             raise InputError("uniform rank must be nonnegative")
-        self.rank = int(rank)
 
     def _independent(self, s):
         return len(s) <= self.rank
@@ -139,8 +147,9 @@ class PartitionMatroid(Matroid):
     kind = "partition"
 
     def __init__(self, ground, blocks):
+        self.blocks = tuple((frozenset(members), _integer(cap, "partition capacity"))
+                            for members, cap in blocks)
         super().__init__(ground)
-        self.blocks = tuple((frozenset(members), int(cap)) for members, cap in blocks)
         seen = set()
         for members, cap in self.blocks:
             if cap < 0:
@@ -248,10 +257,12 @@ class DeadlineMatroid(Matroid):
     kind = "deadline"
 
     def __init__(self, ground, deadlines):
+        for e, d in deadlines.items():
+            _integer(d, f"deadline of {e!r}")
         super().__init__(ground)
         if set(deadlines) != self._ground_set:
             raise InputError("deadline map must cover the ground set exactly")
-        self.deadlines = {e: int(deadlines[e]) for e in self.ground}
+        self.deadlines = {e: deadlines[e] for e in self.ground}
         for e, d in self.deadlines.items():
             if d < 1:
                 raise InputError(f"deadline of {e!r} must be at least 1")
@@ -515,13 +526,6 @@ class _SlackSlots:
             self.last_tight = t
 
 
-def _json_int(value, what):
-    """``value`` if it is a JSON integer (a bool is not one)."""
-    if not is_int(value):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _json_ids(value, what):
     """``value`` if it is a list of element ids (strings)."""
     if not isinstance(value, list) or not all(isinstance(e, str) for e in value):
@@ -554,18 +558,17 @@ def matroid_from_json(obj, ground):
         raise InputError("matroid spec must be an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "uniform":
-        return UniformMatroid(ground, _json_int(obj.get("rank"), "uniform rank"))
+        return UniformMatroid(ground, obj.get("rank"))
     if kind == "free":
         return FreeMatroid(ground)
     if kind == "partition":
         blocks = _json_list(obj, "blocks", kind)
         if not all(isinstance(b, dict) for b in blocks):
             raise InputError("partition blocks must be objects")
-        return PartitionMatroid(ground, [
-            (_json_ids(b.get("members"), "partition members"),
-             _json_int(b.get("capacity"), "partition capacity"))
+        return PartitionMatroid(ground, (
+            (_json_ids(b.get("members"), "partition members"), b.get("capacity"))
             for b in blocks
-        ])
+        ))
     if kind == "graphic":
         m = GraphicMatroid([_json_edge(edge) for edge in _json_list(obj, "edges", kind)])
         if m.ground != tuple(ground):
@@ -575,8 +578,7 @@ def matroid_from_json(obj, ground):
         deadlines = obj.get("deadlines")
         if not isinstance(deadlines, dict):
             raise InputError("deadline matroid needs an object 'deadlines'")
-        return DeadlineMatroid(ground, {e: _json_int(d, f"deadline of {e!r}")
-                                        for e, d in deadlines.items()})
+        return DeadlineMatroid(ground, deadlines)
     if kind == "explicit":
         return ExplicitMatroid(ground, [_json_ids(s, "explicit independent set")
                                         for s in _json_list(obj, "independents", kind)])

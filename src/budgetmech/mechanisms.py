@@ -417,8 +417,7 @@ class OneBid:
     and the bids of ``ids``.  The first call runs ``full`` and is the base
     for the object's life.  A later call at the base's level that moves no
     bid of ``ids`` gets the base answer, and one that moves one bid ``e`` is
-    ``read(entry(e), level, bid, base_bid)``; ``entry(e)`` is built by
-    ``table(e, level, base_bids)`` when first needed.  Any other call runs
+    ``read(entries()[e], level, bid, base_bid)``.  Any other call runs
     ``full``, and the last such answer is kept under its exact key, the
     level and the bids of ``ids``.  Bids and levels are compared by
     ``rationals.moved`` and ``same``: by identity first, then by value.
@@ -427,7 +426,7 @@ class OneBid:
     def __init__(self, ids, table, read):
         self.ids, self._table, self._read = ids, table, read
         self.base = None  # (level, bids of ids, answer) of the first call
-        self._entries = {}
+        self._rows = None
         self._last = (None, None), None
 
     def __call__(self, bids, level, full):
@@ -440,24 +439,26 @@ class OneBid:
                 return answer
             if len(changed) == 1:
                 e = changed[0]
-                return self._read(self.entry(e), level, bids[e], base_bids[e])
+                return self._read(self.entries()[e], level, bids[e], base_bids[e])
         key = level, [bids[e] for e in self.ids]
         if key != self._last[0]:
             self._last = key, full()
         return self._last[1]
 
-    def entry(self, e):
-        """``e``'s entry at the base, built when first asked for."""
-        if e not in self._entries:
+    def entries(self):
+        """Every id's entry at the base, ``table(level, base_bids)``, a dict
+        by id built whole when first asked for."""
+        if self._rows is None:
             level, bids, _ = self.base
-            self._entries[e] = self._table(e, level, bids)
-        return self._entries[e]
+            self._rows = self._table(level, bids)
+        return self._rows
 
 
 class OneBidRunner:
     """Runs a threshold mechanism on bid variants of one instance through
     ``one``, a ``OneBid`` over ``plan.rest`` at the budget (tau's bid is
-    never read) whose entries are each element's two removal chains.
+    never read) whose entries are each element's two removal chains, all
+    built at the first one-bid call.
 
     ``run(inst)`` is the full mechanism on ``plan``, whose ``walk`` gives
     the chains too; a caller that holds bids and a budget rather than an
@@ -484,32 +485,34 @@ class OneBidRunner:
 
     def __init__(self, plan, run=None):
         self._run, self.plan = run, plan
-        self._keys = None  # the base's BidKeys, built with the first chains
+        self._keys = None  # the base's BidKeys, built with the chains
         self.one = OneBid(plan.rest, self._build, self._answer)
 
     def __call__(self, inst):
         return self.one(inst.bids, inst.budget, lambda: self._run(inst))
 
-    def _build(self, e, budget, bids):
-        """``e``'s two chains as trace steps, ``A`` up to its first passing
-        test and ``B`` up to its first passing test at or after that index,
-        and for each ``k`` the index of ``B``'s first passing test from ``k``
-        on.  ``ranked`` holds ``(-key[o] * lcm, o)`` for each ``o`` in ``O``,
-        ascending, and the two dicts keep the fields of the stops on ``A``
-        and on ``B`` that read no bid of ``e``, settled when first reached."""
-        if self._keys is None:
-            self._keys = BidKeys(bids, budget, self.plan)
-        keys, plan = self._keys, self.plan
-        others = [o for o in keys.order if o != e]
-        ranked = [(-keys.key[o] * plan.lcm, o) for o in others]
-        a = keys.steps(plan.walk([plan.tau, *others]), others)
-        walk = plan.walk([plan.tau, e, *others])
-        next(walk)  # tau alone has left: that is A_0
-        b = keys.steps(walk, others, iteration=2, until=len(a) - 1)
-        next_pass = [len(b) - 1] * len(b)
-        for k in range(len(b) - 2, -1, -1):
-            next_pass[k] = k if b[k].removed is None else next_pass[k + 1]
-        return e, ranked, a, b, next_pass, {}, {}
+    def _build(self, budget, bids):
+        """Every element's two chains as trace steps, by id, at the base's
+        ``BidKeys``: ``A`` up to its first passing test and ``B`` up to its
+        first passing test at or after that index, and for each ``k`` the
+        index of ``B``'s first passing test from ``k`` on.  ``ranked`` holds
+        ``(-key[o] * lcm, o)`` for each ``o`` in ``O``, ascending, and the
+        two dicts keep the fields of the stops on ``A`` and on ``B`` that
+        read no bid of ``e``, settled when first reached."""
+        self._keys = keys = BidKeys(bids, budget, self.plan)
+        plan, table = self.plan, {}
+        for e in plan.rest:
+            others = [o for o in keys.order if o != e]
+            ranked = [(-keys.key[o] * plan.lcm, o) for o in others]
+            a = keys.steps(plan.walk([plan.tau, *others]), others)
+            walk = plan.walk([plan.tau, e, *others])
+            next(walk)  # tau alone has left: that is A_0
+            b = keys.steps(walk, others, iteration=2, until=len(a) - 1)
+            next_pass = [len(b) - 1] * len(b)
+            for k in range(len(b) - 2, -1, -1):
+                next_pass[k] = k if b[k].removed is None else next_pass[k + 1]
+            table[e] = e, ranked, a, b, next_pass, {}, {}
+        return table
 
     def _answer(self, entry, budget, bid, _base_bid):
         """The outcome when ``e`` bids ``bid``.

@@ -184,13 +184,6 @@ def _value_table(valuation, ids):
     return [max(sums) for sums in zip(*clause_sums)]
 
 
-def _scaled(value):
-    """``(value, D, V)``: a v(S) table with its entries as integers ``V``
-    over their common denominator ``D`` (``scale_to_integers``), the form
-    every kernel reads."""
-    return (value, *scale_to_integers(value))
-
-
 def _bid_totals(bids):
     """``(d, C)``: the rationals ``bids`` as integers over their common
     denominator ``d``, and ``C``, the integer bid total of every subset by
@@ -200,51 +193,49 @@ def _bid_totals(bids):
 
 
 def _opt_value_under_budget(cost, value, budget):
-    """max v(S) over the subsets with bid total at most ``budget``, as the
-    table's entry at the first bitmask of that value.  On integers: ``C <=
-    floor(budget * d)``."""
+    """max V over the subsets with bid total at most ``budget``, for a v(S)
+    table ``value = (D, V)`` of integers over their common denominator D,
+    so the optimum is V / D.  On integers: ``C <= floor(budget * d)``."""
     d, C = cost
-    table, _, V = value
+    _, V = value
     limit = budget.numerator * d // budget.denominator
-    return table[V.index(max(compress(V, map(limit.__ge__, C))))]
+    return max(compress(V, map(limit.__ge__, C)))
 
 
 def _one_bid_optima(ids, cost, value, budget):
-    """For each element j of ``ids``, ``(without, costs, best, bid, d,
-    first)``: the max integer value V over the subsets without j with bid
-    total at most ``budget``; the integer bid totals of the subsets with j,
-    ascending; ``best[k]``, the max V over the first k + 1 of them; j's bid
-    as an integer over the bid scale ``d``; and ``first``, which maps each V
-    to the table's entry at the first bitmask of that value.  Changing j's
-    bid alone by D moves every total with j by D and no other, so the
-    optimum under ``budget`` is the larger of ``without`` and ``best[k -
-    1]``, k = bisect_right(costs, (budget - D) * d) (``without`` alone when
-    k is 0).  O(k 2^k) for k ids."""
+    """For each element j of ``ids``, by id, ``(without, costs, best, bid,
+    d)``: the max integer value V over the subsets without j with bid total
+    at most ``budget``; the integer bid totals of the subsets with j,
+    ascending; ``best[k]``, the max V over the first k + 1 of them; and j's
+    bid as an integer over the bid scale ``d``.  Changing j's bid alone by
+    D moves every total with j by D and no other, so the optimum under
+    ``budget`` is the larger of ``without`` and ``best[k - 1]``, k =
+    bisect_right(costs, (budget - D) * d) (``without`` alone when k is 0).
+    O(k 2^k) for k ids."""
     d, C = cost
-    table, _, V = value
+    _, V = value
     limit = budget.numerator * d // budget.denominator
-    first = dict(zip(reversed(V), reversed(table)))
-    rows = []
-    for j in range(len(ids)):
+    rows = {}
+    for j, e in enumerate(ids):
         bit = 1 << j
         without = max(v for m, (c, v) in enumerate(zip(C, V)) if not m & bit and c <= limit)
         pairs = sorted((c, v) for m, (c, v) in enumerate(zip(C, V)) if m & bit)
         best = list(accumulate((v for _, v in pairs), max))
-        rows.append((without, [c for c, _ in pairs], best, C[bit], d, first))
+        rows[e] = without, [c for c, _ in pairs], best, C[bit], d
     return rows
 
 
 def _optimum_at_shift(entry, budget, bid, base_bid):
-    """The optimum under ``budget`` once j's bid moves from ``base_bid`` to
-    ``bid``, read off j's ``_one_bid_optima`` entry.  A total C with j fits
-    when C + (bid - base_bid) * d <= budget * d; times q * b, the
-    denominators of the new bid and the budget, that is a test of C against
-    one integer floor."""
-    without, costs, best, base, d, first = entry
+    """The integer optimum V under ``budget`` once j's bid moves from
+    ``base_bid`` to ``bid``, read off j's ``_one_bid_optima`` entry.  A
+    total C with j fits when C + (bid - base_bid) * d <= budget * d; times
+    q * b, the denominators of the new bid and the budget, that is a test
+    of C against one integer floor."""
+    without, costs, best, base, d = entry
     q, b = bid.denominator, budget.denominator
     k = bisect_right(costs, (budget.numerator * d * q + (base * q - bid.numerator * d) * b)
                      // (q * b))
-    return first[max(without, best[k - 1]) if k else without]
+    return max(without, best[k - 1]) if k else without
 
 
 def _ranks(cost, value, threshold):
@@ -252,12 +243,12 @@ def _ranks(cost, value, threshold):
     subset by bitmask, the smaller the better in the surplus order.  ``C``
     is the integer bid total of ``_bid_totals`` over its scale d, and K =
     (threshold * bids(S) - v(S)) * t_den * d * D = slope * C - t_den * d *
-    V, where threshold = t_num / t_den, v(S) = V / D (``_scaled``) and slope
-    = t_num * D.  The ranks are made lazily: a list of 2^k tuples held next
-    to the rational tables fragments the allocator's arenas and raises the
-    process's peak memory."""
+    V, where threshold = t_num / t_den, v(S) = V / D (``value = (D, V)``)
+    and slope = t_num * D.  The ranks are made lazily: a list of 2^k tuples
+    fragments the allocator's arenas and raises the process's peak
+    memory."""
     d, C = cost
-    _, D, V = value
+    D, V = value
     slope, scale = threshold.numerator * D, threshold.denominator * d
     return slope, zip((slope * c - scale * v for c, v in zip(C, V)), C)
 
@@ -281,9 +272,9 @@ def _argmax_surplus(ids, cost, value, threshold):
 
 
 def _class_winners(ids, cost, value, threshold):
-    """For each element e of ``ids``, ``(inn, out, bid, d, slope)``: the
-    best subset with e and the best without e (the empty set included) in
-    ``_argmax_surplus``'s order, each as its rank ``(K, C, id tuple)``
+    """For each element e of ``ids``, by id, ``(inn, out, bid, d, slope)``:
+    the best subset with e and the best without e (the empty set included)
+    in ``_argmax_surplus``'s order, each as its rank ``(K, C, id tuple)``
     (``_ranks``), so the smaller rank is the better set; e's bid as an
     integer over the bid scale d; and the slope of K in C.  Changing e's
     bid alone by D adds (slope, 1) * D * d to the rank of every set with e,
@@ -299,8 +290,8 @@ def _class_winners(ids, cost, value, threshold):
         tied = takewhile(lambda m: ranks[m] == best, order[i:])
         return (*best, min(_members(ids, m) for m in tied if bool(m & bit) is side))
 
-    return [(winner(1 << j, True), winner(1 << j, False), C[1 << j], d, slope)
-            for j in range(len(ids))]
+    return {e: (winner(1 << j, True), winner(1 << j, False), C[1 << j], d, slope)
+            for j, e in enumerate(ids)}
 
 
 def _argmax_at_shift(entry, threshold, bid, base_bid):
@@ -313,20 +304,6 @@ def _argmax_at_shift(entry, threshold, bid, base_bid):
     shift = bid.numerator * d - base * q
     return frozenset(min((deficit * q + slope * shift, cost * q + shift, ids),
                          (out[0] * q, out[1] * q, out[2]))[2])
-
-
-def _half(ids, rows, read):
-    """A ``OneBid`` over ``ids`` whose entries are the rows of ``rows(cost,
-    level)``, the half's one-bid table at the base's bid totals
-    (``_bid_totals``), built whole when the first entry is asked for."""
-    built = {}
-
-    def table(e, level, bids):
-        if not built:
-            built.update(zip(ids, rows(_bid_totals([bids[o] for o in ids]), level)))
-        return built[e]
-
-    return OneBid(ids, table, read)
 
 
 class _ChosenSet:
@@ -374,20 +351,21 @@ class XosPlan:
     (``take_max_element``), the split ``t1``/``t2`` (ids sorted in
     ``t1_ids``/``t2_ids``), the max-element winner ``star`` and the v(S)
     tables of both halves (``t1_value``, ``t2_value``: each ``_value_table``
-    with its integers over their common denominator, ``_scaled``) read no
-    bid.  The tables are built only on the sampling branch, where a run
-    reads them; on the max-element branch they are None.  The kernels are
-    pure functions of the tables (``cost``, the integer bid totals of
+    as ``(D, V)``, its integers over their common denominator) read no bid.
+    The tables are built only on the sampling branch, where a run reads
+    them; on the max-element branch they are None.  The kernels are pure
+    functions of the tables (``cost``, the integer bid totals of
     ``_bid_totals``, and ``value`` by subset bitmask) that compare integers
     only, read as module globals at call time.
 
     Each half reads only its own bids, so each is a ``mechanisms.OneBid``
-    whose base is the first run through the plan: T1's optimum under the
-    budget, with ``_one_bid_optima`` rows read by ``_optimum_at_shift``, and
-    T2's surplus argmax at the threshold, with ``_class_winners`` rows read
-    by ``_argmax_at_shift``.  The plan also keeps the last threshold under
-    the T1 optimum, budget and beta objects (``threshold``).  The keys are
-    exact, so a run through a plan gives the outcome of a run without one.
+    whose base is the first run through the plan: T1's integer optimum V
+    under the budget, with ``_one_bid_optima`` rows read by
+    ``_optimum_at_shift``, and T2's surplus argmax at the threshold, with
+    ``_class_winners`` rows read by ``_argmax_at_shift``.  The plan also
+    keeps the last threshold under its integers (``threshold``).  The keys
+    are exact, so a run through a plan gives the outcome of a run without
+    one.
 
     ``chosen(s_star)`` keeps one ``_ChosenSet`` per chosen T2 set for the
     plan's life, built at the first run that chooses the set: the best
@@ -414,29 +392,34 @@ class XosPlan:
         if self.take_max_element:
             self.star = min(ground, key=lambda e: (-valuation.value(frozenset([e])), e))
         else:
-            self.t1_value = _scaled(_value_table(valuation, t1_ids))
-            self.t2_value = _scaled(_value_table(valuation, t2_ids))
-        t1_value, t2_value = self.t1_value, self.t2_value
-        self._t1 = _half(t1_ids, lambda c, b: _one_bid_optima(t1_ids, c, t1_value, b),
-                         _optimum_at_shift)
-        self._t2 = _half(t2_ids, lambda c, t: _class_winners(t2_ids, c, t2_value, t),
-                         _argmax_at_shift)
+            self.t1_value = scale_to_integers(_value_table(valuation, t1_ids))
+            self.t2_value = scale_to_integers(_value_table(valuation, t2_ids))
+        self._t1 = OneBid(t1_ids, lambda budget, bids: _one_bid_optima(
+            t1_ids, _bid_totals([bids[e] for e in t1_ids]), self.t1_value, budget),
+            _optimum_at_shift)
+        self._t2 = OneBid(t2_ids, lambda threshold, bids: _class_winners(
+            t2_ids, _bid_totals([bids[e] for e in t2_ids]), self.t2_value, threshold),
+            _argmax_at_shift)
         self.valuation, self.ground, self.seed = valuation, frozenset(ground), params.seed
-        self._threshold_key, self._threshold = (None, None, None), None
+        self._threshold_key = self._threshold = None
         self._chosen = {}
 
     def t1_optimum(self, bids, budget):
-        """max v(S) over S within T1 with bid total at most ``budget``."""
+        """max V over S within T1 with bid total at most ``budget``: v(S) =
+        V / D over the T1 table's denominator, an integer."""
         return self._t1(bids, budget, lambda: _opt_value_under_budget(
             _bid_totals([bids[e] for e in self.t1_ids]), self.t1_value, budget))
 
     def threshold(self, t1_optimum, budget, beta):
-        """``t1_optimum / (beta * budget)``, kept under the three objects it
-        was computed from, so a run that repeats them gets the same object
-        and the T2 half's level test matches it by identity."""
-        key = (t1_optimum, budget, beta)
-        if any(a is not b for a, b in zip(key, self._threshold_key)):
-            self._threshold_key, self._threshold = key, t1_optimum / (beta * budget)
+        """``(t1_optimum / D) / (beta * budget)`` for the integer T1 optimum
+        over the T1 table's denominator D, built from integers and kept
+        under them, so a run that repeats them gets the same object and the
+        T2 half's level test matches it by identity."""
+        key = t1_optimum, budget.numerator, budget.denominator, beta.numerator, beta.denominator
+        if key != self._threshold_key:
+            v, b_num, b_den, beta_num, beta_den = key
+            self._threshold_key = key
+            self._threshold = mpq(v * beta_den * b_den, self.t1_value[0] * beta_num * b_num)
         return self._threshold
 
     def t2_argmax(self, bids, threshold):
@@ -453,9 +436,8 @@ class XosPlan:
             return {}
         # the rank with e gains slope in K per unit of C, so the two ranks'
         # K meet (K_out - K_in) / slope above e's bid, both over d
-        entries = map(self._t2.entry, self.t2_ids)
         return {e: mpq(bid * slope + out[0] - inn[0], slope * d)
-                for e, (inn, out, bid, d, slope) in zip(self.t2_ids, entries)}
+                for e, (inn, out, bid, d, slope) in self._t2.entries().items()}
 
     def chosen(self, s_star):
         """The ``_ChosenSet`` of the chosen T2 set ``s_star``."""

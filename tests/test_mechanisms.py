@@ -574,12 +574,13 @@ def test_one_bid_answers_with_integer_ids_match_fresh_runs():
 def test_one_bid_reads_one_moved_bid_off_its_first_call():
     """``OneBid`` with counting hooks: its first call is the base for life,
     a call that moves one bid of its ids is a read off that element's entry,
-    built once, and any other call runs in full, keeping its last answer."""
+    the whole table built once at the first such call, and any other call
+    runs in full, keeping its last answer."""
     built, reads, fulls = [], [], []
 
-    def table(e, level, bids):
-        built.append(e)
-        return e, level, bids
+    def table(level, bids):
+        built.append(level)
+        return {e: (e, level, bids) for e in bids}
 
     def read(entry, level, bid, base_bid):
         reads.append((entry[0], level, bid, base_bid))
@@ -601,10 +602,10 @@ def test_one_bid_reads_one_moved_bid_off_its_first_call():
     assert fulls == ["base"] and built == []
     for e, bid in (("b", mpq(5)), ("b", mpq(7)), ("c", mpq(1))):
         assert one({**base, e: bid}, level, full("unused")) == ("read", e, bid)
-    assert built == ["b", "c"] and fulls == ["base"]
+    assert built == [level] and fulls == ["base"]
     assert reads == [("b", level, mpq(5), mpq(2)), ("b", level, mpq(7), mpq(2)),
                      ("c", level, mpq(1), mpq(3))]
-    assert one.entry("b") == ("b", level, {"a": 1, "b": 2, "c": 3})
+    assert one.entries() == {e: (e, level, {"a": 1, "b": 2, "c": 3}) for e in "abc"}
     assert one({**base, "a": mpq(4), "b": mpq(5)}, level, full("two")) == "two"
     assert fulls == ["base", "two"]
     # another level runs in full, and an identical repeat gets the last answer
@@ -613,4 +614,4 @@ def test_one_bid_reads_one_moved_bid_off_its_first_call():
     assert fulls == ["base", "two", "other"]
     # the base has not moved: a one-bid call at its level is still a read
     assert one({**base, "a": mpq(3)}, level, full("unused")) == ("read", "a", mpq(3))
-    assert fulls == ["base", "two", "other"] and built == ["b", "c", "a"]
+    assert fulls == ["base", "two", "other"] and built == [level]

@@ -1,12 +1,15 @@
 """The shared rational helpers."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
 from budgetmech import (
+    DeadlineMatroid,
     Instance,
     InputError,
+    PartitionMatroid,
     UniformMatroid,
     XosParams,
     XosValuation,
@@ -94,6 +97,19 @@ def test_in_memory_inputs_reject_floats_and_booleans(entry, bad):
 VALUE_ERRORS = {
     "Matroid repeated id": (lambda: UniformMatroid(["a", "b", "a"], 1), InputError,
                             "duplicate element ids in ground set"),
+    # a rank, capacity or deadline is an integer, never truncated to one
+    "UniformMatroid rank float": (lambda: UniformMatroid(["a", "b"], 1.9), InputError,
+                                  "uniform rank must be an integer, got 1.9"),
+    "UniformMatroid rank bool": (lambda: UniformMatroid(["a", "b"], True), InputError,
+                                 "uniform rank must be an integer, got True"),
+    "UniformMatroid rank rational": (lambda: UniformMatroid(["a", "b"], Fraction(5, 2)),
+                                     InputError,
+                                     "uniform rank must be an integer, got Fraction(5, 2)"),
+    "PartitionMatroid capacity float": (lambda: PartitionMatroid(["a", "b"], [({"a", "b"}, 1.5)]),
+                                        InputError,
+                                        "partition capacity must be an integer, got 1.5"),
+    "DeadlineMatroid deadline float": (lambda: DeadlineMatroid(["a", "b"], {"a": 1.9, "b": 2}),
+                                       InputError, "deadline of 'a' must be an integer, got 1.9"),
     "Instance structure": (lambda: Instance(_xos(), ONE, ONE, ONE, 5), InputError,
                            "structure must be a Matroid or an IntersectionSpec"),
     "XosValuation clause cover": (lambda: XosValuation(["a", "b"], [{"a": 3, "b": 2}, {"a": 1}]),

@@ -8,7 +8,7 @@ import pytest
 
 import budgetmech
 from budgetmech import XosParams, XosPlan, XosValuation, xos
-from budgetmech.rationals import mpq
+from budgetmech.rationals import mpq, scale_to_integers
 
 SOURCE = pathlib.Path(budgetmech.__file__).parent
 
@@ -141,29 +141,35 @@ for _name in ("lt", "le", "gt", "ge", "eq", "ne", "neg", "pos", "abs", "trunc", 
     setattr(_Guarded, f"__{_name}__", _refuse)
 
 
-def _scoring_answers(bids, budget, threshold, moves):
+def _scoring_answers(bids, budget, threshold, beta, moves):
     """Every answer of the XOS scoring kernels and their one-bid reads over
     three elements whose values and bids mix denominators: the T1 optimum
     and the T2 argmax, in full and through a plan; both one-bid tables,
-    each element's reads at each bid of ``moves``; and the plan's
-    membership breakpoints."""
+    each element's reads at each bid of ``moves``; the plan's threshold at
+    ``beta``, built from its integer T1 optimum, and again at an equal
+    budget in a new object; and the plan's membership breakpoints."""
     ids = ["e0", "e1", "e2"]
     valuation = XosValuation(ids, [{"e0": mpq(1), "e1": mpq(2, 3), "e2": mpq(0)},
                                    {"e0": mpq(1, 5), "e1": mpq(0), "e2": mpq(5, 3)}])
-    value = xos._scaled(xos._value_table(valuation, ids))
+    value = scale_to_integers(xos._value_table(valuation, ids))
     cost = xos._bid_totals([bids[e] for e in ids])
     optima = xos._one_bid_optima(ids, cost, value, budget)
     winners = xos._class_winners(ids, cost, value, threshold)
     answers = [xos._opt_value_under_budget(cost, value, budget),
                xos._argmax_surplus(ids, cost, value, threshold), optima, winners]
-    for e, t1_entry, t2_entry in zip(ids, optima, winners):
+    for e in ids:
         for bid in moves:
-            answers.append(xos._optimum_at_shift(t1_entry, budget, bid, bids[e]))
-            answers.append(xos._argmax_at_shift(t2_entry, threshold, bid, bids[e]))
+            answers.append(xos._optimum_at_shift(optima[e], budget, bid, bids[e]))
+            answers.append(xos._argmax_at_shift(winners[e], threshold, bid, bids[e]))
     params = dict(alpha=218, beta=mpq(9, 2), gamma=4)
     t1_plan = XosPlan(valuation, XosParams(seed=1, **params))  # every element in T1
     t2_plan = XosPlan(valuation, XosParams(seed=16, **params))  # every element in T2
-    answers.append(t1_plan.t1_optimum(bids, budget))
+    t1_optimum = t1_plan.t1_optimum(bids, budget)
+    assert type(t1_optimum) is int
+    t1_threshold = t1_plan.threshold(t1_optimum, budget, beta)
+    again = type(budget)(budget.numerator, budget.denominator)
+    assert t1_plan.threshold(t1_optimum, again, beta) is t1_threshold
+    answers += [t1_optimum, t1_threshold]
     answers.append(t2_plan.t2_argmax(bids, threshold))
     answers.append(t2_plan.t2_breakpoints())
     assert t1_plan.t1_ids == t2_plan.t2_ids == ids and answers[-1]
@@ -171,16 +177,16 @@ def _scoring_answers(bids, budget, threshold, moves):
 
 
 def test_the_xos_scoring_kernels_do_no_rational_arithmetic():
-    """The kernels score every subset on integers: handed bids, a budget
-    and a threshold that refuse arithmetic, they read numerators and
-    denominators only, and give what they give on plain rationals."""
-    case = [{"e0": (1, 2), "e1": (1, 3), "e2": (5, 6)}, (5, 6), (1, 2),
+    """The kernels score every subset on integers: handed bids, a budget,
+    a threshold and a beta that refuse arithmetic, they read numerators
+    and denominators only, and give what they give on plain rationals."""
+    case = [{"e0": (1, 2), "e1": (1, 3), "e2": (5, 6)}, (5, 6), (1, 2), (9, 2),
             [(1, 7), (2, 3), (5, 6), (3, 2)]]
 
     def answers(kind):
-        bids, budget, threshold, moves = case
+        bids, budget, threshold, beta, moves = case
         return _scoring_answers({e: kind(*b) for e, b in bids.items()}, kind(*budget),
-                                kind(*threshold), [kind(*b) for b in moves])
+                                kind(*threshold), kind(*beta), [kind(*b) for b in moves])
 
     assert answers(_Guarded) == answers(mpq)
 

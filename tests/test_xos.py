@@ -28,14 +28,13 @@ from budgetmech import (
 )
 from budgetmech.mechanisms import OneBidRunner
 from budgetmech.oracle import xos_opt
-from budgetmech.rationals import ZERO, mpq
+from budgetmech.rationals import ZERO, mpq, scale_to_integers
 from budgetmech.verify import check_xos_outcome, check_xos_truthfulness, gen_xos_instance
 from budgetmech.xos import (
     _argmax_surplus,
     _bid_totals,
     _class_winners,
     _opt_value_under_budget,
-    _scaled,
     _value_table,
 )
 from conftest import RATIONALS
@@ -440,7 +439,29 @@ def xos_mixed_cases(draw):
     return XosValuation(ids, functions), subset, bids, threshold, budget
 
 
-SUBSET_CASES = st.one_of(xos_subset_cases(), xos_mixed_cases())
+@st.composite
+def xos_pair_copy_cases(draw):
+    """A pair ``{a, c}`` copied onto one element ``b`` between them in id
+    order: clause 0 values only the pair, clause 1 only ``b``, at the pair's
+    value, and ``b`` bids the pair's bid total.  Every other element is
+    worth 0, and the threshold leaves each pair member worth buying, so
+    ``{a, c}`` and ``{b}`` tie as the best sets without any other element.
+    The id tuple puts ``(a, c)`` first, the bitmask order ``{b}``.  (A
+    copy of one element cannot make such a tie: a set that holds the
+    original loses to itself without it or with the copy added.)"""
+    ids = [f"e{j}" for j in range(draw(st.integers(4, 6)))]
+    a, b, c = sorted(draw(st.lists(st.sampled_from(ids), min_size=3, max_size=3, unique=True)))
+    pair = {a: mpq(draw(st.integers(1, 3))), c: mpq(draw(st.integers(1, 3)))}
+    bids = {e: mpq(draw(st.integers(1, 4)), draw(st.integers(1, 2))) for e in ids}
+    bids[b] = bids[a] + bids[c]
+    functions = [{e: pair.get(e, ZERO) for e in ids},
+                 {e: pair[a] + pair[c] if e == b else ZERO for e in ids}]
+    threshold = min(pair[e] / bids[e] for e in pair) * mpq(draw(st.integers(0, 5)), 6)
+    budget = mpq(draw(st.integers(1, 12)), draw(st.integers(1, 2)))
+    return XosValuation(ids, functions), ids, bids, threshold, budget
+
+
+SUBSET_CASES = st.one_of(xos_subset_cases(), xos_mixed_cases(), xos_pair_copy_cases())
 
 
 def _breakpoint_by_subsets(valuation, t2_ids, bids, threshold, e):
@@ -505,10 +526,10 @@ MIXED_TIE_AT_HALF = (*MIXED_TIE[:3], mpq(1, 2), MIXED_TIE[4])
 def test_subset_helpers_match_second_routes(case):
     valuation, subset, bids, threshold, budget = case
     cost = _bid_totals([bids[e] for e in subset])
-    value = _scaled(_value_table(valuation, subset))
+    value = scale_to_integers(_value_table(valuation, subset))
 
     restricted = XosValuation(subset, [{e: f[e] for e in subset} for f in valuation.functions])
-    assert _opt_value_under_budget(cost, value, budget) == \
+    assert mpq(_opt_value_under_budget(cost, value, budget), value[0]) == \
         xos_opt(restricted, {e: bids[e] for e in subset}, budget)[1]
 
     def rank(members):  # documented tie order: objective, then cost, then ids
@@ -521,8 +542,8 @@ def test_subset_helpers_match_second_routes(case):
     # a class winner's rank is (-objective, cost, ids), its deficit over
     # the bid, value and threshold scales and its cost over the bid scale
     winners = _class_winners(subset, cost, value, threshold)
-    scale = cost[0] * value[1] * threshold.denominator
-    for e, (best_in, best_out, *_) in zip(subset, winners):
+    scale = cost[0] * value[0] * threshold.denominator
+    for e, (best_in, best_out, *_) in winners.items():
         for (deficit, total, members), side in ((best_in, True), (best_out, False)):
             best = rank(min((c for c in candidates if (e in c) is side), key=rank))
             assert (mpq(deficit, scale), mpq(total, cost[0]), members) == best
@@ -530,7 +551,7 @@ def test_subset_helpers_match_second_routes(case):
     breakpoints = {}
     if threshold > 0:
         breakpoints = {e: (mpq(best_out[0] - best_in[0], scale)) / threshold + bids[e]
-                       for e, (best_in, best_out, *_) in zip(subset, winners)}
+                       for e, (best_in, best_out, *_) in winners.items()}
     for e in valuation.ground:
         assert breakpoints.get(e) == _breakpoint_by_subsets(valuation, subset, bids, threshold, e)
 
@@ -554,7 +575,7 @@ def test_one_bid_argmax_matches_a_fresh_argmax(case, tape, drawn):
     breakpoints = plan.t2_breakpoints()
     for e in valuation.ground:
         assert breakpoints.get(e) == _breakpoint_by_subsets(valuation, ids, bids, threshold, e)
-    value = _scaled(_value_table(valuation, ids))
+    value = scale_to_integers(_value_table(valuation, ids))
     candidates = [c for r in range(len(ids) + 1) for c in itertools.combinations(ids, r)]
 
     def rank(members):  # the tie order: -objective, then cost, then ids
@@ -599,7 +620,7 @@ def test_one_bid_t1_optimum_matches_a_fresh_scan(case, tape, drawn):
                            wraps=xos._opt_value_under_budget) as scan:
         plan.t1_optimum(bids, budget)
     assert scan.call_count == 1
-    value = _scaled(_value_table(valuation, ids))
+    value = scale_to_integers(_value_table(valuation, ids))
     d, cost = _bid_totals([bids[e] for e in ids])
     # the plan calls the kernel by its module name; this test's import of it
     # stays the unpatched fresh scan

@@ -20,6 +20,7 @@ one-bid protocol that the XOS plan shares.
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import lcm
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import InputError
@@ -34,6 +35,11 @@ class Instance:
     The structure has no loop, an element in no independent set: the tau
     branch buys tau alone without asking the structure, so a loop as tau
     would be bought.
+
+    ``bids`` is a read-only ``MappingProxyType`` over a dict that no one
+    else holds, so two bids mappings that are the same object hold the same
+    bids.  ``origin`` is None on a constructed instance; ``with_bid`` sets
+    it on its copy (see there).
     """
 
     def __init__(self, structure, weights, true_costs, bids, budget):
@@ -51,7 +57,8 @@ class Instance:
             raise InputError("budget must be positive")
         self.weights = {e: as_rational(v) for e, v in weights.items()}
         self.true_costs = {e: as_rational(v) for e, v in true_costs.items()}
-        self.bids = {e: as_rational(v) for e, v in bids.items()}
+        self.bids = MappingProxyType({e: as_rational(v) for e, v in bids.items()})
+        self.origin = None
         for name, vec in (
             ("weights", self.weights),
             ("true_costs", self.true_costs),
@@ -74,15 +81,21 @@ class Instance:
         """Copy of the instance where element ``e`` declares ``bid``.
 
         Every other field was validated when this instance was built, so only
-        the new bid is converted and checked.
+        the new bid is converted and checked.  The copy's ``origin`` is
+        ``(self.bids, e)``: its bids are ``self.bids`` with only ``e``'s
+        replaced, which ``OneBid`` reads as a hint instead of comparing
+        every bid.
         """
         if e not in self.bids:
             raise InputError("bids must cover exactly the ground set")
         bid = as_rational(bid)
         if bid.numerator <= 0:
             raise InputError(f"bids[{e}] must be positive")
+        bids = self.bids.copy()
+        bids[e] = bid
         clone = object.__new__(type(self))
-        clone.__dict__ = {**self.__dict__, "bids": {**self.bids, e: bid}}
+        clone.__dict__ = {**self.__dict__, "bids": MappingProxyType(bids),
+                          "origin": (self.bids, e)}
         return clone
 
     def truthful(self):
@@ -168,6 +181,16 @@ class Payments:
         if e in self.allocation:
             return self.payment(e) - cost
         return self.payment(e)
+
+
+def frozen(cls, fields):
+    """A ``cls``, a frozen dataclass without ``__post_init__``, holding
+    ``fields``, a dict naming every field.  Its ``__dict__`` is filled in one
+    step, where ``__init__`` pays one ``object.__setattr__`` per field;
+    equality, ``repr`` and frozenness are the dataclass's own."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -387,7 +410,8 @@ def _run_threshold_mechanism(inst, plan, blackbox):
     keys = BidKeys(inst.bids, inst.budget, plan)
     trace = keys.steps(plan.walk([plan.tau, *keys.order]), keys.order)
     prev = trace[-2] if len(trace) > 1 else None
-    return Outcome(trace=tuple(trace), **settle(plan, inst.budget, trace[-1], prev))
+    return frozen(Outcome, {**settle(plan, inst.budget, trace[-1], prev),
+                            "trace": tuple(trace)})
 
 
 def run_matroid_mechanism(inst, plan=None):
@@ -421,20 +445,37 @@ class OneBid:
     ``full``, and the last such answer is kept under its exact key, the
     level and the bids of ``ids``.  Bids and levels are compared by
     ``rationals.moved`` and ``same``: by identity first, then by value.
+
+    ``origin``, when given, is ``(mapping, e)``: ``bids`` is ``mapping``
+    with at most ``e``'s bid replaced (``Instance.with_bid``).  It is
+    trusted only when ``mapping`` is the object last found equal to the
+    base on ``ids``: the base call's bids, or those of a later call whose
+    ``moved`` scan came back empty.  Then one ``same`` test on ``e`` finds
+    which bid moved; every other call scans every id.  Only a read-only
+    mapping keeps that object equal to the base, so only an ``Instance``'s
+    bids come with an ``origin``.
     """
 
     def __init__(self, ids, table, read):
         self.ids, self._table, self._read = ids, table, read
         self.base = None  # (level, bids of ids, answer) of the first call
+        self._equal = None  # the bids mapping last found equal to the base's
         self._rows = None
         self._last = (None, None), None
 
-    def __call__(self, bids, level, full):
+    def __call__(self, bids, level, full, origin=None):
         if self.base is None:
             self.base = level, {e: bids[e] for e in self.ids}, full()
+            self._equal = bids
         base_level, base_bids, answer = self.base
         if same(level, base_level):
-            changed = moved(bids, base_bids, self.ids)
+            if origin is not None and origin[0] is self._equal:
+                e = origin[1]
+                changed = [e] if e in base_bids and not same(bids[e], base_bids[e]) else []
+            else:
+                changed = moved(bids, base_bids, self.ids)
+                if not changed:
+                    self._equal = bids
             if not changed:
                 return answer
             if len(changed) == 1:
@@ -461,8 +502,9 @@ class OneBidRunner:
     built at the first one-bid call.
 
     ``run(inst)`` is the full mechanism on ``plan``, whose ``walk`` gives
-    the chains too; a caller that holds bids and a budget rather than an
-    instance calls ``one`` with a thunk of its own.  Let ``e`` be the one
+    the chains too; a call passes its instance's ``origin`` to ``one`` as
+    the moved-bid hint.  A caller that holds bids and a budget rather than
+    an instance calls ``one`` with a thunk of its own and no hint.  Let ``e`` be the one
     element whose bid moved, and ``O`` the others (tau and ``e`` aside) in
     the base's removal order.
 
@@ -489,7 +531,7 @@ class OneBidRunner:
         self.one = OneBid(plan.rest, self._build, self._answer)
 
     def __call__(self, inst):
-        return self.one(inst.bids, inst.budget, lambda: self._run(inst))
+        return self.one(inst.bids, inst.budget, lambda: self._run(inst), inst.origin)
 
     def _build(self, budget, bids):
         """Every element's two chains as trace steps, by id, at the base's
@@ -533,18 +575,20 @@ class OneBidRunner:
         f, r = divmod(key_e * self._keys.scales[1], bid.denominator)
         p = bisect_left(ranked, (-f, e) if r == 0 else (-f,))
         if p >= len(a):  # A passes before e is tested
-            return Outcome(trace=tuple(a), **self._stop(a_stops, a, len(a) - 1, budget))
+            return frozen(Outcome, {**self._stop(a_stops, a, len(a) - 1, budget),
+                                    "trace": tuple(a)})
         # e's own budget test, as in BidKeys but at e's scale
         at, den_e = a[p], bid.denominator * plan.lcm
         passed = at.weight * key_e * budget.denominator <= budget.numerator * den_e
         step = TraceStep(p + 1, None if passed else e, key_e, at.members, at.weight,
                          (plan.value_den, den_e))
         if passed:
-            return Outcome(trace=(*a[:p], step), **self._stop(a_stops, a, p, budget))
+            return frozen(Outcome, {**self._stop(a_stops, a, p, budget),
+                                    "trace": (*a[:p], step)})
         stop = next_pass[p]
         fields = settle(plan, budget, b[p], step) if stop == p else \
             self._stop(b_stops, b, stop, budget)
-        return Outcome(trace=(*a[:p], step, *b[p:stop + 1]), **fields)
+        return frozen(Outcome, {**fields, "trace": (*a[:p], step, *b[p:stop + 1])})
 
     def _stop(self, stops, chain, k, budget):
         """The fields of a stop at ``chain[k]``, which read no bid of ``e``,

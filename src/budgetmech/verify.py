@@ -411,7 +411,10 @@ def check_truthfulness(runner, inst, deviations_per_element=50, seed=0,
     exact utilities in ``_deviation_sweep``.  A ``make_runner`` runner
     answers those calls from each element's two removal chains, with the
     outcome a full run of the mechanism gives (``OneBidRunner``); any other
-    runner, such as a control mechanism, runs in full every time.
+    runner, such as a control mechanism, runs in full every time.  Each
+    deviated copy names the truthful copy's bids as its ``origin``; once
+    the runner has found those equal to its base, it reads which bid moved
+    off that hint instead of comparing every bid (``mechanisms.OneBid``).
     """
     report = VerificationReport("Truthful", mechanism, instances_checked=1)
     t_inst = inst.truthful()

@@ -26,6 +26,7 @@ from .mechanisms import (
     Outcome,
     Payments,
     Plan,
+    frozen,
     run_matroid_mechanism,
 )
 from .rationals import ZERO, as_rational, mpq, rational_isqrt, scale_to_integers
@@ -499,18 +500,18 @@ def xos_mechanism_main(valuation, true_costs, bids, budget, params, plan=None):
     s_star = plan.t2_argmax(bids, threshold)
     chosen = plan.chosen(s_star)
     inner = chosen.run(true_costs, bids, budget)
-    return XosOutcome(
-        branch="empty" if inner is None else "sub-mechanism",
-        allocation=frozenset() if inner is None else inner.allocation,
-        payments={} if inner is None else dict(inner.payments),
-        budget=budget,
-        t1=plan.t1,
-        t2=plan.t2,
-        threshold=threshold,
-        s_star=s_star,
-        clause_index=chosen.clause_index,
-        inner=inner,
-    )
+    return frozen(XosOutcome, {
+        "branch": "empty" if inner is None else "sub-mechanism",
+        "allocation": frozenset() if inner is None else inner.allocation,
+        "payments": {} if inner is None else dict(inner.payments),
+        "budget": budget,
+        "t1": plan.t1,
+        "t2": plan.t2,
+        "threshold": threshold,
+        "s_star": s_star,
+        "clause_index": chosen.clause_index,
+        "inner": inner,
+    })
 
 
 def xos_objective(alpha, beta, gamma):

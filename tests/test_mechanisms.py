@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from dataclasses import FrozenInstanceError, fields
 from unittest.mock import patch
 
 import pytest
@@ -24,6 +25,7 @@ from budgetmech import (
     first_price_greedy,
     get_blackbox,
     max_weight_independent_set,
+    mechanisms,
     run_intersection_mechanism,
     run_matroid_mechanism,
     set_weight,
@@ -553,6 +555,133 @@ def test_one_bid_answers_match_fresh_runs(mechanism, kind, data):
             assert runner(two) == fresh(two)
             assert len(full_runs) == max(1, len(others))
             full_runs.clear()
+
+
+@pytest.mark.parametrize("mechanism, kind", [("matroid", kind) for kind in MATROID_KINDS]
+                         + [("intersection-exact", None), ("intersection-greedy", None)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_moved_bid_hints_give_full_run_outcomes(mechanism, kind, data):
+    """``with_bid`` hands the runner which bid moved and from which bids
+    mapping.  The hint is trusted only on the mapping the runner last found
+    equal to its base, so every call below gives the full run's outcome,
+    with full runs counted as in ``test_one_bid_answers_match_fresh_runs``."""
+    if mechanism == "matroid":
+        structure = data.draw(matroids(kind))
+        run, fresh = "run_matroid_mechanism", run_matroid_mechanism
+    else:
+        structure = data.draw(bipartite_specs() if mechanism == "intersection-exact"
+                              else st.one_of(bipartite_specs(), mixed_specs()))
+        blackbox = get_blackbox(BLACKBOX_OF[mechanism], structure)
+        run = "run_intersection_mechanism"
+
+        def fresh(i):
+            return run_intersection_mechanism(i, blackbox)
+    base = data.draw(priced(structure))
+    ids = sorted(base.ground)
+    with pytest.raises(TypeError):
+        base.bids[ids[0]] = mpq(1)
+    assert base.origin is None
+    full_runs = []
+    full = getattr(verify, run)
+
+    def counted(*args):
+        full_runs.append(1)
+        return full(*args)
+
+    def check(inst, runs):
+        assert runner(inst) == fresh(inst)
+        assert len(full_runs) == runs
+
+    with patch.object(verify, run, counted):
+        runner = make_runner(mechanism, base)
+        check(base, 1)
+        tau = fresh(base).tau
+        others = [e for e in ids if e != tau]
+        # a deviation of tau: its bid is never read, so the base outcome
+        moved_tau = base.with_bid(tau, base.bids[tau] * 2)
+        assert moved_tau.origin[0] is base.bids and moved_tau.origin[1] == tau
+        check(moved_tau, 1)
+        if not others:
+            return
+        e = data.draw(st.sampled_from(others))
+        bids = data.draw(st.lists(RATIONALS, min_size=2, max_size=2))
+        # a chain of two with_bid calls from the base: the second hint names
+        # a mapping the runner never saw, so it scans every bid
+        twice = base.with_bid(e, bids[0]).with_bid(e, bids[1])
+        check(twice, 1)
+        check(base.with_bid(e, bids[0]).with_bid(e, base.bids[e]), 1)
+        if len(others) > 1:
+            f = data.draw(st.sampled_from([o for o in others if o != e]))
+            check(base.with_bid(e, base.bids[e] * 2).with_bid(f, base.bids[f] * 2), 2)
+            # the runner has seen the first link, one bid off its base
+            once = base.with_bid(e, base.bids[e] * 3)
+            check(once, 2)
+            check(once.with_bid(f, base.bids[f] * 3), 3)
+        full_runs.clear()
+        # equal bids in a fresh mapping: deviated before the runner sees it
+        # (a scan), then seen (its scan finds no bid moved), then deviated,
+        # each deviation's hint trusted with no scan
+        again = Instance(structure, base.weights, base.true_costs, dict(base.bids),
+                         base.budget)
+        scans = []
+        scan = mechanisms.moved
+        with patch.object(mechanisms, "moved", lambda *args: scans.append(1) or scan(*args)):
+            check(again.with_bid(e, bids[0]), 0)
+            check(again, 0)
+            assert len(scans) == 2
+            for d in deviation_bids(again, e, fresh):
+                check(again.with_bid(e, d), 0)
+            assert len(scans) == 2
+        if len(others) < 2:
+            return
+        # a hint whose mapping belongs to another runner's base, one bid off
+        # this runner's: trusting it would read one moved bid where two moved
+        f = data.draw(st.sampled_from([o for o in others if o != e]))
+        other = Instance(structure, base.weights, base.true_costs,
+                         {**base.bids, f: base.bids[f] * 2}, base.budget)
+        make_runner(mechanism, other)(other)
+        assert len(full_runs) == 1
+        check(other.with_bid(e, base.bids[e] * 3), 2)
+        check(other.with_bid(f, base.bids[f]), 2)  # back to the base's bids
+
+
+def dataclass_built(outcome):
+    """``outcome`` rebuilt by its dataclass's own ``__init__``."""
+    return type(outcome)(**{f.name: getattr(outcome, f.name) for f in fields(outcome)})
+
+
+def assert_built_like_a_dataclass(outcome):
+    """``outcome`` equals its ``dataclass_built`` copy both ways, with the
+    same ``repr`` and the same fields, and stays frozen."""
+    reference = dataclass_built(outcome)
+    assert outcome == reference and reference == outcome
+    assert repr(outcome) == repr(reference)
+    assert vars(outcome) == vars(reference)
+    for name in ("allocation", "payments", "budget"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(outcome, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(outcome, name)
+
+
+@pytest.mark.parametrize("mechanism", ["matroid", "intersection-exact", "intersection-greedy"])
+def test_one_step_outcomes_match_dataclass_built_ones(mechanism):
+    """Threshold outcomes, full runs and one-bid answers alike, are built in
+    one step (``mechanisms.frozen``), and are what the dataclass builds."""
+    cfg = GeneratorConfig(count=4, seed=7, n_range=(3, 8))
+    gen = gen_matroid_instance if mechanism == "matroid" else gen_bipartite_instance
+    answers = 0
+    for index in range(4):
+        inst = gen(cfg, index)
+        runner = make_runner(mechanism, inst)
+        truthful = runner(inst)
+        assert_built_like_a_dataclass(truthful)
+        for e in sorted(inst.ground):
+            for d in truthful_deviation_bids(inst, e, truthful, random.Random(index), 6):
+                assert_built_like_a_dataclass(runner(inst.with_bid(e, d)))
+                answers += 1
+    assert answers >= 100
 
 
 def test_one_bid_answers_with_integer_ids_match_fresh_runs():

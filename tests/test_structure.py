@@ -289,6 +289,66 @@ def test_the_guard_sees_a_moved_call(tmp_path):
     assert _moved_calls(module) == [(1, None), (4, "OneBid"), (7, "Runner")]
 
 
+def _hint_uses(path):
+    """``(line, function, use)`` of each use of the moved-bid hint in the
+    module at ``path``: ``"passes"`` for a read of an ``origin`` attribute
+    and ``"reads"`` for a function that takes an ``origin`` parameter, with
+    the qualified name of the innermost function around the read and of the
+    function itself (None outside every function)."""
+    found = []
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "origin"
+                    and isinstance(child.ctx, ast.Load)):
+                found.append((child.lineno, owner, "passes"))
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = ".".join([*scope, child.name])
+                if not isinstance(child, ast.ClassDef):
+                    args = child.args
+                    if any(a.arg == "origin"
+                           for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)):
+                        found.append((child.lineno, name, "reads"))
+                visit(child, [*scope, child.name],
+                      owner if isinstance(child, ast.ClassDef) else name)
+            else:
+                visit(child, scope, owner)
+
+    visit(ast.parse(path.read_text(), str(path)), [], None)
+    return sorted(found)
+
+
+def test_only_one_bid_reads_the_moved_bid_hint():
+    """``Instance.with_bid`` records which bid moved (``origin``); only
+    ``OneBidRunner.__call__`` passes it on, and only ``OneBid.__call__``
+    reads it, trusting it on the one mapping it found equal to its base."""
+    uses = sorted((path.name, owner, use) for path in sorted(SOURCE.glob("*.py"))
+                  for _, owner, use in _hint_uses(path))
+    assert uses == [("mechanisms.py", "OneBid.__call__", "reads"),
+                    ("mechanisms.py", "OneBidRunner.__call__", "passes")], uses
+
+
+def test_the_guard_sees_the_moved_bid_hint(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("hint = inst.origin\n"
+                      "class OneBid:\n"
+                      "    def __call__(self, bids, level, full, origin=None):\n"
+                      "        return origin\n"
+                      "class Runner:\n"
+                      "    def __call__(self, inst):\n"
+                      "        self.origin = None\n"
+                      "        return self.one(inst.bids, inst.origin)\n"
+                      "    def ask(self, *, origin):\n"
+                      "        def inner(plan):\n"
+                      "            return plan.origin\n"
+                      "        return inner\n"
+                      "origin = {'origin': None}\n")
+    assert _hint_uses(module) == [
+        (1, None, "passes"), (3, "OneBid.__call__", "reads"),
+        (8, "Runner.__call__", "passes"), (9, "Runner.ask", "reads"),
+        (11, "Runner.ask.inner", "passes")]
+
+
 def _utility_calls(path):
     """``(line, function)`` of each ``.utility(...)`` call in the module at
     ``path``, with the name of the innermost function around it (None

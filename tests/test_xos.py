@@ -38,7 +38,7 @@ from budgetmech.xos import (
     _value_table,
 )
 from conftest import RATIONALS
-from test_mechanisms import reference_mechanism
+from test_mechanisms import assert_built_like_a_dataclass, reference_mechanism
 
 
 def single_clause(values):
@@ -144,6 +144,32 @@ def test_degenerate_t2_allocates_nothing():
     out = xos_mechanism_main(val, costs, costs, budget, XosParams(seed=139, **PARAMS))
     assert out.branch == "empty"
     assert out.allocation == frozenset() and out.total_payment == 0
+
+
+def test_sampling_outcomes_match_dataclass_built_ones():
+    """A sampling-branch outcome is built in one step
+    (``mechanisms.frozen``), through a shared plan and along one-bid
+    deviations, and is what the dataclass builds, its inner outcome too."""
+    branches = set()
+    for index, n in ((0, 6), (1, 8), (0, 10)):
+        val, costs, budget = gen_xos_instance(404, index, n=n)
+        for seed in range(12):
+            params = XosParams(seed=seed, **PARAMS)
+            plan = XosPlan(val, params)
+            for e in (None, *sorted(val.ground)[:3]):
+                bids = costs if e is None else {**costs, e: costs[e] / 2}
+                out = xos_mechanism_main(val, costs, bids, budget, params, plan)
+                if out.branch == "max-element":
+                    continue
+                branches.add(out.branch)
+                assert_built_like_a_dataclass(out)
+                if out.inner is not None:
+                    assert_built_like_a_dataclass(out.inner)
+    # seed 139 is the continue-branch tape that sends every element to T1
+    val, costs, budget = gen_xos_instance(404, 0, n=10)
+    out = xos_mechanism_main(val, costs, costs, budget, XosParams(seed=139, **PARAMS))
+    assert_built_like_a_dataclass(out)
+    assert branches | {out.branch} == {"sub-mechanism", "empty"}
 
 
 def test_cap_enforced():

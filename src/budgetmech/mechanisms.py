@@ -19,6 +19,7 @@ one-bid protocol that the XOS plan shares.
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from math import lcm
 from types import MappingProxyType
 from typing import Optional
@@ -453,7 +454,8 @@ class OneBid:
     ``moved`` scan came back empty.  Then one ``same`` test on ``e`` finds
     which bid moved; every other call scans every id.  Only a read-only
     mapping keeps that object equal to the base, so only an ``Instance``'s
-    bids come with an ``origin``.
+    bids come with an ``origin``.  ``table`` and ``read`` are functions of
+    their inputs, never an owner's bound methods, so nothing points back.
     """
 
     def __init__(self, ids, table, read):
@@ -498,8 +500,8 @@ class OneBid:
 class OneBidRunner:
     """Runs a threshold mechanism on bid variants of one instance through
     ``one``, a ``OneBid`` over ``plan.rest`` at the budget (tau's bid is
-    never read) whose entries are each element's two removal chains, all
-    built at the first one-bid call.
+    never read) whose entries, each element's two removal chains, are built
+    and read by partials over the plan (``_chains``, ``_chain_answer``).
 
     ``run(inst)`` is the full mechanism on ``plan``, whose ``walk`` gives
     the chains too; a call passes its instance's ``origin`` to ``one`` as
@@ -527,75 +529,75 @@ class OneBidRunner:
 
     def __init__(self, plan, run=None):
         self._run, self.plan = run, plan
-        self._keys = None  # the base's BidKeys, built with the chains
-        self.one = OneBid(plan.rest, self._build, self._answer)
+        self.one = OneBid(plan.rest, partial(_chains, plan), partial(_chain_answer, plan))
 
     def __call__(self, inst):
         return self.one(inst.bids, inst.budget, lambda: self._run(inst), inst.origin)
 
-    def _build(self, budget, bids):
-        """Every element's two chains as trace steps, by id, at the base's
-        ``BidKeys``: ``A`` up to its first passing test and ``B`` up to its
-        first passing test at or after that index, and for each ``k`` the
-        index of ``B``'s first passing test from ``k`` on.  ``ranked`` holds
-        ``(-key[o] * lcm, o)`` for each ``o`` in ``O``, ascending, and the
-        two dicts keep the fields of the stops on ``A`` and on ``B`` that
-        read no bid of ``e``, settled when first reached."""
-        self._keys = keys = BidKeys(bids, budget, self.plan)
-        plan, table = self.plan, {}
-        for e in plan.rest:
-            others = [o for o in keys.order if o != e]
-            ranked = [(-keys.key[o] * plan.lcm, o) for o in others]
-            a = keys.steps(plan.walk([plan.tau, *others]), others)
-            walk = plan.walk([plan.tau, e, *others])
-            next(walk)  # tau alone has left: that is A_0
-            b = keys.steps(walk, others, iteration=2, until=len(a) - 1)
-            next_pass = [len(b) - 1] * len(b)
-            for k in range(len(b) - 2, -1, -1):
-                next_pass[k] = k if b[k].removed is None else next_pass[k + 1]
-            table[e] = e, ranked, a, b, next_pass, {}, {}
-        return table
 
-    def _answer(self, entry, budget, bid, _base_bid):
-        """The outcome when ``e`` bids ``bid``.
+def _chains(plan, budget, bids):
+    """Every element's two chains as trace steps, by id, at the base's
+    ``BidKeys``: ``A`` up to its first passing test and ``B`` up to its
+    first passing test at or after that index, and for each ``k`` the index
+    of ``B``'s first passing test from ``k`` on.  Every entry shares one
+    ``ranked``, each ``(-key[o] * lcm, o)`` in removal order, ``e``'s at
+    ``i``; its dicts keep the stops on ``A`` and ``B`` that read no bid of ``e``."""
+    keys, table = BidKeys(bids, budget, plan), {}
+    ranked = [(-keys.key[o] * plan.lcm, o) for o in keys.order]
+    for i, e in enumerate(keys.order):
+        others = [o for o in keys.order if o != e]
+        a = keys.steps(plan.walk([plan.tau, *others]), others)
+        walk = plan.walk([plan.tau, e, *others])
+        next(walk)  # tau alone has left: that is A_0
+        b = keys.steps(walk, others, iteration=2, until=len(a) - 1)
+        next_pass = [len(b) - 1] * len(b)
+        for k in range(len(b) - 2, -1, -1):
+            next_pass[k] = k if b[k].removed is None else next_pass[k + 1]
+        table[e] = e, i, ranked, a, b, next_pass, {}, {}
+    return table
 
-        ``e``'s position ``p`` in ``O`` is found on integers.  Times
-        ``rate_den * lcm / value_den``, another element's buck-per-bang is
-        the integer ``A = key[o] * lcm``, and ``e``'s, at ``bid = P / q``,
-        is ``T / q`` with ``T = P * multiplier[e] * rate_den``.  For
-        integers ``A`` and ``q > 0``, ``A * q > T`` exactly when ``A > f =
-        T // q``, and ``A * q = T`` only when ``r = T % q`` is 0.  So ``e``
-        goes after every ``A > f`` and before every ``A < f``; among the
-        ``A = f`` it goes by id when ``r`` is 0 (ties to the smaller id)
-        and first otherwise, which the 1-tuple ``(-f,)`` encodes: it sorts
-        below every ``(-f, o)``, whatever the ids' type."""
-        e, ranked, a, b, next_pass, a_stops, b_stops = entry
-        plan = self.plan
-        key_e = bid.numerator * plan.multiplier[e]
-        f, r = divmod(key_e * self._keys.scales[1], bid.denominator)
-        p = bisect_left(ranked, (-f, e) if r == 0 else (-f,))
-        if p >= len(a):  # A passes before e is tested
-            return frozen(Outcome, {**self._stop(a_stops, a, len(a) - 1, budget),
-                                    "trace": tuple(a)})
-        # e's own budget test, as in BidKeys but at e's scale
-        at, den_e = a[p], bid.denominator * plan.lcm
-        passed = at.weight * key_e * budget.denominator <= budget.numerator * den_e
-        step = TraceStep(p + 1, None if passed else e, key_e, at.members, at.weight,
-                         (plan.value_den, den_e))
-        if passed:
-            return frozen(Outcome, {**self._stop(a_stops, a, p, budget),
-                                    "trace": (*a[:p], step)})
-        stop = next_pass[p]
-        fields = settle(plan, budget, b[p], step) if stop == p else \
-            self._stop(b_stops, b, stop, budget)
-        return frozen(Outcome, {**fields, "trace": (*a[:p], step, *b[p:stop + 1])})
 
-    def _stop(self, stops, chain, k, budget):
-        """The fields of a stop at ``chain[k]``, which read no bid of ``e``,
-        kept in the chain's ``stops``."""
-        if k not in stops:
-            stops[k] = settle(self.plan, budget, chain[k], chain[k - 1] if k else None)
-        return stops[k]
+def _chain_answer(plan, entry, budget, bid, _base_bid):
+    """The outcome when ``e`` bids ``bid``: ``e``'s position ``p`` in ``O`` is
+    found on integers.  Times ``rate_den * lcm / value_den`` (``rate_den``
+    is every step's ``scales[1]``), another element's buck-per-bang is the
+    integer ``A = key[o] * lcm``, and ``e``'s, at ``bid = P / q``, is ``T /
+    q`` with ``T = P * multiplier[e] * rate_den``.  For integers ``A`` and
+    ``q > 0``, ``A * q > T`` exactly when ``A > f = T // q``, and ``A * q =
+    T`` only when ``r = T % q`` is 0.  So ``e`` goes after every ``A > f``
+    and before every ``A < f``; among the ``A = f`` it goes by id when
+    ``r`` is 0 (ties to the smaller id) and first otherwise, which the
+    1-tuple ``(-f,)`` encodes: it sorts below every ``(-f, o)``, whatever
+    the ids' type.  ``p`` counts the others' ranks below that probe."""
+    e, i, ranked, a, b, next_pass, a_stops, b_stops = entry
+    key_e = bid.numerator * plan.multiplier[e]
+    f, r = divmod(key_e * a[0].scales[1], bid.denominator)
+    p = bisect_left(ranked, (-f, e) if r == 0 else (-f,))
+    p -= i < p  # e's own base rank is below the probe
+    if p >= len(a):  # A passes before e is tested: one outcome, kept under None
+        if None not in a_stops:
+            a_stops[None] = frozen(Outcome, {**_chain_stop(plan, a_stops, a, len(a) - 1, budget),
+                                             "trace": tuple(a)})
+        return a_stops[None]
+    at, den_e = a[p], bid.denominator * plan.lcm  # e's own test, as in BidKeys, at e's scale
+    passed = at.weight * key_e * budget.denominator <= budget.numerator * den_e
+    step = TraceStep(p + 1, None if passed else e, key_e, at.members, at.weight,
+                     (plan.value_den, den_e))
+    if passed:
+        return frozen(Outcome, {**_chain_stop(plan, a_stops, a, p, budget),
+                                "trace": (*a[:p], step)})
+    stop = next_pass[p]
+    fields = settle(plan, budget, b[p], step) if stop == p else \
+        _chain_stop(plan, b_stops, b, stop, budget)
+    return frozen(Outcome, {**fields, "trace": (*a[:p], step, *b[p:stop + 1])})
+
+
+def _chain_stop(plan, stops, chain, k, budget):
+    """The fields of a stop at ``chain[k]``, which read no bid of ``e``,
+    kept in the chain's ``stops``."""
+    if k not in stops:
+        stops[k] = settle(plan, budget, chain[k], chain[k - 1] if k else None)
+    return stops[k]
 
 
 def utility(inst, outcome, e):

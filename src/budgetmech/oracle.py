@@ -34,6 +34,7 @@ def _walk(ground, fits, weights, costs, budget, visit):
 
     visit(frozenset(), 0, 0)
     extend(0, frozenset(), 0, 0)
+    del extend  # its closure refers to it: end the cycle, none is left to collect
 
 
 def _integer_costs(ground, costs, budget):

@@ -29,7 +29,7 @@ from .mechanisms import (
     frozen,
     run_matroid_mechanism,
 )
-from .rationals import ZERO, as_rational, mpq, rational_isqrt, scale_to_integers
+from .rationals import ZERO, as_rational, is_int, mpq, rational_isqrt, scale_to_integers
 
 XOS_ENUMERATION_CAP = 16
 
@@ -85,7 +85,7 @@ class XosParams:
 
     ``gamma`` is the certified approximation factor of the additive
     sub-mechanism (4 for the one shipped here); it only enters the
-    ratio analysis, never the run itself.
+    ratio analysis, never the run itself.  ``seed``, the coin tape, is an int.
     """
 
     alpha: object
@@ -105,6 +105,8 @@ class XosParams:
             raise InputError("gamma must be at least 1")
         if self.alpha * self.beta - self.beta - 4 * self.alpha <= 0:
             raise InputError("alpha*beta - beta - 4*alpha must be positive (bound is vacuous)")
+        if not is_int(self.seed):
+            raise InputError(f"seed must be an integer, got {self.seed!r}")
 
 
 def partition_halves(valuation, opt, alpha):
@@ -366,7 +368,7 @@ class XosPlan:
     ``_class_winners`` rows read by ``_argmax_at_shift``.  The plan also
     keeps the last threshold under its integers (``threshold``).  The keys
     are exact, so a run through a plan gives the outcome of a run without
-    one.
+    one.  The half tables close over locals, not the plan: none points back.
 
     ``chosen(s_star)`` keeps one ``_ChosenSet`` per chosen T2 set for the
     plan's life, built at the first run that chooses the set: the best
@@ -389,17 +391,17 @@ class XosPlan:
         self.take_max_element = bool(rng.getrandbits(1))
         self.t1, self.t2 = _split_with_rng(rng, ground)
         self.t1_ids, self.t2_ids = t1_ids, t2_ids = sorted(self.t1), sorted(self.t2)
-        self.star = self.t1_value = self.t2_value = None
+        self.star = self.t1_value = self.t2_value = t1_value = t2_value = None
         if self.take_max_element:
             self.star = min(ground, key=lambda e: (-valuation.value(frozenset([e])), e))
         else:
-            self.t1_value = scale_to_integers(_value_table(valuation, t1_ids))
-            self.t2_value = scale_to_integers(_value_table(valuation, t2_ids))
+            self.t1_value = t1_value = scale_to_integers(_value_table(valuation, t1_ids))
+            self.t2_value = t2_value = scale_to_integers(_value_table(valuation, t2_ids))
         self._t1 = OneBid(t1_ids, lambda budget, bids: _one_bid_optima(
-            t1_ids, _bid_totals([bids[e] for e in t1_ids]), self.t1_value, budget),
+            t1_ids, _bid_totals([bids[e] for e in t1_ids]), t1_value, budget),
             _optimum_at_shift)
         self._t2 = OneBid(t2_ids, lambda threshold, bids: _class_winners(
-            t2_ids, _bid_totals([bids[e] for e in t2_ids]), self.t2_value, threshold),
+            t2_ids, _bid_totals([bids[e] for e in t2_ids]), t2_value, threshold),
             _argmax_at_shift)
         self.valuation, self.ground, self.seed = valuation, frozenset(ground), params.seed
         self._threshold_key = self._threshold = None

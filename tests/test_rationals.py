@@ -129,6 +129,15 @@ VALUE_ERRORS = {
     "xos_mechanism_main bid zero": (lambda: xos_mechanism_main(
         _xos(), ONE, {**ONE, "b": 0}, 5, XosParams(**PARAMS)), InputError,
         "bid of 'b' must lie in (0, budget]"),
+    # a seed is the whole coin tape: None would draw one from the OS
+    "XosParams seed None": (lambda: XosParams(**{**PARAMS, "seed": None}), InputError,
+                            "seed must be an integer, got None"),
+    "XosParams seed string": (lambda: XosParams(**{**PARAMS, "seed": "1"}), InputError,
+                              "seed must be an integer, got '1'"),
+    "XosParams seed float": (lambda: XosParams(**{**PARAMS, "seed": 1.5}), InputError,
+                             "seed must be an integer, got 1.5"),
+    "XosParams seed bool": (lambda: XosParams(**{**PARAMS, "seed": True}), InputError,
+                            "seed must be an integer, got True"),
     "xos_objective knob zero": (lambda: xos_objective(218, 0, 4), InputError,
                                 "alpha, beta and gamma must be positive"),
     "xos_objective knob negative": (lambda: xos_objective(218, mpq(9, 2), -4), InputError,

@@ -1,8 +1,10 @@
 """Verification harness: generators, probes, reports, replay."""
 
+import gc
 import hashlib
 import json
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -16,13 +18,16 @@ from budgetmech import (
     SchemaError,
     UniformMatroid,
     XosParams,
+    XosPlan,
     first_price_greedy,
     intersection,
     utility,
     verify,
     xos,
+    xos_mechanism_main,
 )
 from budgetmech.instance_io import instance_to_json, load_instance
+from budgetmech.oracle import brute_force_opt, enumerate_independent_sets, xos_opt
 from budgetmech.rationals import format_rational, mpq
 from budgetmech.verify import (
     EPSILON,
@@ -554,3 +559,45 @@ def test_threshold_deviation_outcomes_are_pinned():
             for index in range(4):
                 sweep(mechanism, gen(large, index), index)
     assert digest.hexdigest() == GOLDEN_THRESHOLD_OUTCOME_SHA256
+
+
+def test_sweeps_and_oracle_walks_leave_no_cyclic_garbage():
+    """A threshold sweep per mechanism, an XOS sweep, both XOS branches and
+    the three oracle walks free everything they build by reference
+    counting: with the collector off, nothing is left for it to find, and
+    a runner and an XOS plan, with their one-bid tables built, are gone as
+    soon as the last name is dropped."""
+    small = GeneratorConfig(count=1, seed=0, n_range=(6, 6))
+    inst = gen_matroid_instance(small, 0)
+    valuation, costs, budget = gen_xos_instance(0, 0, n=8)
+    sampling, max_element = (XosParams(seed=tape, alpha=218, beta=mpq(9, 2), gamma=4)
+                             for tape in (1, 0))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for mechanism in verify.MECHANISM_NAMES:
+            gen = gen_matroid_instance if mechanism in ("matroid", "broken-first-price") \
+                else gen_bipartite_instance
+            sample = gen(small, 0)
+            check_truthfulness(make_runner(mechanism, sample), sample, 6, mechanism=mechanism)
+        check_xos_truthfulness(valuation, costs, budget, sampling, 4)
+        assert xos_mechanism_main(valuation, costs, costs, budget, max_element).branch \
+            == "max-element"
+        brute_force_opt(inst.structure, inst.weights, inst.true_costs, inst.budget)
+        xos_opt(valuation, costs, budget)
+        enumerate_independent_sets(inst.structure)
+        assert gc.collect() == 0
+
+        runner, plan = make_runner("matroid", inst), XosPlan(valuation, sampling)
+        check_truthfulness(runner, inst, 6)
+        e = valuation.ground[0]
+        for bids in (costs, {**costs, e: costs[e] + 1}):
+            outcome = xos_mechanism_main(valuation, costs, bids, budget, sampling, plan)
+            assert outcome.branch == "sub-mechanism"
+        refs = weakref.ref(runner), weakref.ref(plan)
+        del runner, plan
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

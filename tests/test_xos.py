@@ -19,6 +19,7 @@ from budgetmech import (
     XosParams,
     XosPlan,
     XosValuation,
+    mechanisms,
     optimize_constant,
     partition_halves,
     random_split,
@@ -26,7 +27,6 @@ from budgetmech import (
     xos_mechanism_main,
     xos_objective,
 )
-from budgetmech.mechanisms import OneBidRunner
 from budgetmech.oracle import xos_opt
 from budgetmech.rationals import ZERO, mpq, scale_to_integers
 from budgetmech.verify import check_xos_outcome, check_xos_truthfulness, gen_xos_instance
@@ -721,8 +721,8 @@ def test_shared_plan_matches_fresh_runs():
             assert shared == fresh
             branches.add(fresh.branch)
 
-    with mock.patch.object(OneBidRunner, "_answer", autospec=True,
-                           side_effect=OneBidRunner._answer) as chain_answers:
+    with mock.patch.object(mechanisms, "_chain_answer", autospec=True,
+                           side_effect=mechanisms._chain_answer) as chain_answers:
         check()
     assert branches == {"max-element", "empty", "sub-mechanism"}
     assert sum(answers["t1"]) > 0 and sum(answers["t2"]) > 0
